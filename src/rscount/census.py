@@ -36,7 +36,7 @@ from .conjugation import (
     is_self_reciprocal,
     reciprocal,
 )
-from .fields import GF, Poly, ff_from_order, is_irreducible, poly_eval, poly_mul
+from .fields import GF, Poly, ff_from_order, is_irreducible, mark_multiples, poly_eval
 from .numbertheory import as_prime_power, divisors, mobius
 
 #: Default ceiling on candidate-space sizes for exhaustive enumeration.
@@ -156,27 +156,9 @@ def _sieve(field: GF, degree: int) -> list[tuple[int, ...]]:
     q = field.q
     size = q**degree
     marked = bytearray(size)
-    add, mul = field.add, field.mul
     for e in range(1, degree // 2 + 1):
-        cofactor = degree - e
         for g in _irreducible_raw(field, e):
-            for t in itertools.product(range(q), repeat=cofactor):
-                prod = [0] * degree
-                # multiply g by h = z^cofactor + sum t[j] z^j, recording only
-                # coefficients below z^degree (the product is monic of degree
-                # `degree` by construction)
-                for i, gc in enumerate(g):
-                    if gc:
-                        base = i + cofactor
-                        if base < degree:
-                            prod[base] = add(prod[base], gc)
-                        for j, hc in enumerate(t):
-                            if hc:
-                                prod[i + j] = add(prod[i + j], mul(gc, hc))
-                index = 0
-                for c in reversed(prod):
-                    index = index * q + c
-                marked[index] = 1
+            mark_multiples(marked, field, g, degree)
     out = []
     for index in range(size):
         if not marked[index]:
@@ -348,11 +330,17 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
 # -- closed-form census counts --------------------------------------------------
 
 
+def _exact_count(total: int, parts: int) -> int:
+    """total / parts as a census count: raises unless it is a whole number >= 0."""
+    if total % parts or total < 0:
+        raise ArithmeticError(f"census count {total}/{parts} is not a nonnegative integer")
+    return total // parts
+
+
 @lru_cache(maxsize=None)
 def _necklace(q: int, d: int) -> int:
     total = sum(mobius(d // e) * q**e for e in divisors(d))
-    assert total % d == 0
-    return total // d
+    return _exact_count(total, d)
 
 
 @lru_cache(maxsize=None)
@@ -373,8 +361,7 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
         for mp in divisors(m):
             if mp < m and (m // mp) % 2 == 1:
                 total -= 2 * mp * _formula_count(kind, q, 2 * mp)
-        assert total % d == 0 and total >= 0
-        return total // d
+        return _exact_count(total, d)
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
         if d % 2 == 0:
             return 0
@@ -384,20 +371,17 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
         for e in divisors(d):
             if e < d:
                 total -= e * _formula_count(kind, q, e)
-        assert total % d == 0 and total >= 0
-        return total // d
+        return _exact_count(total, d)
     if kind is CensusKind.RECIPROCAL_PAIRS:
         diff = _formula_count(CensusKind.IRREDUCIBLE, q, d) - _formula_count(
             CensusKind.SELF_RECIPROCAL, q, d
         )
-        assert diff % 2 == 0 and diff >= 0
-        return diff // 2
+        return _exact_count(diff, 2)
     if kind is CensusKind.HERMITIAN_PAIRS:
         diff = _formula_count(CensusKind.IRREDUCIBLE, q * q, d) - _formula_count(
             CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d
         )
-        assert diff % 2 == 0 and diff >= 0
-        return diff // 2
+        return _exact_count(diff, 2)
     raise ValueError(f"unknown census kind {kind!r}")
 
 

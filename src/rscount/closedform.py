@@ -66,9 +66,9 @@ class GroupSpec(NamedTuple):
 
 
 def _validate(n: int, q: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 2:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
 
 
@@ -194,7 +194,7 @@ def rs_symbolic(family: Family, n: int, q_odd: bool = False) -> QPoly:
     it is ignored where the polynomial is parity-independent.  U requires
     n >= 2.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"rank n must be a positive integer, got {n!r}")
     Q = QPoly.symbol()
     if family is Family.GL:

@@ -456,6 +456,69 @@ def squarefree_codes(field: GF, coeffs: Sequence[int]) -> bool:
     return len(poly_gcd(field, coeffs, deriv)) == 1
 
 
+class _RowsOnDemand(dict):
+    """``rows[a][b] == op(a, b)``: stands in for the dense addition table of a
+    field above :data:`TABLE_LIMIT`; row a is built on first use."""
+
+    def __init__(self, op, q: int):
+        super().__init__()
+        self.op, self.q = op, q
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = [self.op(a, b) for b in range(self.q)]
+        return row
+
+
+def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) -> None:
+    """Set ``marks[i]`` for every monic degree-n multiple of the monic
+    ``divisor``, where i is the code of the multiple's n low coefficients.
+
+    A monic f = z^n + r is a multiple of G (degree d <= n) exactly when
+    r = -z^n mod G.  So the top n - d coefficients of r are free, and read as
+    base-q digits H they are the high part of i; the d low coefficients are
+    then fixed by H, linearly: they are those of -(z^n + H(z) z^d) mod G.
+    """
+    q = field.q
+    fadd, fmul = field.add, field.mul
+    add = field.add_table or _RowsOnDemand(fadd, q)
+    d = len(divisor) - 1
+    m = n - d
+    # residues[j] = -(z^(d+j) mod G), built as residues[j+1] = z * residues[j] mod G.
+    reduce_top = [field.neg(c) for c in divisor[:d]]  # z^d mod G
+    residues = [list(divisor[:d])]
+    for _ in range(m):
+        last = residues[-1]
+        top = last[-1]
+        residues.append([fadd(s, fmul(top, r)) for s, r in zip([0, *last[:-1]], reduce_top)])
+    # scaled[j][h] = h * residues[j]: what digit j = h adds to the low coefficients.
+    scaled = [[[fmul(h, c) for c in residues[j]] for h in range(q)] for j in range(m)]
+    weights = [q**k for k in range(d)]
+    qd = q**d
+    offsets = [h * qd for h in range(q)]
+    # Transposed last digit: columns[k][h] is coefficient k of h * residues[0].
+    columns = [list(col) for col in zip(*scaled[0])] if m else []
+
+    def walk(j: int, high: int, low: list[int]) -> None:
+        # Digits H_(m-1)..H_(j+1) are fixed: ``high`` holds them, ``low`` the
+        # low coefficients they give so far.  Digit j runs over GF(q).
+        if j == 0:
+            base = high * q * qd
+            indices = [base + o for o in offsets]
+            for a, column, w in zip(low, columns, weights):
+                row = add[a]
+                indices = [i + row[b] * w for i, b in zip(indices, column)]
+            for i in indices:
+                marks[i] = 1
+            return
+        for h, step in enumerate(scaled[j]):
+            walk(j - 1, high * q + h, [add[a][b] for a, b in zip(low, step)])
+
+    if m == 0:
+        marks[sum(c * w for c, w in zip(residues[0], weights))] = 1
+    else:
+        walk(m - 1, 0, residues[m])
+
+
 # -- Poly ------------------------------------------------------------------------
 
 

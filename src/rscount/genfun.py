@@ -388,9 +388,9 @@ def _family_rational(family: Family, q: QLike, q_odd: bool):
 def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     """Class count for the group via series-coefficient extraction at rank n."""
     family, n, q = spec
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 2:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
     T = terms if terms is not None else n
     if T < n:
@@ -414,7 +414,7 @@ def symbolic_count_polynomials(
     ``q_odd`` selects the odd-field-size variant wherever the polynomial
     depends on the parity of q (SL, SU, Sp, all SO families).
     """
-    if not isinstance(max_n, int) or max_n < 1:
+    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
     Q = QPoly.symbol()
     num, den, extra_num, extra_den, divisor = _family_rational(family, Q, q_odd)

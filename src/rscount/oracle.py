@@ -10,25 +10,39 @@ directly, sharing no arithmetic with the closed-form or series routes:
   eigenvalue ±1 parts with type labels — with the weight-2 splitting rule for
   data that carry no ±1 eigenvalues.
 
+The squarefree polynomials are found by a sieve, not by a gcd(f, f') per
+candidate: every product g^2 h, for an enumerated irreducible g and any
+cofactor h of the right degree, is marked, and the unmarked candidates are
+counted.  The linear scan marks one byte per monic polynomial of degree n.
+The symplectic scan reuses those marks through the correspondence
+f(z) = z^n g(z + 1/z) between monic g of degree n and the palindromic f of
+degree 2n with constant term 1 (Carlitz 1967; Meyn, AAECC 1 (1990)): f is
+squarefree with no root at ±1 iff g is squarefree with no root at ±2.  The
+unitary scan marks the products of squares of hermitian-self-reciprocal
+irreducibles and hermitian pairs with smaller members of its own family.
+The irreducibles come from the census ``enumerate`` route only.
+
 Scans refuse (raising :class:`~rscount.census.EnumerationBoundError`) rather
 than run past the configured candidate cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .census import (
     check_enumeration_bound,
+    hermitian_pairs,
+    hermitian_self_reciprocal_irreducibles,
+    irreducibles,
     iter_hermitian_self_reciprocal_coeffs,
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
 from .closedform import Family, GroupSpec
-from .fields import GF, Poly, ff_from_order, poly_eval, squarefree_codes
+from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul
 
 __all__ = [
     "ConjugacyDatum",
@@ -88,54 +102,115 @@ class ConjugacyDatum:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _squarefree_marks(field: GF, n: int) -> bytearray:
+    """One byte per monic degree-n polynomial over ``field``, indexed by the
+    code of its n low coefficients: set exactly on the non-squarefree ones.
+
+    A monic polynomial is not squarefree iff some irreducible g of degree
+    e <= n/2 has g^2 dividing it, so marking the multiples of g^2 for every
+    enumerated monic irreducible g suffices.
+    """
+    marks = bytearray(field.q**n)
+    for e in range(1, n // 2 + 1):
+        for g in irreducibles(field, e):
+            mark_multiples(marks, field, poly_mul(field, g.coeffs, g.coeffs), n)
+    return marks
+
+
+# The cap is checked before the cached sieves are consulted, so a scan past
+# the cap is refused whether or not an earlier call cached its result.
+
+
 def _linear_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of monic squarefree degree-n polys over GF(q)."""
-    field = ff_from_order(q)
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
     check_enumeration_bound(q**n, f"squarefree scan over GF({q}) degree {n}")
-    hist: dict[int, int] = {c: 0 for c in range(1, q)}
-    for tail in itertools.product(range(q), repeat=n):
-        c0 = tail[0]
-        if c0 == 0:
-            continue
-        if squarefree_codes(field, (*tail, 1)):
-            hist[c0] += 1
-    return hist
+    return _linear_sieve(n, q)
 
 
 @lru_cache(maxsize=None)
+def _linear_sieve(n: int, q: int) -> dict[int, int]:
+    marks = _squarefree_marks(ff_from_order(q), n)
+    # The constant term is the lowest base-q digit of the index.
+    return {c: marks[c::q].count(0) for c in range(1, q)}
+
+
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
     polys over GF(q^2); constants range over the norm-one circle."""
     check_enumeration_bound(
         q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
     )
+    return _unitary_sieve(n, q)
+
+
+@lru_cache(maxsize=None)
+def _unitary_sieve(n: int, q: int) -> dict[int, int]:
+    """The hermitian reciprocal is multiplicative, so a member f of the family
+    with a square factor g^2 is also divisible by the square of the partner
+    of g.  Hence f = s h with h in the family of degree n - deg s and s either
+    g^2 for a self-dual irreducible g, or (g g')^2 for a hermitian pair
+    (g, g').  Those products are marked; the unmarked members are counted.
+
+    A member is fixed by f_0 and its top coefficients f_t..f_(n-1),
+    t = ceil(n/2), since f_i = (f_(n-i) / f_0)^q; they index its mark.
+    """
     ext = ff_from_order(q * q)
+    qq = ext.q
+    top = (n + 1) // 2
+
+    def mark_index(f: Sequence[int]) -> int:
+        index = 0
+        for c in reversed(f[top:n]):
+            index = index * qq + c
+        return index * qq + f[0]
+
+    marks = bytearray(qq ** (n - top + 1))
+    square_roots = [g.coeffs for e in range(1, n // 2 + 1)
+                    for g in hermitian_self_reciprocal_irreducibles(q, e)]
+    square_roots += [poly_mul(ext, g.coeffs, h.coeffs) for e in range(1, n // 4 + 1)
+                     for g, h in hermitian_pairs(q, e)]
+    for root in square_roots:
+        square = poly_mul(ext, root, root)
+        rest = n - (len(square) - 1)
+        cofactors = iter_hermitian_self_reciprocal_coeffs(q, rest) if rest else [(1,)]
+        for h in cofactors:
+            marks[mark_index(poly_mul(ext, square, h))] = 1
     hist: dict[int, int] = {}
     for coeffs in iter_hermitian_self_reciprocal_coeffs(q, n):
-        if squarefree_codes(ext, coeffs):
+        if not marks[mark_index(coeffs)]:
             c0 = coeffs[0]
             hist[c0] = hist.get(c0, 0) + 1
     return hist
 
 
-@lru_cache(maxsize=None)
 def _symplectic_scan(n: int, q: int) -> int:
     """Count of monic squarefree reciprocal-symmetric degree-2n polys over
-    GF(q) with constant term 1 and no root at ±1."""
-    field = ff_from_order(q)
+    GF(q) with constant term 1 and no root at ±1.
+
+    f = z^n g(z + 1/z) maps the monic g of degree n one-to-one onto those
+    palindromic f (Carlitz 1967; Meyn 1990).  The roots of f are the pairs
+    {a, 1/a} with a + 1/a a root b of g, and a = ±1 exactly when b = ±2.  So
+    f is squarefree with no root at ±1 iff g is squarefree with g(±2) != 0
+    (in characteristic 2, where 2 = -2 = 0 and 1 = -1: iff g(0) != 0).  The
+    count is taken over the g.  The cap is still checked on the q^(2n)
+    coefficient vectors of degree 2n.
+    """
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
     check_enumeration_bound(
         q ** (2 * n), f"reciprocal-symmetric scan over GF({q}) degree {2 * n}"
     )
-    one, neg_one = 1, field.neg(1)
-    count = 0
-    for t in itertools.product(range(q), repeat=n):
-        coeffs = (1, *t, *t[-2::-1], 1)
-        if poly_eval(field, coeffs, one) == 0 or poly_eval(field, coeffs, neg_one) == 0:
-            continue
-        if squarefree_codes(field, coeffs):
-            count += 1
-    return count
+    return _symplectic_sieve(n, q)
+
+
+@lru_cache(maxsize=None)
+def _symplectic_sieve(n: int, q: int) -> int:
+    field = ff_from_order(q)
+    marks = _squarefree_marks(field, n)
+    two = field.scalar(2)
+    for c in (two, field.neg(two)):
+        mark_multiples(marks, field, (c, 1), n)  # g with a root at -c
+    return marks.count(0)
 
 
 def _neg_one_code(field: GF) -> int:
@@ -201,9 +276,9 @@ def oracle_unitary_histogram(n: int, q: int) -> dict[int, int]:
 
 
 def _validate_rank(n: int, q: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 2:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
 
 
@@ -244,11 +319,12 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
     """All class data of total dimension m for the orthogonal groups over GF(q).
 
     Every datum's non-eigenvalue part has characteristic-polynomial constant
-    term 1 (asserted), so the data are exactly the admissible class labels.
+    term 1 (checked: ArithmeticError otherwise), so the data are exactly the
+    admissible class labels.
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"total dimension m must be a positive integer, got {m!r}")
-    if not isinstance(q, int) or q < 2:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
     q_odd = q % 2 == 1
     if not q_odd and m % 2:
@@ -267,7 +343,8 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
         return field.mul(payload[0].coeffs[0], payload[1].coeffs[0])
 
     for item in universe:
-        assert constant_of(item) == 1, "block/pair constant term must be 1"
+        if constant_of(item) != 1:
+            raise ArithmeticError(f"block/pair {item[2]!r} has constant term other than 1")
 
     chosen: list = []
 
@@ -315,7 +392,7 @@ def oracle_orthogonal(m: int, q: int, target: str) -> OracleResult:
     """
     if target not in ("plus", "minus", "odd_dim"):
         raise ValueError(f"target must be 'plus', 'minus', or 'odd_dim', got {target!r}")
-    if not isinstance(m, int) or m < 2:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise ValueError(f"total dimension m must be an integer >= 2, got {m!r}")
     if m % 2 == 0 and target == "odd_dim":
         raise ValueError("target 'odd_dim' needs odd total dimension m")

@@ -59,7 +59,7 @@ def test_criterion_1_three_way_agreement():
 
     # Linear and special linear groups.
     for q in (2, 3, 4, 5, 7, 8, 9):
-        for n in range(1, 7):
+        for n in range(1, 9):
             if q**n > 10**7:
                 continue
             _three_way(Family.GL, n, q)
@@ -69,7 +69,7 @@ def test_criterion_1_three_way_agreement():
     assert rs_gl(3, 2) == 3
 
     # Unitary and special unitary groups (candidate space sits inside GF(q^2)).
-    for q, n_max in ((2, 11), (3, 7), (4, 5)):
+    for q, n_max in ((2, 13), (3, 8), (4, 6)):
         for n in range(1, n_max + 1):
             _three_way(Family.U, n, q)
             _three_way(Family.SU, n, q)
@@ -77,7 +77,7 @@ def test_criterion_1_three_way_agreement():
     assert rs_su(2, 3) == rs_sl(2, 3) == 1
 
     # Symplectic groups.
-    for q, n_max in ((2, 11), (3, 7), (4, 5), (5, 5)):
+    for q, n_max in ((2, 13), (3, 8), (4, 6), (5, 5)):
         for n in range(1, n_max + 1):
             _three_way(Family.SP, n, q)
     assert rs_sp(1, 3) == 1

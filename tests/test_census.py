@@ -16,6 +16,7 @@ from rscount.census import (
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
+from rscount.census import _SIEVE_THRESHOLD
 from rscount.conjugation import (
     hermitian_reciprocal,
     is_hermitian_self_reciprocal,
@@ -63,6 +64,17 @@ def test_irreducibles_are_sorted_irreducible_and_complete():
             e * len(irreducibles(field, e)) for e in (1, 2, 3) if 3 % e == 0
         )
         assert total == q**3
+
+
+def test_irreducible_sieve_is_complete():
+    # Above _SIEVE_THRESHOLD candidates the irreducibles come from the product
+    # sieve; the degree-weighted divisor sum must still recover q^d.
+    for q, d in ((2, 13), (4, 7), (7, 5), (9, 4), (16, 4)):
+        assert q**d > _SIEVE_THRESHOLD
+        field = ff_from_order(q)
+        total = sum(e * len(irreducibles(field, e)) for e in range(1, d + 1) if d % e == 0)
+        assert total == q**d
+        assert all(is_irreducible(f) for f in irreducibles(field, d)[:50])
 
 
 def test_self_reciprocal_irreducibles():

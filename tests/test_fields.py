@@ -15,6 +15,7 @@ from rscount.fields import (
     frobenius,
     is_irreducible,
     is_squarefree,
+    mark_multiples,
     poly_from_roots,
     subfield_codes,
 )
@@ -345,3 +346,16 @@ def test_irreducible_count_matches_necklace_formula():
             )
             necklace = sum(mobius(d // e) * q**e for e in divisors(d)) // d
             assert found == necklace
+
+
+def test_mark_multiples_without_dense_tables():
+    # GF(257) is above the dense-table limit; marks come from computed rows.
+    field = ff_make(257)
+    assert field.add_table is None
+    q = field.q
+    for c in (0, 1, 2, 255):
+        marks = bytearray(q**2)
+        mark_multiples(marks, field, (c, 1), 2)
+        # (z + c)(z + h) = z^2 + (c + h) z + c h, indexed by its low coefficients.
+        expected = {(c * h) % q + q * ((c + h) % q) for h in range(q)}
+        assert {i for i, mark in enumerate(marks) if mark} == expected

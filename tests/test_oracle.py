@@ -1,10 +1,27 @@
 """Unit tests for the exhaustive-enumeration oracles."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from rscount.census import norm_one_circle
-from rscount.closedform import Family, GroupSpec, rs_count
-from rscount.fields import ff_from_order
+import rscount
+from rscount.census import (
+    CensusKind,
+    EnumerationBoundError,
+    census_count,
+    check_enumeration_bound,
+    iter_hermitian_self_reciprocal_coeffs,
+    norm_one_circle,
+)
+from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
+from rscount.fields import ff_from_order, poly_eval, squarefree_codes
+from rscount.genfun import gf_count, symbolic_count_polynomials
 from rscount.oracle import (
     ConjugacyDatum,
     iter_orthogonal_data,
@@ -16,6 +33,122 @@ from rscount.oracle import (
     oracle_unitary,
     oracle_unitary_histogram,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference scans: one gcd(f, f') per candidate
+# ---------------------------------------------------------------------------
+#
+# The oracles find squarefree polynomials by sieving out multiples of squares
+# of enumerated irreducibles.  These are the direct scans they replaced, kept
+# to cross-check the sieves on every small cell.
+
+
+def _reference_linear_histogram(n: int, q: int) -> dict[int, int]:
+    """constant code -> number of monic squarefree degree-n polys over GF(q)."""
+    field = ff_from_order(q)
+    check_enumeration_bound(q**n, f"squarefree scan over GF({q}) degree {n}")
+    hist: dict[int, int] = {c: 0 for c in range(1, q)}
+    for tail in itertools.product(range(q), repeat=n):
+        c0 = tail[0]
+        if c0 == 0:
+            continue
+        if squarefree_codes(field, (*tail, 1)):
+            hist[c0] += 1
+    return hist
+
+
+def _reference_unitary_histogram(n: int, q: int) -> dict[int, int]:
+    """constant code -> number of degree-n conjugate-self-reciprocal squarefree
+    polys over GF(q^2); constants range over the norm-one circle."""
+    check_enumeration_bound(
+        q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
+    )
+    ext = ff_from_order(q * q)
+    hist: dict[int, int] = {}
+    for coeffs in iter_hermitian_self_reciprocal_coeffs(q, n):
+        if squarefree_codes(ext, coeffs):
+            c0 = coeffs[0]
+            hist[c0] = hist.get(c0, 0) + 1
+    return hist
+
+
+def _reference_symplectic_scan(n: int, q: int) -> int:
+    """Count of monic squarefree reciprocal-symmetric degree-2n polys over
+    GF(q) with constant term 1 and no root at ±1."""
+    field = ff_from_order(q)
+    check_enumeration_bound(
+        q ** (2 * n), f"reciprocal-symmetric scan over GF({q}) degree {2 * n}"
+    )
+    one, neg_one = 1, field.neg(1)
+    count = 0
+    for t in itertools.product(range(q), repeat=n):
+        coeffs = (1, *t, *t[-2::-1], 1)
+        if poly_eval(field, coeffs, one) == 0 or poly_eval(field, coeffs, neg_one) == 0:
+            continue
+        if squarefree_codes(field, coeffs):
+            count += 1
+    return count
+
+
+#: Candidates the reference scans may test per cell.
+_REFERENCE_BUDGET = 3000
+
+
+def _reference_cells(candidates):
+    """(n, q) for q in {2, 3, 4, 5, 7, 8, 9} (characteristic 2 and 3, prime
+    and extension fields) and every n whose cell has at most the budgeted
+    number of reference candidates."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        n = 1
+        while candidates(n, q) <= _REFERENCE_BUDGET:
+            yield n, q
+            n += 1
+
+
+def test_linear_sieve_matches_gcd_scan():
+    cells = list(_reference_cells(lambda n, q: q**n))
+    assert (11, 2) in cells and (3, 8) in cells and (3, 9) in cells
+    for n, q in cells:
+        assert oracle_constant_histogram(n, q) == _reference_linear_histogram(n, q), (n, q)
+
+
+def test_unitary_sieve_matches_gcd_scan():
+    cells = list(_reference_cells(lambda n, q: (q + 1) * q ** (n - 1)))
+    assert (10, 2) in cells and (3, 8) in cells and (3, 9) in cells
+    for n, q in cells:
+        assert oracle_unitary_histogram(n, q) == _reference_unitary_histogram(n, q), (n, q)
+
+
+def test_symplectic_sieve_matches_gcd_scan():
+    # In characteristic 2 the z + 1/z correspondence degenerates: 2 = -2 = 0.
+    cells = list(_reference_cells(lambda n, q: q**n))
+    assert (11, 2) in cells and (3, 4) in cells and (3, 8) in cells
+    for n, q in cells:
+        assert oracle_symplectic(n, q).count == _reference_symplectic_scan(n, q), (n, q)
+
+
+def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
+    import rscount.oracle as oracle
+
+    cells = [
+        lambda: oracle_linear(3, 2),
+        lambda: oracle_constant_histogram(3, 2),
+        lambda: oracle_unitary(3, 2),
+        lambda: oracle_unitary_histogram(3, 2),
+        lambda: oracle_symplectic(3, 2),
+    ]
+    for call in cells:
+        call()  # cache the sieve's result under the default cap
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", "4")
+
+    def no_marks(*args):
+        raise AssertionError("marks allocated past the cap")
+
+    monkeypatch.setattr(oracle, "_squarefree_marks", no_marks)
+    for call in cells + [lambda: oracle_linear(5, 2), lambda: oracle_symplectic(5, 3)]:
+        with pytest.raises(EnumerationBoundError, match="above the enumeration cap 4"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +352,81 @@ def test_oracle_validation():
         oracle_unitary(1, 1)
     with pytest.raises(ValueError):
         oracle_symplectic(-1, 3)
+
+
+_BOOL_CALLS = [
+    ("oracle_linear", lambda: oracle_linear(True, 3)),
+    ("oracle_linear q", lambda: oracle_linear(2, True)),
+    ("oracle_unitary", lambda: oracle_unitary(True, 3)),
+    ("oracle_symplectic", lambda: oracle_symplectic(True, 3)),
+    ("oracle_constant_histogram", lambda: oracle_constant_histogram(True, 3)),
+    ("oracle_unitary_histogram", lambda: oracle_unitary_histogram(True, 3)),
+    ("oracle_count", lambda: oracle_count(GroupSpec(Family.GL, True, 3))),
+    ("iter_orthogonal_data", lambda: list(iter_orthogonal_data(True, 3))),
+    ("iter_orthogonal_data q", lambda: list(iter_orthogonal_data(3, True))),
+    ("oracle_orthogonal", lambda: oracle_orthogonal(True, 3, "odd_dim")),
+    ("rs_count", lambda: rs_count(GroupSpec(Family.GL, True, 3))),
+    ("rs_count q", lambda: rs_count(GroupSpec(Family.GL, 2, True))),
+    ("rs_symbolic", lambda: rs_symbolic(Family.GL, True)),
+    ("gf_count", lambda: gf_count(GroupSpec(Family.GL, True, 3))),
+    ("gf_count q", lambda: gf_count(GroupSpec(Family.GL, 2, True))),
+    ("symbolic_count_polynomials", lambda: symbolic_count_polynomials(Family.GL, True)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _BOOL_CALLS], ids=[i for i, _ in _BOOL_CALLS])
+def test_bool_rank_or_field_size_rejected(call):
+    # bool is an int subclass: True would otherwise pass as 1.
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_exactness_checks_survive_python_O():
+    """Under ``python -O`` (asserts stripped) the census and orthogonal
+    exactness checks still raise, and the counts they guard are unchanged."""
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import rscount.census as census
+        import rscount.oracle as oracle
+        from rscount.census import CensusKind, census_count
+        from rscount.fields import Poly
+        out = {"optimize": sys.flags.optimize}
+        out["counts"] = [
+            census_count(CensusKind.IRREDUCIBLE, 3, 6).count,
+            census_count(CensusKind.SELF_RECIPROCAL, 3, 6).count,
+            census_count(CensusKind.HERMITIAN_PAIRS, 2, 5).count,
+            oracle.oracle_orthogonal(6, 3, "plus").count,
+        ]
+        census.mobius = lambda k: 1  # the necklace sum is then not divisible
+        try:
+            census._necklace(2, 3)
+            out["necklace"] = "unchecked"
+        except ArithmeticError:
+            out["necklace"] = "raised"
+        oracle.self_reciprocal_irreducibles = lambda field, d: (Poly(field, (2, 0, 1)),)
+        try:
+            list(oracle.iter_orthogonal_data(4, 3))
+            out["constant"] = "unchecked"
+        except ArithmeticError:
+            out["constant"] = "raised"
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["optimize"] == 1
+    assert out["counts"] == [
+        census_count(CensusKind.IRREDUCIBLE, 3, 6).count,
+        census_count(CensusKind.SELF_RECIPROCAL, 3, 6).count,
+        census_count(CensusKind.HERMITIAN_PAIRS, 2, 5).count,
+        rs_count(GroupSpec(Family.SO_PLUS, 3, 3)),
+    ]
+    assert out["counts"][:3] == [116, 4, 99]
+    assert (out["necklace"], out["constant"]) == ("raised", "raised")
