@@ -27,7 +27,7 @@ import enum
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, Optional
 
 from .conjugation import (
@@ -37,7 +37,7 @@ from .conjugation import (
     reciprocal,
 )
 from .fields import GF, Poly, ff_from_order, is_irreducible, mark_multiples, poly_eval
-from .numbertheory import as_prime_power, divisors, mobius
+from .numbertheory import as_prime_power, check_int, divisors, exact_div, mobius
 
 #: Default ceiling on candidate-space sizes for exhaustive enumeration.
 DEFAULT_ENUM_CAP = 10**8
@@ -74,6 +74,30 @@ def check_enumeration_bound(candidates: int, what: str) -> None:
         )
 
 
+def capped_cache(bound):
+    """Decorator: cache a scan's results, but check the enumeration cap first.
+
+    ``bound`` takes the scan's arguments and returns the ``(candidates,
+    what)`` pair for :func:`check_enumeration_bound`.  The check runs on every
+    call, before the cache is consulted, so a scan past the cap is refused
+    even when an earlier call under a higher cap cached its result.  The
+    wrapper keeps the cache's ``cache_info``.
+    """
+
+    def decorate(scan):
+        cached = lru_cache(maxsize=None)(scan)
+
+        @wraps(scan)
+        def capped(*args, **kwargs):
+            check_enumeration_bound(*bound(*args, **kwargs))
+            return cached(*args, **kwargs)
+
+        capped.cache_info = cached.cache_info
+        return capped
+
+    return decorate
+
+
 class CensusKind(enum.Enum):
     """The five polynomial families whose counts feed the product expansions."""
 
@@ -89,12 +113,6 @@ class CensusKind(enum.Enum):
             if kind.value == token:
                 return kind
         raise ValueError(f"unknown census kind {token!r}")
-
-
-#: Kinds whose enumeration runs over the quadratic extension GF(q^2).
-_HERMITIAN_KINDS = frozenset(
-    {CensusKind.HERMITIAN_SELF_RECIPROCAL, CensusKind.HERMITIAN_PAIRS}
-)
 
 
 @dataclass(frozen=True)
@@ -122,10 +140,11 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     Includes z itself in degree 1.  Uses a direct scan with
     :func:`~rscount.fields.is_irreducible` for small candidate spaces and a
     product sieve (mark every monic multiple of a lower-degree irreducible;
-    the survivors are exactly the irreducibles) for large ones.
+    the survivors are exactly the irreducibles) for large ones.  The callers
+    have checked the cap: :func:`irreducibles` on the q^degree candidates,
+    :func:`_sieve` on a larger degree.
     """
     q = field.q
-    check_enumeration_bound(q**degree, f"irreducible scan over GF({q}) degree {degree}")
     if degree == 1:
         return tuple((c, 1) for c in range(q))
     if q**degree <= _SIEVE_THRESHOLD:
@@ -172,7 +191,11 @@ def _sieve(field: GF, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
+def _irreducible_bound(field: GF, degree: int, nonzero_constant: bool = False):
+    return field.q**degree, f"irreducible scan over GF({field.q}) degree {degree}"
+
+
+@capped_cache(_irreducible_bound)
 def irreducibles(field: GF, degree: int, nonzero_constant: bool = False) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree, sorted by code."""
     if degree < 1:
@@ -183,7 +206,10 @@ def irreducibles(field: GF, degree: int, nonzero_constant: bool = False) -> tupl
     return tuple(polys)
 
 
-@lru_cache(maxsize=None)
+@capped_cache(lambda field, degree: (
+    field.q ** (degree // 2) if degree % 2 == 0 else 0,
+    f"self-reciprocal scan over GF({field.q}) degree {degree}",
+))
 def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     """Monic self-reciprocal irreducibles of the given degree, sorted by code.
 
@@ -200,9 +226,6 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     if degree % 2:
         return ()
     m = degree // 2
-    check_enumeration_bound(
-        q**m, f"self-reciprocal scan over GF({q}) degree {degree}"
-    )
     one, neg_one = 1, field.neg(1)
     out = []
     for t in itertools.product(range(q), repeat=m):
@@ -216,7 +239,7 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@capped_cache(_irreducible_bound)
 def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs {f, f*} of distinct reciprocal irreducible partners,
     each reported as (f, f*) with f of smaller code, sorted by f's code."""
@@ -296,15 +319,14 @@ def iter_hermitian_self_reciprocal_coeffs(
                 yield tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@capped_cache(lambda base_q, degree: (
+    (base_q + 1) * base_q ** max(degree - 1, 0),
+    f"hermitian-self-reciprocal scan over GF({base_q * base_q}) degree {degree}",
+))
 def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Poly, ...]:
     """Monic hermitian-self-reciprocal irreducibles of the given degree over
     GF(base_q^2), via the structured family scan, sorted by code."""
     ext = ff_from_order(base_q * base_q)
-    check_enumeration_bound(
-        (base_q + 1) * base_q ** max(degree - 1, 0),
-        f"hermitian-self-reciprocal scan over GF({ext.q}) degree {degree}",
-    )
     out = [
         f
         for t in iter_hermitian_self_reciprocal_coeffs(base_q, degree)
@@ -314,7 +336,10 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@capped_cache(lambda base_q, degree: (
+    base_q ** (2 * degree),
+    f"irreducible scan over GF({base_q * base_q}) degree {degree}",
+))
 def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs of distinct hermitian-reciprocal irreducible partners
     over GF(base_q^2), as (f, partner) with f of smaller code."""
@@ -330,17 +355,10 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
 # -- closed-form census counts --------------------------------------------------
 
 
-def _exact_count(total: int, parts: int) -> int:
-    """total / parts as a census count: raises unless it is a whole number >= 0."""
-    if total % parts or total < 0:
-        raise ArithmeticError(f"census count {total}/{parts} is not a nonnegative integer")
-    return total // parts
-
-
 @lru_cache(maxsize=None)
 def _necklace(q: int, d: int) -> int:
     total = sum(mobius(d // e) * q**e for e in divisors(d))
-    return _exact_count(total, d)
+    return exact_div(total, d, "census count")
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +379,7 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
         for mp in divisors(m):
             if mp < m and (m // mp) % 2 == 1:
                 total -= 2 * mp * _formula_count(kind, q, 2 * mp)
-        return _exact_count(total, d)
+        return exact_div(total, d, "census count")
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
         if d % 2 == 0:
             return 0
@@ -371,17 +389,17 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
         for e in divisors(d):
             if e < d:
                 total -= e * _formula_count(kind, q, e)
-        return _exact_count(total, d)
+        return exact_div(total, d, "census count")
     if kind is CensusKind.RECIPROCAL_PAIRS:
         diff = _formula_count(CensusKind.IRREDUCIBLE, q, d) - _formula_count(
             CensusKind.SELF_RECIPROCAL, q, d
         )
-        return _exact_count(diff, 2)
+        return exact_div(diff, 2, "census count")
     if kind is CensusKind.HERMITIAN_PAIRS:
         diff = _formula_count(CensusKind.IRREDUCIBLE, q * q, d) - _formula_count(
             CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d
         )
-        return _exact_count(diff, 2)
+        return exact_div(diff, 2, "census count")
     raise ValueError(f"unknown census kind {kind!r}")
 
 
@@ -421,17 +439,18 @@ def census_count(
     cap) and can attach the witnesses; ``method="formula"`` uses the closed
     necklace/recursion counts.
     """
+    check_int(q, "field size q", 2)
+    check_int(d, "degree d")
     if as_prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
-    if d < 1:
-        raise ValueError(f"degree d={d} must be >= 1")
     if method == "formula":
         if with_witnesses:
             raise ValueError("witnesses require method='enumerate'")
-        return CensusCount(kind, q, d, _formula_count(kind, q, d))
+        count = _formula_count(kind, q, d)
+        if count < 0:
+            raise ArithmeticError(f"census count {count} of {kind.value} at q={q}, d={d} < 0")
+        return CensusCount(kind, q, d, count)
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    space = q ** (2 * d) if kind in _HERMITIAN_KINDS else q**d
-    check_enumeration_bound(space, f"census {kind.value} at q={q}, d={d}")
     items = _enumerate_cell(kind, q, d)
     return CensusCount(kind, q, d, len(items), items if with_witnesses else None)

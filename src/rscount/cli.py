@@ -19,6 +19,7 @@ from .closedform import Family, GroupSpec, rs_count
 from .genfun import (
     Identity,
     admissible_parity,
+    check_admissible,
     gf_count,
     symbolic_count_polynomials,
     verify_identity,
@@ -33,16 +34,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_DISAGREE = 3
 _EXIT_BOUND = 4
-
-#: Families whose symbolic polynomial depends on the parity of the field size.
-_PARITY_FAMILIES = {
-    Family.SL,
-    Family.SU,
-    Family.SP,
-    Family.SO_ODD,
-    Family.SO_PLUS,
-    Family.SO_MINUS,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,13 +187,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         raise ValueError("--terms must be >= 1")
     _warn_composite_q(args.q)
     if args.identity != "all":
-        identity = Identity.from_token(args.identity)
-        parity = admissible_parity(identity)
-        if (parity == "odd" and args.q % 2 == 0) or (parity == "even" and args.q % 2 == 1):
-            raise ValueError(
-                f"identity {identity.token} requires {parity} field size, got q={args.q}"
-            )
-        report = verify_identity(identity, args.q, args.terms)
+        report = verify_identity(Identity.from_token(args.identity), args.q, args.terms)
         payload = {"schema": SCHEMA, **report.to_json()}
         return (
             _EXIT_OK if report.passed else _EXIT_DISAGREE,
@@ -212,12 +197,13 @@ def _cmd_verify(args) -> tuple[int, str]:
     skipped = []
     all_pass = True
     for identity in Identity:
-        parity = admissible_parity(identity)
-        if (parity == "odd" and args.q % 2 == 0) or (parity == "even" and args.q % 2 == 1):
+        try:
+            check_admissible(identity, args.q)
+        except ValueError:
             skipped.append(
                 {
                     "identity": identity.token,
-                    "note": f"stated for {parity} field sizes only",
+                    "note": f"stated for {admissible_parity(identity)} field sizes only",
                 }
             )
             continue
@@ -251,16 +237,12 @@ def _cmd_series(args) -> tuple[int, str]:
     family = Family.from_token(args.family)
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
-    if family in _PARITY_FAMILIES:
-        if args.char is None:
-            raise ValueError(
-                f"family {family.token} needs --char odd|even (its polynomial "
-                "depends on the field-size parity)"
-            )
-        q_odd = args.char == "odd"
-    else:
-        q_odd = False
-    polys = symbolic_count_polynomials(family, args.terms, q_odd=q_odd)
+    if family.parity_dependent and args.char is None:
+        raise ValueError(
+            f"family {family.token} needs --char odd|even (its polynomial "
+            "depends on the field-size parity)"
+        )
+    polys = symbolic_count_polynomials(family, args.terms, q_odd=args.char == "odd")
     lines = [f"{n}: {polys[n]}" for n in range(1, args.terms + 1)]
     return _EXIT_OK, "\n".join(lines) + "\n"
 

@@ -1,7 +1,7 @@
 """Closed-form counts of regular semisimple conjugacy classes.
 
 One function per classical-group family, all in exact integer arithmetic: every
-division is an asserted exact division, so a formula bug raises instead of
+division is a checked exact division, so a formula bug raises instead of
 silently rounding.  ``n`` is always the rank parameter: GL(n, q), SL(n, q),
 U(n, q), SU(n, q), Sp(2n, q), SO(2n+1, q), SO±(2n, q).
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from .numbertheory import check_int, exact_div
 from .series import QPoly
 
 __all__ = [
@@ -33,7 +34,10 @@ __all__ = [
 
 
 class Family(Enum):
-    """Classical-group family, keyed by its CLI token."""
+    """Classical-group family, keyed by its CLI token.
+
+    Also the one home of the family facts that more than one module needs.
+    """
 
     GL = "gl"
     SL = "sl"
@@ -47,6 +51,12 @@ class Family(Enum):
     @property
     def token(self) -> str:
         return self.value
+
+    @property
+    def parity_dependent(self) -> bool:
+        """True if the count polynomial in q depends on the parity of q:
+        every family except GL and U."""
+        return self not in (Family.GL, Family.U)
 
     @classmethod
     def from_token(cls, token: str) -> "Family":
@@ -65,58 +75,47 @@ class GroupSpec(NamedTuple):
     q: int
 
 
-def _validate(n: int, q: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
-
-
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"expected {numerator} divisible by {denominator}; formula violated"
-        )
-    return quotient
-
-
 def rs_gl(n: int, q: int) -> int:
     """Regular semisimple class count for GL(n, q)."""
-    _validate(n, q)
-    return _exact_div(q ** (n + 1) - q**n + (-1) ** (n + 1) * (q - 1), q + 1)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
+    return exact_div(q ** (n + 1) - q**n + (-1) ** (n + 1) * (q - 1), q + 1, "closed form")
 
 
 def rs_sl(n: int, q: int) -> int:
     """Regular semisimple class count for SL(n, q)."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if n % 2 == 0 and q % 2 == 1:
-        return _exact_div(q ** (n + 1) - q**n - (q - 1), q * q - 1) - 1
-    return _exact_div(rs_gl(n, q), q - 1)
+        return exact_div(q ** (n + 1) - q**n - (q - 1), q * q - 1, "closed form") - 1
+    return exact_div(rs_gl(n, q), q - 1, "closed form")
 
 
 def rs_u(n: int, q: int) -> int:
     """Regular semisimple class count for the unitary group U(n, q) ⊂ GL(n, q²)."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     sign = (-1) ** (n + 1) * (-1) ** (n // 2)
     numerator = q ** (n + 1) - q**n + sign * (q - (-1) ** n)
-    return _exact_div((q + 1) * numerator, q * q + 1)
+    return exact_div((q + 1) * numerator, q * q + 1, "closed form")
 
 
 def rs_su(n: int, q: int) -> int:
     """Regular semisimple class count for the special unitary group SU(n, q)."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if n % 2 == 0 and q % 2 == 1:
         half = (-1) ** (n // 2)
-        return _exact_div(q ** (n + 1) - q**n - half * (q - 1), q * q + 1) + half
-    return _exact_div(rs_u(n, q), q + 1)
+        return exact_div(q ** (n + 1) - q**n - half * (q - 1), q * q + 1, "closed form") + half
+    return exact_div(rs_u(n, q), q + 1, "closed form")
 
 
 def rs_sp(n: int, q: int) -> int:
     """Regular semisimple class count for Sp(2n, q)."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if q % 2 == 0:
-        return _exact_div((q - 1) * (q**n + (-1) ** (n - 1)), q + 1)
+        return exact_div((q - 1) * (q**n + (-1) ** (n - 1)), q + 1, "closed form")
     total = (-1) ** n * (n + 1)
     for i in range(n):
         total += (-1) ** i * (2 * i + 1) * q ** (n - i)
@@ -125,7 +124,8 @@ def rs_sp(n: int, q: int) -> int:
 
 def rs_so_odd_dim(n: int, q: int) -> int:
     """Regular semisimple class count for SO(2n+1, q)."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if q % 2 == 0:
         # In even characteristic SO(2n+1, q) is isomorphic to Sp(2n, q).
         return rs_sp(n, q)
@@ -139,7 +139,8 @@ def rs_so_odd_dim(n: int, q: int) -> int:
 
 def rs_so_even_dim(sign: int, n: int, q: int) -> int:
     """Regular semisimple class count for SO^±(2n, q); ``sign`` is +1 or -1."""
-    _validate(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if sign not in (1, -1):
         raise ValueError(f"type sign must be +1 or -1, got {sign!r}")
     if q % 2 == 0:
@@ -194,8 +195,7 @@ def rs_symbolic(family: Family, n: int, q_odd: bool = False) -> QPoly:
     it is ignored where the polynomial is parity-independent.  U requires
     n >= 2.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank n must be a positive integer, got {n!r}")
+    check_int(n, "rank n")
     Q = QPoly.symbol()
     if family is Family.GL:
         poly = Q**n + QPoly((-1) ** n)

@@ -23,6 +23,7 @@ from typing import Optional, Union
 
 from .census import CensusKind, census_count
 from .closedform import Family, GroupSpec
+from .numbertheory import check_int, exact_div
 from .series import (
     DEFAULT_TRUNCATION,
     QPoly,
@@ -100,11 +101,10 @@ def admissible_parity(identity: Identity) -> str:
 
 
 def check_admissible(identity: Identity, q: int) -> None:
+    """Raise ValueError unless the identity is stated for the parity of q."""
     parity = _PARITY[identity]
-    if parity == "odd" and q % 2 == 0:
-        raise ValueError(f"identity {identity.token} is stated for odd q only")
-    if parity == "even" and q % 2 == 1:
-        raise ValueError(f"identity {identity.token} is stated for even q only")
+    if parity not in ("both", "odd" if q % 2 else "even"):
+        raise ValueError(f"identity {identity.token} requires {parity} field size, got q={q}")
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,6 @@ def verify_identity(
 # ---------------------------------------------------------------------------
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"expected {numerator} divisible by {denominator}; series assembly violated"
-        )
-    return quotient
-
-
 QLike = Union[int, QPoly]
 
 
@@ -388,10 +379,8 @@ def _family_rational(family: Family, q: QLike, q_odd: bool):
 def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     """Class count for the group via series-coefficient extraction at rank n."""
     family, n, q = spec
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     T = terms if terms is not None else n
     if T < n:
         raise ValueError(f"truncation order {T} is below the requested rank {n}")
@@ -403,7 +392,7 @@ def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     if divisor == 1:
         return value
     div = divisor.evaluate(q) if isinstance(divisor, QPoly) else int(divisor)
-    return _exact_div(value, div)
+    return exact_div(value, div, "series coefficient")
 
 
 def symbolic_count_polynomials(
@@ -411,11 +400,11 @@ def symbolic_count_polynomials(
 ) -> dict[int, QPoly]:
     """Counts for ranks 1..max_n as integer polynomials in the field size.
 
-    ``q_odd`` selects the odd-field-size variant wherever the polynomial
-    depends on the parity of q (SL, SU, Sp, all SO families).
+    ``q_odd`` selects the odd-field-size variant where the polynomial
+    depends on the parity of q (``family.parity_dependent``); it is ignored
+    for the other families.
     """
-    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    check_int(max_n, "max_n")
     Q = QPoly.symbol()
     num, den, extra_num, extra_den, divisor = _family_rational(family, Q, q_odd)
     main = series_from_rational(num, den, max_n)

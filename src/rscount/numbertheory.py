@@ -1,4 +1,5 @@
-"""Small integer number-theory helpers: primality, prime powers, divisors, Moebius.
+"""Small integer helpers: primality, prime powers, divisors, Moebius, plus the
+integer-argument check and the exact division that every route uses.
 
 Everything here works on ordinary Python ints and is sized for the tiny inputs
 this package deals in (field sizes up to ~2**20, polynomial degrees up to a few
@@ -8,6 +9,28 @@ dozen), so plain trial division is the right tool.
 from __future__ import annotations
 
 from functools import lru_cache
+
+
+def check_int(value, name: str, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``minimum``.
+
+    bool is rejected although it subclasses int: True would pass as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        need = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
+def exact_div(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, raising ArithmeticError unless it is exact.
+
+    ``what`` names the quantity divided.  A raise, not an assert, so the
+    check survives ``python -O``.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what}: {numerator} is not divisible by {denominator}")
+    return quotient
 
 
 def is_prime(n: int) -> bool:

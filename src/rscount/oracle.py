@@ -29,11 +29,10 @@ than run past the configured candidate cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .census import (
-    check_enumeration_bound,
+    capped_cache,
     hermitian_pairs,
     hermitian_self_reciprocal_irreducibles,
     irreducibles,
@@ -43,6 +42,7 @@ from .census import (
 )
 from .closedform import Family, GroupSpec
 from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul
+from .numbertheory import check_int, exact_div
 
 __all__ = [
     "ConjugacyDatum",
@@ -117,36 +117,27 @@ def _squarefree_marks(field: GF, n: int) -> bytearray:
     return marks
 
 
-# The cap is checked before the cached sieves are consulted, so a scan past
-# the cap is refused whether or not an earlier call cached its result.
+def _linear_bound(n: int, q: int):
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
+    return q**n, f"squarefree scan over GF({q}) degree {n}"
 
 
+@capped_cache(_linear_bound)
 def _linear_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of monic squarefree degree-n polys over GF(q)."""
-    ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    check_enumeration_bound(q**n, f"squarefree scan over GF({q}) degree {n}")
-    return _linear_sieve(n, q)
-
-
-@lru_cache(maxsize=None)
-def _linear_sieve(n: int, q: int) -> dict[int, int]:
     marks = _squarefree_marks(ff_from_order(q), n)
     # The constant term is the lowest base-q digit of the index.
     return {c: marks[c::q].count(0) for c in range(1, q)}
 
 
+@capped_cache(lambda n, q: (
+    q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
+))
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
-    polys over GF(q^2); constants range over the norm-one circle."""
-    check_enumeration_bound(
-        q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
-    )
-    return _unitary_sieve(n, q)
+    polys over GF(q^2); constants range over the norm-one circle.
 
-
-@lru_cache(maxsize=None)
-def _unitary_sieve(n: int, q: int) -> dict[int, int]:
-    """The hermitian reciprocal is multiplicative, so a member f of the family
+    The hermitian reciprocal is multiplicative, so a member f of the family
     with a square factor g^2 is also divisible by the square of the partner
     of g.  Hence f = s h with h in the family of degree n - deg s and s either
     g^2 for a self-dual irreducible g, or (g g')^2 for a hermitian pair
@@ -184,6 +175,12 @@ def _unitary_sieve(n: int, q: int) -> dict[int, int]:
     return hist
 
 
+def _symplectic_bound(n: int, q: int):
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
+    return q ** (2 * n), f"reciprocal-symmetric scan over GF({q}) degree {2 * n}"
+
+
+@capped_cache(_symplectic_bound)
 def _symplectic_scan(n: int, q: int) -> int:
     """Count of monic squarefree reciprocal-symmetric degree-2n polys over
     GF(q) with constant term 1 and no root at ±1.
@@ -196,15 +193,6 @@ def _symplectic_scan(n: int, q: int) -> int:
     count is taken over the g.  The cap is still checked on the q^(2n)
     coefficient vectors of degree 2n.
     """
-    ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    check_enumeration_bound(
-        q ** (2 * n), f"reciprocal-symmetric scan over GF({q}) degree {2 * n}"
-    )
-    return _symplectic_sieve(n, q)
-
-
-@lru_cache(maxsize=None)
-def _symplectic_sieve(n: int, q: int) -> int:
     field = ff_from_order(q)
     marks = _squarefree_marks(field, n)
     two = field.scalar(2)
@@ -213,17 +201,14 @@ def _symplectic_sieve(n: int, q: int) -> int:
     return marks.count(0)
 
 
-def _neg_one_code(field: GF) -> int:
-    return field.neg(1)
-
-
 def oracle_linear(n: int, q: int, equals: Optional[int] = None) -> OracleResult:
     """Count monic squarefree degree-n polynomials over GF(q).
 
     ``equals=None`` applies the nonzero-constant constraint (GL); an integer
     code restricts to that exact constant term (SL uses the code of (-1)^n).
     """
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     hist = _linear_histogram(n, q)
     if equals is None:
         count = sum(hist.values())
@@ -241,7 +226,8 @@ def oracle_unitary(n: int, q: int, equals: Optional[int] = None) -> OracleResult
 
     ``equals=None`` counts all (U); an integer code restricts the constant
     term (SU uses the code of (-1)^n in GF(q²))."""
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     hist = _unitary_histogram(n, q)
     if equals is None:
         count = sum(hist.values())
@@ -254,7 +240,8 @@ def oracle_unitary(n: int, q: int, equals: Optional[int] = None) -> OracleResult
 
 def oracle_symplectic(n: int, q: int) -> OracleResult:
     """Count degree-2n reciprocal-symmetric squarefree polys, no ±1 roots."""
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     count = _symplectic_scan(n, q)
     return OracleResult(
         GroupSpec(Family.SP, n, q), count, count, "one class per polynomial"
@@ -264,22 +251,17 @@ def oracle_symplectic(n: int, q: int) -> OracleResult:
 def oracle_constant_histogram(n: int, q: int) -> dict[int, int]:
     """For each unit constant code, the count of monic squarefree degree-n
     polynomials over GF(q) with that constant term."""
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     return dict(_linear_histogram(n, q))
 
 
 def oracle_unitary_histogram(n: int, q: int) -> dict[int, int]:
     """Same histogram for conjugate-self-reciprocal polys over GF(q²),
     keyed by norm-one-circle constant codes."""
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     return dict(_unitary_histogram(n, q))
-
-
-def _validate_rank(n: int, q: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank n must be a positive integer, got {n!r}")
-    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +304,8 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
     term 1 (checked: ArithmeticError otherwise), so the data are exactly the
     admissible class labels.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"total dimension m must be a positive integer, got {m!r}")
-    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
+    check_int(m, "total dimension m")
+    check_int(q, "field size q", 2)
     q_odd = q % 2 == 1
     if not q_odd and m % 2:
         raise ValueError(
@@ -365,7 +345,10 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
         yield from dfs(0, m - a - b, a, a_type, b, b_type)
 
 
-@lru_cache(maxsize=None)
+# The census scans behind the data are capped at q^(m//2) candidates, at the
+# self-reciprocal irreducibles of degree m (or m-1) and the reciprocal pairs of
+# degree m//2, so the cached sums are capped at the same bound.
+@capped_cache(lambda m, q: (q ** (m // 2), f"orthogonal data scan over GF({q}) dimension {m}"))
 def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     """(S, D, data_count) for total dimension m over GF(q).
 
@@ -392,8 +375,8 @@ def oracle_orthogonal(m: int, q: int, target: str) -> OracleResult:
     """
     if target not in ("plus", "minus", "odd_dim"):
         raise ValueError(f"target must be 'plus', 'minus', or 'odd_dim', got {target!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-        raise ValueError(f"total dimension m must be an integer >= 2, got {m!r}")
+    check_int(m, "total dimension m", 2)
+    check_int(q, "field size q", 2)
     if m % 2 == 0 and target == "odd_dim":
         raise ValueError("target 'odd_dim' needs odd total dimension m")
     if m % 2 == 1 and target != "odd_dim":
@@ -406,18 +389,13 @@ def oracle_orthogonal(m: int, q: int, target: str) -> OracleResult:
     S, D, total = _orthogonal_sums(m, q)
     n = m // 2
     if target == "odd_dim":
-        count, spec = _halve(S), GroupSpec(Family.SO_ODD, n, q)
+        total_weight, family = S, Family.SO_ODD
     elif target == "plus":
-        count, spec = _halve(S + D), GroupSpec(Family.SO_PLUS, n, q)
+        total_weight, family = S + D, Family.SO_PLUS
     else:
-        count, spec = _halve(S - D), GroupSpec(Family.SO_MINUS, n, q)
-    return OracleResult(spec, count, total, f"S={S}, D={D}")
-
-
-def _halve(value: int) -> int:
-    if value % 2:
-        raise ArithmeticError(f"orthogonal weighted sum {value} is not even")
-    return value // 2
+        total_weight, family = S - D, Family.SO_MINUS
+    count = exact_div(total_weight, 2, "orthogonal weighted sum")
+    return OracleResult(GroupSpec(family, n, q), count, total, f"S={S}, D={D}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +407,18 @@ def oracle_count(spec: GroupSpec) -> OracleResult:
     """Route a group spec to its enumeration, including the SL/SU constant
     filters and the even-characteristic odd-orthogonal delegation."""
     family, n, q = spec
-    _validate_rank(n, q)
+    check_int(n, "rank n")
+    check_int(q, "field size q", 2)
     if family is Family.GL:
         return oracle_linear(n, q)
     if family is Family.SL:
-        field = ff_from_order(q)
-        code = 1 if n % 2 == 0 else field.neg(1)
-        result = oracle_linear(n, q, equals=code)
-        return OracleResult(spec, result.count, result.witness_count, result.notes)
+        code = 1 if n % 2 == 0 else ff_from_order(q).neg(1)
+        return oracle_linear(n, q, equals=code)
     if family is Family.U:
         return oracle_unitary(n, q)
     if family is Family.SU:
-        ext = ff_from_order(q * q)
-        code = 1 if n % 2 == 0 else ext.neg(1)
-        result = oracle_unitary(n, q, equals=code)
-        return OracleResult(spec, result.count, result.witness_count, result.notes)
+        code = 1 if n % 2 == 0 else ff_from_order(q * q).neg(1)
+        return oracle_unitary(n, q, equals=code)
     if family is Family.SP:
         return oracle_symplectic(n, q)
     if family is Family.SO_ODD:

@@ -1,9 +1,13 @@
 """Unit tests for the closed-form class-count formulas."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rscount
 from rscount.closedform import (
     Family,
     GroupSpec,
@@ -43,6 +47,37 @@ def test_group_spec_fields():
     assert spec.family is Family.SP
     assert spec.n == 3
     assert spec.q == 5
+
+
+_ROUTES = ("closedform", "genfun", "oracle")
+
+
+def _imported_names(tree: ast.Module):
+    """(module, name) for every import in a module of the rscount package;
+    ``module`` is the last dotted part, so relative and absolute imports match."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module is None:  # from . import module
+                    yield alias.name, None
+                else:
+                    yield node.module.rpartition(".")[2], alias.name
+
+
+def test_routes_share_only_the_family_vocabulary():
+    """The three routes (closed form, series, enumeration) stay independent:
+    none imports another route, except Family and GroupSpec from closedform."""
+    package = Path(rscount.__file__).parent
+    for route in _ROUTES:
+        tree = ast.parse((package / f"{route}.py").read_text(encoding="utf-8"))
+        for module, name in _imported_names(tree):
+            if module in _ROUTES and module != route:
+                assert module == "closedform" and name in ("Family", "GroupSpec"), (
+                    route, module, name,
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_check_admissible():
     check_admissible(Identity.GL_PRODUCT, 3)
     check_admissible(Identity.SIGNED_PRODUCT_ODD, 5)
     check_admissible(Identity.SO_MINUS_EVEN, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity signed-product-odd requires odd field size, got q=2"):
         check_admissible(Identity.SIGNED_PRODUCT_ODD, 2)
     with pytest.raises(ValueError):
         check_admissible(Identity.SO_PLUS_EVEN, 3)
@@ -221,29 +221,34 @@ def test_symbolic_polynomials_match_direct_symbolic_forms():
 
 
 def test_symbolic_polynomials_evaluate_to_counts():
-    cases = [
-        (Family.GL, False, (2, 3, 4, 5)),
-        (Family.SL, True, (3, 5)),
-        (Family.SL, False, (2, 4)),
-        (Family.U, False, (2, 3, 4)),
-        (Family.SU, True, (3, 5)),
-        (Family.SU, False, (2, 4)),
-        (Family.SP, True, (3, 5)),
-        (Family.SP, False, (2, 4)),
-        (Family.SO_ODD, True, (3, 5)),
-        (Family.SO_ODD, False, (2, 4)),
-        (Family.SO_PLUS, False, (2, 4)),
-        (Family.SO_MINUS, False, (2, 4)),
-    ]
-    for family, q_odd, qs in cases:
-        polys = symbolic_count_polynomials(family, 8, q_odd=q_odd)
-        for n in range(1, 9):
-            for q in qs:
-                assert polys[n].evaluate(q) == rs_count(GroupSpec(family, n, q)), (
-                    family,
-                    n,
-                    q,
-                )
+    """Formula = series for every q, not only on a grid.
+
+    Premise: for each family and parity of q, the closed form rs_count at rank
+    n and the coefficient symbolic_count_polynomials(family, ...)[n] are both
+    integer polynomials in q of degree <= n (the closed forms branch on q only
+    by its parity).  Two such polynomials that agree at n + 1 values of q are
+    equal.  Both routes accept composite q, so agreement at the n + 2 smallest
+    field sizes of each parity proves the routes agree for every q.
+    """
+    for family in Family:
+        for q_odd in (False, True):
+            polys = symbolic_count_polynomials(family, 40, q_odd=q_odd)
+            for n in range(1, 41):
+                assert polys[n].degree <= n, (family, q_odd, n)
+                for q in range(3 if q_odd else 2, 2 * n + 6, 2):  # n + 2 values
+                    assert polys[n].evaluate(q) == rs_count(GroupSpec(family, n, q)), (
+                        family,
+                        q_odd,
+                        n,
+                        q,
+                    )
+
+
+def test_parity_dependent_families_are_those_whose_polynomials_split():
+    for family in Family:
+        odd = symbolic_count_polynomials(family, 8, q_odd=True)
+        even = symbolic_count_polynomials(family, 8, q_odd=False)
+        assert family.parity_dependent == (odd != even), family
 
 
 def test_symbolic_polynomials_for_even_dim_orthogonal_odd_q():

@@ -4,7 +4,9 @@ import pytest
 
 from rscount.numbertheory import (
     as_prime_power,
+    check_int,
     divisors,
+    exact_div,
     is_prime,
     mobius,
     prime_factorization,
@@ -85,3 +87,22 @@ def test_mobius_sum_over_divisors():
     for n in range(1, 500):
         total = sum(mobius(d) for d in divisors(n))
         assert total == (1 if n == 1 else 0)
+
+
+def test_check_int():
+    check_int(1, "rank n")
+    check_int(2, "field size q", 2)
+    with pytest.raises(ValueError, match="rank n must be a positive integer, got 0"):
+        check_int(0, "rank n")
+    with pytest.raises(ValueError, match="field size q must be an integer >= 2, got 1"):
+        check_int(1, "field size q", 2)
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            check_int(bad, "rank n")
+
+
+def test_exact_div():
+    assert exact_div(12, 4, "x") == 3
+    assert exact_div(-12, 4, "x") == -3
+    with pytest.raises(ArithmeticError, match="census count: 7 is not divisible by 2"):
+        exact_div(7, 2, "census count")

@@ -16,8 +16,13 @@ from rscount.census import (
     EnumerationBoundError,
     census_count,
     check_enumeration_bound,
+    hermitian_pairs,
+    hermitian_self_reciprocal_irreducibles,
+    irreducibles,
     iter_hermitian_self_reciprocal_coeffs,
     norm_one_circle,
+    reciprocal_pairs,
+    self_reciprocal_irreducibles,
 )
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
 from rscount.fields import ff_from_order, poly_eval, squarefree_codes
@@ -137,9 +142,15 @@ def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
         lambda: oracle_unitary(3, 2),
         lambda: oracle_unitary_histogram(3, 2),
         lambda: oracle_symplectic(3, 2),
+        lambda: oracle_orthogonal(6, 3, "plus"),
+        lambda: irreducibles(ff_from_order(3), 4),
+        lambda: self_reciprocal_irreducibles(ff_from_order(3), 6),
+        lambda: reciprocal_pairs(ff_from_order(3), 2),
+        lambda: hermitian_self_reciprocal_irreducibles(2, 3),
+        lambda: hermitian_pairs(2, 2),
     ]
     for call in cells:
-        call()  # cache the sieve's result under the default cap
+        call()  # cache the scan's result under the default cap
     monkeypatch.setenv("RSCOUNT_ENUM_CAP", "4")
 
     def no_marks(*args):
@@ -371,6 +382,10 @@ _BOOL_CALLS = [
     ("gf_count", lambda: gf_count(GroupSpec(Family.GL, True, 3))),
     ("gf_count q", lambda: gf_count(GroupSpec(Family.GL, 2, True))),
     ("symbolic_count_polynomials", lambda: symbolic_count_polynomials(Family.GL, True)),
+    ("census_count d", lambda: census_count(CensusKind.IRREDUCIBLE, 3, True)),
+    ("census_count q", lambda: census_count(CensusKind.IRREDUCIBLE, True, 3)),
+    ("census_count d float", lambda: census_count(CensusKind.IRREDUCIBLE, 3, 2.0)),
+    ("census_count q float", lambda: census_count(CensusKind.IRREDUCIBLE, 2.0, 3)),
 ]
 
 
