@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -130,49 +131,23 @@ class CensusCount:
 
 # -- irreducible enumeration ----------------------------------------------------
 
-_SIEVE_THRESHOLD = 4096
-
 
 @lru_cache(maxsize=None)
 def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible coefficient tuples of the given degree, sorted by code.
 
-    Includes z itself in degree 1.  Uses a direct scan with
-    :func:`~rscount.fields.is_irreducible` for small candidate spaces and a
-    product sieve (mark every monic multiple of a lower-degree irreducible;
-    the survivors are exactly the irreducibles) for large ones.  The callers
+    Includes z itself in degree 1.  Every higher degree is sieved, with no
+    irreducibility test per candidate: a reducible monic polynomial is a
+    product g * h with g irreducible of degree <= degree/2, so marking the
+    monic multiples of those g leaves exactly the irreducibles.  They come out
+    in index order, which is code order: the code of a monic polynomial of
+    degree d is q^d plus the index of its d low coefficients.  The callers
     have checked the cap: :func:`irreducibles` on the q^degree candidates,
-    :func:`_sieve` on a larger degree.
+    the recursion on a larger degree.
     """
     q = field.q
     if degree == 1:
         return tuple((c, 1) for c in range(q))
-    if q**degree <= _SIEVE_THRESHOLD:
-        found = [
-            (*t, 1)
-            for t in itertools.product(range(q), repeat=degree)
-            if is_irreducible(Poly(field, (*t, 1)))
-        ]
-    else:
-        found = _sieve(field, degree)
-    found.sort(key=_code_key(q))
-    return tuple(found)
-
-
-def _code_key(q: int):
-    def key(coeffs: tuple[int, ...]) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * q + c
-        return acc
-
-    return key
-
-
-def _sieve(field: GF, degree: int) -> list[tuple[int, ...]]:
-    """Mark every reducible monic polynomial of the given degree as a product
-    g * h with g irreducible of degree <= degree/2; collect the unmarked."""
-    q = field.q
     size = q**degree
     marked = bytearray(size)
     for e in range(1, degree // 2 + 1):
@@ -188,7 +163,7 @@ def _sieve(field: GF, degree: int) -> list[tuple[int, ...]]:
                 coeffs.append(c)
             coeffs.append(1)
             out.append(tuple(coeffs))
-    return out
+    return tuple(out)
 
 
 def _irreducible_bound(field: GF, degree: int, nonzero_constant: bool = False):
@@ -213,28 +188,56 @@ def irreducibles(field: GF, degree: int, nonzero_constant: bool = False) -> tupl
 def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     """Monic self-reciprocal irreducibles of the given degree, sorted by code.
 
-    Uses the structural facts that a self-reciprocal irreducible of degree >= 2
-    has even degree and constant term 1 with palindromic coefficients, so only
-    the q^(degree/2) palindromic candidates need scanning.
+    Above degree 1 they have even degree 2m, and they are built, not searched
+    for.  Each is f(z) = z^m g(z + 1/z) = sum_i g_i z^(m-i) (z^2 + 1)^i for
+    one monic irreducible g of degree m (Carlitz 1967; Meyn, AAECC 1 (1990)).
+    The roots of f are the a with a + 1/a = b for a root b of g, so f is
+    irreducible exactly when z^2 - b z + 1 has no root in GF(q^m):
+
+    * q odd: b^2 - 4 is a nonsquare in GF(q^m), i.e. its norm g(2) g(-2) is
+      a nonsquare in GF(q);
+    * q even: b != 0 and Tr(1/b) = 1 over GF(2), i.e. g_0 != 0 and the
+      absolute trace of g_1/g_0 (the sum of its 2^i-th powers, 2^i < q) is 1.
+
+    In degree 2 the g are z + c for every c, including c = 0.  The g come
+    from :func:`irreducibles`, whose q^m candidates are the cap checked here.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    q = field.q
     if degree == 1:
         return tuple(sorted({Poly(field, (field.neg(1), 1)), Poly(field, (1, 1))},
                             key=Poly.code))
     if degree % 2:
         return ()
     m = degree // 2
-    one, neg_one = 1, field.neg(1)
+    q, add, mul = field.q, field.add, field.mul
+    two, minus_two = field.scalar(2), field.scalar(-2)
+    # basis[i]: the nonzero (exponent, coefficient) terms of z^(m-i) (z^2 + 1)^i.
+    basis = [
+        [(m - i + 2 * j, c) for j in range(i + 1) if (c := field.scalar(math.comb(i, j)))]
+        for i in range(m + 1)
+    ]
     out = []
-    for t in itertools.product(range(q), repeat=m):
-        coeffs = (1, *t, *t[-2::-1], 1)
-        if poly_eval(field, coeffs, one) == 0 or poly_eval(field, coeffs, neg_one) == 0:
-            continue
-        f = Poly(field, coeffs)
-        if is_irreducible(f):
-            out.append(f)
+    for g in irreducibles(field, m):
+        coeffs = g.coeffs
+        if q % 2:
+            x = mul(poly_eval(field, coeffs, two), poly_eval(field, coeffs, minus_two))
+            if x == 0 or field.pow(x, (q - 1) // 2) == 1:
+                continue
+        else:
+            if coeffs[0] == 0:
+                continue
+            trace = power = mul(coeffs[1], field.inv(coeffs[0]))
+            for _ in range(field.k - 1):
+                power = mul(power, power)
+                trace = add(trace, power)
+            if trace != 1:
+                continue
+        f = [0] * (degree + 1)
+        for g_i, terms in zip(coeffs, basis):
+            for e, c in terms:
+                f[e] = add(f[e], mul(g_i, c))
+        out.append(Poly(field, f))
     out.sort(key=Poly.code)
     return tuple(out)
 

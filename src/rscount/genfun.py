@@ -184,6 +184,7 @@ def _series_sub_const(s: TruncatedSeries, c: int) -> TruncatedSeries:
 
 def product_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The census-product side, expanded to the given truncation order."""
+    check_int(terms, "truncation order terms", 0)
     check_admissible(identity, q)
     T = terms
     if identity is Identity.GL_PRODUCT:
@@ -235,6 +236,7 @@ def product_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) ->
 
 def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The rational-function side, expanded to the given truncation order."""
+    check_int(terms, "truncation order terms", 0)
     check_admissible(identity, q)
     T = terms
     if identity is Identity.GL_PRODUCT:
@@ -381,7 +383,8 @@ def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     family, n, q = spec
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
-    T = terms if terms is not None else n
+    T = n if terms is None else terms
+    check_int(T, "truncation order terms", 0)
     if T < n:
         raise ValueError(f"truncation order {T} is below the requested rank {n}")
     q_odd = q % 2 == 1

@@ -20,7 +20,12 @@ degree 2n with constant term 1 (Carlitz 1967; Meyn, AAECC 1 (1990)): f is
 squarefree with no root at ±1 iff g is squarefree with no root at ±2.  The
 unitary scan marks the products of squares of hermitian-self-reciprocal
 irreducibles and hermitian pairs with smaller members of its own family.
-The irreducibles come from the census ``enumerate`` route only.
+The irreducibles come from the census ``enumerate`` route only.  The
+orthogonal data are built from the census's reciprocal pairs and its
+self-reciprocal irreducibles, which the same z + 1/z correspondence
+constructs from the irreducibles of half the degree.  So only the unitary
+scan's hermitian-self-reciprocal irreducibles still cost one irreducibility
+test per candidate.
 
 Scans refuse (raising :class:`~rscount.census.EnumerationBoundError`) rather
 than run past the configured candidate cap.

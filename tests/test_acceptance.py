@@ -84,11 +84,11 @@ def test_criterion_1_three_way_agreement():
     assert rs_sp(2, 3) == 3
 
     # Orthogonal groups, odd characteristic: all three targets up to total
-    # dimension 10, plus the published small-dimension class counts.
+    # dimension 12, plus the published small-dimension class counts.
     for q in (3, 5, 7):
-        for m in range(3, 11, 2):
+        for m in range(3, 13, 2):
             _three_way(Family.SO_ODD, (m - 1) // 2, q)
-        for m in range(2, 11, 2):
+        for m in range(2, 13, 2):
             _three_way(Family.SO_PLUS, m // 2, q)
             _three_way(Family.SO_MINUS, m // 2, q)
         assert rs_so_odd_dim(1, q) == q

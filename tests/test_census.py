@@ -1,5 +1,7 @@
 """Unit tests for the five polynomial censuses."""
 
+import itertools
+
 import pytest
 
 from rscount.census import (
@@ -16,14 +18,88 @@ from rscount.census import (
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
-from rscount.census import _SIEVE_THRESHOLD
 from rscount.conjugation import (
     hermitian_reciprocal,
     is_hermitian_self_reciprocal,
     is_self_reciprocal,
     reciprocal,
 )
-from rscount.fields import Poly, ff_from_order, ff_make, is_irreducible
+from rscount.census import _irreducible_raw
+from rscount.fields import Poly, ff_from_order, ff_make, is_irreducible, poly_eval
+
+
+# ---------------------------------------------------------------------------
+# reference scans: one Rabin irreducibility test per candidate
+# ---------------------------------------------------------------------------
+#
+# The census builds its irreducibles by a product sieve and its self-reciprocal
+# irreducibles from half-degree irreducibles.  These are the direct scans they
+# replaced, kept to cross-check them polynomial by polynomial on every small
+# cell.
+
+
+def _reference_irreducibles(field, degree):
+    """Monic irreducible coefficient tuples of the given degree, sorted by code."""
+    q = field.q
+    if degree == 1:
+        return tuple((c, 1) for c in range(q))
+    found = [
+        (*t, 1)
+        for t in itertools.product(range(q), repeat=degree)
+        if is_irreducible(Poly(field, (*t, 1)))
+    ]
+    found.sort(key=lambda coeffs: Poly(field, coeffs).code())
+    return tuple(found)
+
+
+def _reference_self_reciprocal_irreducibles(field, degree):
+    """Monic self-reciprocal irreducibles of even degree >= 2, sorted by code,
+    from the q^(degree/2) palindromic candidates with constant term 1."""
+    q = field.q
+    m = degree // 2
+    one, neg_one = 1, field.neg(1)
+    out = []
+    for t in itertools.product(range(q), repeat=m):
+        coeffs = (1, *t, *t[-2::-1], 1)
+        if poly_eval(field, coeffs, one) == 0 or poly_eval(field, coeffs, neg_one) == 0:
+            continue
+        f = Poly(field, coeffs)
+        if is_irreducible(f):
+            out.append(f)
+    out.sort(key=Poly.code)
+    return tuple(out)
+
+
+#: Field sizes of the reference cells: characteristic 2 and 3, prime fields
+#: and the extension fields 4, 8, 9 and 16.
+_REFERENCE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def _reference_cells(step, candidates, budget):
+    """(q, d) for every reference field size and every d = step, 2 step, ...
+    whose reference scan has at most ``budget`` candidates."""
+    for q in _REFERENCE_FIELDS:
+        d = step
+        while candidates(q, d) <= budget:
+            yield q, d
+            d += step
+
+
+def test_irreducible_sieve_matches_rabin_scan():
+    cells = list(_reference_cells(1, lambda q, d: q**d, 3000))
+    assert (2, 11) in cells and (9, 3) in cells and (16, 2) in cells
+    for q, d in cells:
+        field = ff_from_order(q)
+        assert _irreducible_raw(field, d) == _reference_irreducibles(field, d), (q, d)
+
+
+def test_self_reciprocal_construction_matches_palindrome_scan():
+    cells = list(_reference_cells(2, lambda q, d: q ** (d // 2), 1000))
+    assert (2, 18) in cells and (3, 12) in cells and (8, 6) in cells and (16, 4) in cells
+    for q, d in cells:
+        field = ff_from_order(q)
+        expected = _reference_self_reciprocal_irreducibles(field, d)
+        assert self_reciprocal_irreducibles(field, d) == expected, (q, d)
 
 
 def test_kind_tokens_round_trip():
@@ -67,10 +143,11 @@ def test_irreducibles_are_sorted_irreducible_and_complete():
 
 
 def test_irreducible_sieve_is_complete():
-    # Above _SIEVE_THRESHOLD candidates the irreducibles come from the product
-    # sieve; the degree-weighted divisor sum must still recover q^d.
-    for q, d in ((2, 13), (4, 7), (7, 5), (9, 4), (16, 4)):
-        assert q**d > _SIEVE_THRESHOLD
+    # Every degree above 1 comes from the product sieve, however few the
+    # candidates; the degree-weighted divisor sum must still recover q^d.
+    small = [(q, d) for q in _REFERENCE_FIELDS for d in range(2, 13) if q**d <= 4096]
+    for q, d in ((2, 13), (4, 7), (7, 5), (9, 4), (16, 4), *small):
+        assert d >= 2
         field = ff_from_order(q)
         total = sum(e * len(irreducibles(field, e)) for e in range(1, d + 1) if d % e == 0)
         assert total == q**d

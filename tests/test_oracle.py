@@ -26,7 +26,14 @@ from rscount.census import (
 )
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
 from rscount.fields import ff_from_order, poly_eval, squarefree_codes
-from rscount.genfun import gf_count, symbolic_count_polynomials
+from rscount.genfun import (
+    Identity,
+    closed_side,
+    gf_count,
+    product_side,
+    symbolic_count_polynomials,
+    verify_identity,
+)
 from rscount.oracle import (
     ConjugacyDatum,
     iter_orthogonal_data,
@@ -386,6 +393,14 @@ _BOOL_CALLS = [
     ("census_count q", lambda: census_count(CensusKind.IRREDUCIBLE, True, 3)),
     ("census_count d float", lambda: census_count(CensusKind.IRREDUCIBLE, 3, 2.0)),
     ("census_count q float", lambda: census_count(CensusKind.IRREDUCIBLE, 2.0, 3)),
+    ("gf_count terms", lambda: gf_count(GroupSpec(Family.GL, 1, 3), terms=True)),
+    ("gf_count terms float", lambda: gf_count(GroupSpec(Family.GL, 1, 3), terms=2.5)),
+    ("verify_identity terms", lambda: verify_identity(Identity.GL_PRODUCT, 3, True)),
+    ("verify_identity terms float", lambda: verify_identity(Identity.GL_PRODUCT, 3, 2.0)),
+    ("product_side terms", lambda: product_side(Identity.GL_PRODUCT, 3, True)),
+    ("product_side terms float", lambda: product_side(Identity.GL_PRODUCT, 3, 2.0)),
+    ("closed_side terms", lambda: closed_side(Identity.GL_PRODUCT, 3, True)),
+    ("closed_side terms float", lambda: closed_side(Identity.GL_PRODUCT, 3, 2.0)),
 ]
 
 
@@ -445,3 +460,49 @@ def test_exactness_checks_survive_python_O():
     ]
     assert out["counts"][:3] == [116, 4, 99]
     assert (out["necklace"], out["constant"]) == ("raised", "raised")
+
+
+def test_orthogonal_oracle_runs_no_irreducibility_test():
+    """The orthogonal oracle and the reciprocal-pair census build their
+    irreducibles (sieve, z + 1/z construction) without one Rabin test per
+    candidate.  Counted in a fresh interpreter, so that no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        import rscount.census as census
+        from rscount.census import CensusKind, census_count
+        from rscount.oracle import oracle_orthogonal
+        calls = [0]
+        rabin = census.is_irreducible
+        def counted(f):
+            calls[0] += 1
+            return rabin(f)
+        census.is_irreducible = counted
+        out = {"counts": [
+            oracle_orthogonal(12, 5, "plus").count,
+            oracle_orthogonal(8, 4, "minus").count,
+            census_count(CensusKind.RECIPROCAL_PAIRS, 4, 6, "enumerate").count,
+        ]}
+        out["calls"] = calls[0]
+        # The counter is live: the hermitian scan still tests each candidate.
+        census.hermitian_self_reciprocal_irreducibles(2, 3)
+        out["control_calls"] = calls[0]
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["counts"] == [
+        rs_count(GroupSpec(Family.SO_PLUS, 6, 5)),
+        rs_count(GroupSpec(Family.SO_MINUS, 4, 4)),
+        census_count(CensusKind.RECIPROCAL_PAIRS, 4, 6).count,
+    ]
+    assert out["calls"] == 0
+    assert out["control_calls"] > 0
