@@ -26,18 +26,22 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Iterator, Optional
 
-from .conjugation import (
-    hermitian_reciprocal,
-    is_hermitian_self_reciprocal,
-    is_self_reciprocal,
-    reciprocal,
+from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
+from .fields import (
+    GF,
+    Poly,
+    ff_from_order,
+    frobenius_map,
+    is_irreducible,
+    mark_multiples,
+    poly_eval,
 )
-from .fields import GF, Poly, ff_from_order, is_irreducible, mark_multiples, poly_eval
 from .numbertheory import as_prime_power, check_int, divisors, exact_div, mobius
 
 #: Default ceiling on candidate-space sizes for exhaustive enumeration.
@@ -148,22 +152,16 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     q = field.q
     if degree == 1:
         return tuple((c, 1) for c in range(q))
-    size = q**degree
-    marked = bytearray(size)
+    marked = bytearray(q**degree)
     for e in range(1, degree // 2 + 1):
         for g in _irreducible_raw(field, e):
             mark_multiples(marked, field, g, degree)
-    out = []
-    for index in range(size):
-        if not marked[index]:
-            coeffs = []
-            rem = index
-            for _ in range(degree):
-                rem, c = divmod(rem, q)
-                coeffs.append(c)
-            coeffs.append(1)
-            out.append(tuple(coeffs))
-    return tuple(out)
+    # product() runs through the low coefficients in index order, the highest
+    # one first; the unmarked ones are reversed and made monic.
+    survivors = itertools.compress(
+        itertools.product(range(q), repeat=degree), map(operator.not_, marked)
+    )
+    return tuple(t[::-1] + (1,) for t in survivors)
 
 
 def _irreducible_bound(field: GF, degree: int, nonzero_constant: bool = False):
@@ -242,37 +240,51 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     return tuple(out)
 
 
+def _partner_pairs(polys, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
+    """The pairs (f, partner) among ``polys`` with f of smaller code, where
+    ``partner_codes(f)`` is the partner's coefficient tuple, in ``polys`` order.
+
+    f and its partner are monic of one degree, so comparing the tuples
+    reversed (highest coefficient first) orders them as :meth:`Poly.code`
+    does; the partner's :class:`Poly` is built only for a pair kept."""
+    out = []
+    for f in polys:
+        g = partner_codes(f)
+        if f.coeffs[::-1] < g[::-1]:
+            out.append((f, Poly(f.field, g)))
+    return tuple(out)
+
+
 @capped_cache(_irreducible_bound)
 def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs {f, f*} of distinct reciprocal irreducible partners,
     each reported as (f, f*) with f of smaller code, sorted by f's code."""
-    out = []
-    for f in irreducibles(field, degree, nonzero_constant=True):
-        g = reciprocal(f)
-        if g != f and f.code() < g.code():
-            out.append((f, g))
-    return tuple(out)
+    return _partner_pairs(
+        irreducibles(field, degree, nonzero_constant=True),
+        lambda f: reciprocal_codes(field, f.coeffs),
+    )
 
 
 # -- structured hermitian-self-reciprocal enumeration ---------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def norm_one_circle(base_q: int) -> tuple[int, ...]:
-    """Codes of the order-(base_q + 1) subgroup of GF(base_q^2)*, sorted."""
+    """Codes of the order-(base_q + 1) subgroup of GF(base_q^2)*, sorted: the
+    x with x * x^base_q = 1 (the 16 most recent circles are kept)."""
     ext = ff_from_order(base_q * base_q)
-    return tuple(c for c in range(1, ext.q) if ext.pow(c, base_q + 1) == 1)
+    frob, mul = frobenius_map(ext, base_q), ext.mul
+    return tuple(c for c in range(ext.q) if mul(c, frob(c)) == 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _hermitian_middles(base_q: int, a0: int) -> tuple[int, ...]:
     """Solutions c of c == (c * a0^(-1))^base_q in GF(base_q^2) (middle
-    coefficient consistency for even-degree hermitian-self-reciprocal polys)."""
+    coefficient consistency for even-degree hermitian-self-reciprocal polys;
+    the 256 most recent constants a0 are kept)."""
     ext = ff_from_order(base_q * base_q)
-    a0_inv = ext.inv(a0)
-    return tuple(
-        c for c in range(ext.q) if ext.pow(ext.mul(c, a0_inv), base_q) == c
-    )
+    frob, a0_inv, mul = frobenius_map(ext, base_q), ext.inv(a0), ext.mul
+    return tuple(c for c in range(ext.q) if frob(mul(c, a0_inv)) == c)
 
 
 def iter_hermitian_self_reciprocal_coeffs(
@@ -300,8 +312,7 @@ def iter_hermitian_self_reciprocal_coeffs(
     else:
         constants = circle
     n = degree
-    mul, pw = ext.mul, ext.pow
-    sigma = [pw(c, base_q) for c in range(qq)]
+    frob, mul = frobenius_map(ext, base_q), ext.mul
     half = (n - 1) // 2  # number of freely chosen upper coefficients
     for a0 in constants:
         a0_inv = ext.inv(a0)
@@ -311,7 +322,7 @@ def iter_hermitian_self_reciprocal_coeffs(
         middles = _hermitian_middles(base_q, a0) if n % 2 == 0 else (None,)
         for upper in itertools.product(range(qq), repeat=half):
             # upper[i] is the coefficient of z^(n-1-i), i = 0..half-1
-            derived = [sigma[mul(c, a0_inv)] for c in upper]
+            derived = [frob(mul(c, a0_inv)) for c in upper]
             for mid in middles:
                 coeffs = [a0]
                 coeffs.extend(derived)
@@ -347,12 +358,10 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs of distinct hermitian-reciprocal irreducible partners
     over GF(base_q^2), as (f, partner) with f of smaller code."""
     ext = ff_from_order(base_q * base_q)
-    out = []
-    for f in irreducibles(ext, degree, nonzero_constant=True):
-        g = hermitian_reciprocal(f, base_q)
-        if g != f and f.code() < g.code():
-            out.append((f, g))
-    return tuple(out)
+    return _partner_pairs(
+        irreducibles(ext, degree, nonzero_constant=True),
+        lambda f: hermitian_reciprocal_codes(ext, f.coeffs, base_q),
+    )
 
 
 # -- closed-form census counts --------------------------------------------------
@@ -413,7 +422,7 @@ def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
         field = ff_from_order(q)
         return tuple(
             f for f in irreducibles(field, d, nonzero_constant=True)
-            if is_self_reciprocal(f)
+            if f.coeffs == reciprocal_codes(field, f.coeffs)
         )
     if kind is CensusKind.RECIPROCAL_PAIRS:
         return reciprocal_pairs(ff_from_order(q), d)
@@ -421,7 +430,7 @@ def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
         ext = ff_from_order(q * q)
         return tuple(
             f for f in irreducibles(ext, d, nonzero_constant=True)
-            if is_hermitian_self_reciprocal(f, q)
+            if f.coeffs == hermitian_reciprocal_codes(ext, f.coeffs, q)
         )
     if kind is CensusKind.HERMITIAN_PAIRS:
         return hermitian_pairs(q, d)

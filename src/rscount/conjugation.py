@@ -19,10 +19,10 @@ counts out of the full counts, without ever materializing complex characters.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import NamedTuple, Sequence
 
-from .fields import GF, FieldElement, Poly, ff_from_order, ff_generator
+from .fields import GF, FieldElement, Poly, ff_from_order, ff_generator, frobenius_map
 from .numbertheory import as_prime_power
 
 
@@ -42,6 +42,36 @@ def _require_unit_constant(f: Poly) -> None:
         raise ValueError("need a nonzero constant term")
 
 
+def _times(field: GF, c: int):
+    """Multiplication by the code c, as a function of one code."""
+    if field.mul_table is not None:
+        return field.mul_table[c].__getitem__
+    return partial(field.mul, c)
+
+
+def reciprocal_codes(field: GF, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The coefficient tuple of the monic reciprocal of the monic polynomial
+    with coefficients ``coeffs`` (low to high, nonzero constant, unchecked):
+    b_i = a_(n-i) * a_0^(-1)."""
+    return tuple(map(_times(field, field.inv(coeffs[0])), reversed(coeffs)))
+
+
+def hermitian_reciprocal_codes(
+    field: GF, coeffs: Sequence[int], base_q: int
+) -> tuple[int, ...]:
+    """The coefficient tuple of the hermitian reciprocal of the monic
+    polynomial with coefficients ``coeffs`` over ``field`` = GF(base_q**2)
+    (low to high, nonzero constant, unchecked): b_i = (a_(n-i) * a_0^(-1))**base_q,
+    by :func:`rscount.fields.frobenius_map`."""
+    scaled = map(_times(field, field.inv(coeffs[0])), reversed(coeffs))
+    return tuple(map(frobenius_map(field, base_q), scaled))
+
+
+def _require_extension(f: Poly, base_q: int) -> None:
+    if f.field.q != base_q * base_q:
+        raise ValueError(f"polynomial lives over GF({f.field.q}), not GF({base_q}^2)")
+
+
 def reciprocal(f: Poly) -> Poly:
     """Return the monic reciprocal f*(z) = f(0)^(-1) z^n f(1/z), n = deg f.
 
@@ -50,15 +80,13 @@ def reciprocal(f: Poly) -> Poly:
     of the roots of f, with multiplicity.
     """
     _require_unit_constant(f)
-    field = f.field
-    c = field.inv(f.constant)
-    mul = field.mul
-    return Poly(field, [mul(a, c) for a in reversed(f.coeffs)])
+    return Poly(f.field, reciprocal_codes(f.field, f.coeffs))
 
 
 def is_self_reciprocal(f: Poly) -> bool:
     """True iff f equals its reciprocal."""
-    return f == reciprocal(f)
+    _require_unit_constant(f)
+    return f.coeffs == reciprocal_codes(f.field, f.coeffs)
 
 
 def hermitian_reciprocal(f: Poly, base_q: int) -> Poly:
@@ -69,17 +97,15 @@ def hermitian_reciprocal(f: Poly, base_q: int) -> Poly:
     the roots of the result are alpha^(-base_q) for the roots alpha of f.
     """
     _require_unit_constant(f)
-    field = f.field
-    if field.q != base_q * base_q:
-        raise ValueError(f"polynomial lives over GF({field.q}), not GF({base_q}^2)")
-    c = field.inv(f.constant)
-    mul, pw = field.mul, field.pow
-    return Poly(field, [pw(mul(a, c), base_q) for a in reversed(f.coeffs)])
+    _require_extension(f, base_q)
+    return Poly(f.field, hermitian_reciprocal_codes(f.field, f.coeffs, base_q))
 
 
 def is_hermitian_self_reciprocal(f: Poly, base_q: int) -> bool:
     """True iff f equals its hermitian reciprocal over GF(base_q**2)."""
-    return f == hermitian_reciprocal(f, base_q)
+    _require_unit_constant(f)
+    _require_extension(f, base_q)
+    return f.coeffs == hermitian_reciprocal_codes(f.field, f.coeffs, base_q)
 
 
 def type_sign(f: Poly) -> int:
@@ -97,9 +123,10 @@ def type_sign(f: Poly) -> int:
     return +1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _dlog_table(field: GF, zeta_code: int) -> dict[int, int]:
-    """Discrete-log table for the cyclic group generated by the code ``zeta_code``."""
+    """Discrete-log table for the cyclic group generated by the code ``zeta_code``
+    (the 16 most recent tables are kept)."""
     table: dict[int, int] = {}
     acc, e = 1, 0
     while acc not in table:
@@ -150,9 +177,8 @@ def unitary_det_discrete_log(f: Poly, base_q: int, zeta: FieldElement) -> Charac
     internal consistency check).
     """
     _require_unit_constant(f)
+    _require_extension(f, base_q)
     field = f.field
-    if field.q != base_q * base_q:
-        raise ValueError(f"polynomial lives over GF({field.q}), not GF({base_q}^2)")
     if zeta.field is not field:
         raise ValueError("zeta must live in the polynomial's field")
     if zeta.multiplicative_order() != base_q + 1:
@@ -171,6 +197,8 @@ def unitary_det_discrete_log(f: Poly, base_q: int, zeta: FieldElement) -> Charac
 
 __all__ = [
     "CharacterIndex",
+    "reciprocal_codes",
+    "hermitian_reciprocal_codes",
     "reciprocal",
     "is_self_reciprocal",
     "hermitian_reciprocal",

@@ -29,8 +29,8 @@ fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit arithmetic.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Sequence
 
 from .numbertheory import as_prime_power, divisors, is_prime, prime_factorization
 
@@ -39,6 +39,10 @@ TABLE_LIMIT = 256
 
 #: Hard upper bound on constructible field orders.
 MAX_FIELD_SIZE = 1 << 20
+
+#: Fewest candidates one leaf of :func:`mark_multiples` covers, where the
+#: free digits allow it.
+_LEAF_WIDTH = 64
 
 
 class GF:
@@ -338,6 +342,27 @@ def ff_generator(field: GF) -> FieldElement:
     raise AssertionError("unreachable: GF(q)* is cyclic")
 
 
+@lru_cache(maxsize=16)
+def frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
+    """Return the Frobenius power map x -> x**q0 of ``field`` as a function
+    of one code.
+
+    ``q0`` must equal p**j for some j >= 1 dividing k, i.e. GF(q0) must be a
+    subfield of ``field``.  A field with dense tables (order up to
+    :data:`TABLE_LIMIT`) gets a table of the map, read per call; a larger
+    field computes each power, as its other arithmetic does, since one call
+    should not build a table of up to 2^20 entries.  The cache keeps the maps
+    of the 16 most recent (field, q0) pairs.
+    """
+    pk = as_prime_power(q0)
+    if pk is None or pk[0] != field.p or field.k % pk[1] != 0:
+        raise ValueError(f"q0={q0} does not define a subfield of {field!r}")
+    power = partial(field.pow, e=q0)
+    if field.q > TABLE_LIMIT:
+        return power
+    return tuple(map(power, range(field.q))).__getitem__
+
+
 def frobenius(field: GF, q0: int, x: int | FieldElement) -> int | FieldElement:
     """Apply the Frobenius power map x -> x**q0 for a subfield order q0.
 
@@ -345,14 +370,12 @@ def frobenius(field: GF, q0: int, x: int | FieldElement) -> int | FieldElement:
     subfield of ``field``; the map is then the generator of Gal(GF(q)/GF(q0)).
     Accepts and returns either an int code or a :class:`FieldElement`.
     """
-    pk = as_prime_power(q0)
-    if pk is None or pk[0] != field.p or field.k % pk[1] != 0:
-        raise ValueError(f"q0={q0} does not define a subfield of {field!r}")
+    frob = frobenius_map(field, q0)
     if isinstance(x, FieldElement):
         if x.field is not field:
             raise ValueError("element does not belong to the given field")
-        return FieldElement(field, field.pow(x.code, q0))
-    return field.pow(x, q0)
+        return FieldElement(field, frob(x.code))
+    return frob(x)
 
 
 def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
@@ -360,10 +383,8 @@ def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
 
     These are exactly the fixed points of the Frobenius power map x -> x**q0.
     """
-    pk = as_prime_power(q0)
-    if pk is None or pk[0] != field.p or field.k % pk[1] != 0:
-        raise ValueError(f"q0={q0} does not define a subfield of {field!r}")
-    return tuple(c for c in range(field.q) if field.pow(c, q0) == c)
+    frob = frobenius_map(field, q0)
+    return tuple(c for c in range(field.q) if frob(c) == c)
 
 
 # -- raw polynomial kernels -----------------------------------------------------
@@ -474,9 +495,15 @@ def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) 
     ``divisor``, where i is the code of the multiple's n low coefficients.
 
     A monic f = z^n + r is a multiple of G (degree d <= n) exactly when
-    r = -z^n mod G.  So the top n - d coefficients of r are free, and read as
-    base-q digits H they are the high part of i; the d low coefficients are
-    then fixed by H, linearly: they are those of -(z^n + H(z) z^d) mod G.
+    r = -z^n mod G.  So the top m = n - d coefficients of r are free, and read
+    as base-q digits H they are the high part of i; the d low coefficients
+    are then fixed by H, linearly: they are those of -(z^n + H(z) z^d) mod G.
+
+    A walk fixes the free digits from the top, one per level.  Each leaf
+    covers the t lowest digits at once: all q^t of their values, in one list
+    pass per low coefficient.  t is the least with q^t >= :data:`_LEAF_WIDTH`,
+    but at most m - 1 when m > 1, so that building the leaf's q^t columns
+    costs at most a q-th of the marking.
     """
     q = field.q
     fadd, fmul = field.add, field.mul
@@ -490,19 +517,32 @@ def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) 
         last = residues[-1]
         top = last[-1]
         residues.append([fadd(s, fmul(top, r)) for s, r in zip([0, *last[:-1]], reduce_top)])
+    weights = [q**k for k in range(d)]
+    if m == 0:
+        marks[sum(c * w for c, w in zip(residues[0], weights))] = 1
+        return
     # scaled[j][h] = h * residues[j]: what digit j = h adds to the low coefficients.
     scaled = [[[fmul(h, c) for c in residues[j]] for h in range(q)] for j in range(m)]
-    weights = [q**k for k in range(d)]
+    t = 1
+    while t < m - 1 and q**t < _LEAF_WIDTH:
+        t += 1
+    # columns[k][h]: coefficient k of what the leaf digits h = H_(t-1)..H_0 add.
+    columns = [[0] for _ in range(d)]
+    for j in range(t):
+        columns = [
+            [add[step[k]][c] for step in scaled[j] for c in column]
+            for k, column in enumerate(columns)
+        ]
     qd = q**d
-    offsets = [h * qd for h in range(q)]
-    # Transposed last digit: columns[k][h] is coefficient k of h * residues[0].
-    columns = [list(col) for col in zip(*scaled[0])] if m else []
+    stride = q**t * qd
+    offsets = [h * qd for h in range(q**t)]
 
     def walk(j: int, high: int, low: list[int]) -> None:
         # Digits H_(m-1)..H_(j+1) are fixed: ``high`` holds them, ``low`` the
-        # low coefficients they give so far.  Digit j runs over GF(q).
-        if j == 0:
-            base = high * q * qd
+        # low coefficients they give so far.  Digit j runs over GF(q), or,
+        # in a leaf, digits H_(t-1)..H_0 run over GF(q)^t together.
+        if j < t:
+            base = high * stride
             indices = [base + o for o in offsets]
             for a, column, w in zip(low, columns, weights):
                 row = add[a]
@@ -513,10 +553,7 @@ def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) 
         for h, step in enumerate(scaled[j]):
             walk(j - 1, high * q + h, [add[a][b] for a, b in zip(low, step)])
 
-    if m == 0:
-        marks[sum(c * w for c, w in zip(residues[0], weights))] = 1
-    else:
-        walk(m - 1, 0, residues[m])
+    walk(m - 1, 0, residues[m])
 
 
 # -- Poly ------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Unit tests for the five polynomial censuses."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import rscount
 from rscount.census import (
     DEFAULT_ENUM_CAP,
     CensusCount,
@@ -24,8 +31,16 @@ from rscount.conjugation import (
     is_self_reciprocal,
     reciprocal,
 )
-from rscount.census import _irreducible_raw
-from rscount.fields import Poly, ff_from_order, ff_make, is_irreducible, poly_eval
+from rscount.census import _hermitian_middles, _irreducible_raw
+from rscount.conjugation import _dlog_table
+from rscount.fields import (
+    Poly,
+    ff_from_order,
+    ff_make,
+    frobenius_map,
+    is_irreducible,
+    poly_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +330,79 @@ def test_hermitian_involution_accounting():
             ).count
             paired = census_count(CensusKind.HERMITIAN_PAIRS, base_q, d).count
             assert total == fixed + 2 * paired, (base_q, d)
+
+
+def test_field_keyed_caches_are_bounded():
+    for cache in (frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles):
+        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
+
+
+def test_hermitian_censuses_run_no_power_per_coefficient():
+    """The enumerate routes of the hermitian kinds apply the involution to
+    each irreducible through one Frobenius table, not one ``GF.pow`` per
+    coefficient.  Counted in a fresh interpreter, so that no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        from rscount.census import CensusKind, census_count, irreducibles
+        from rscount.fields import GF, ff_from_order
+        calls = [0]
+        power = GF.pow
+        def counted(self, a, e):
+            calls[0] += 1
+            return power(self, a, e)
+        GF.pow = counted
+        out = {"counts": {}}
+        for kind, q, d_max in (("hermitian-self-reciprocal", 3, 5), ("hermitian-pairs", 2, 6)):
+            out["counts"][kind] = [
+                census_count(CensusKind.from_token(kind), q, d, "enumerate").count
+                for d in range(1, d_max + 1)
+            ]
+        out["calls"] = calls[0]
+        out["irreducibles"] = sum(
+            len(irreducibles(ff_from_order(q * q), d, nonzero_constant=True))
+            for q, d_max in ((3, 5), (2, 6)) for d in range(1, d_max + 1)
+        )
+        # The counter is live.
+        ff_from_order(9).pow(2, 3)
+        out["control_calls"] = calls[0]
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    for kind, q, d_max in (
+        (CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5),
+        (CensusKind.HERMITIAN_PAIRS, 2, 6),
+    ):
+        assert out["counts"][kind.value] == [
+            census_count(kind, q, d).count for d in range(1, d_max + 1)
+        ]
+    # One power per code builds the Frobenius tables of GF(9) and GF(4); one
+    # per coefficient of every irreducible would be 86,350 here.
+    assert out["irreducibles"] > 10_000
+    assert out["calls"] <= 9 + 4
+    assert out["control_calls"] == out["calls"] + 1
+
+
+def test_involution_predicates_reject_bad_input():
+    f3, f9 = ff_make(3), ff_make(3, 2)
+    for predicate, field, args in (
+        (is_self_reciprocal, f3, ()),
+        (is_hermitian_self_reciprocal, f9, (3,)),
+    ):
+        with pytest.raises(ValueError):
+            predicate(Poly(field, [0, 1]), *args)  # zero constant term
+        with pytest.raises(ValueError):
+            predicate(Poly(field, [1, 2]), *args)  # not monic
+    with pytest.raises(ValueError):
+        is_hermitian_self_reciprocal(Poly(f3, [1, 1]), 3)  # GF(3), not GF(9)
+    with pytest.raises(ValueError):
+        is_hermitian_self_reciprocal(Poly(f9, [1, 1]), 2)  # GF(9), not GF(4)

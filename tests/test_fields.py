@@ -1,5 +1,8 @@
 """Unit tests for finite-field and polynomial arithmetic."""
 
+import random
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +16,13 @@ from rscount.fields import (
     ff_generator,
     ff_make,
     frobenius,
+    frobenius_map,
     is_irreducible,
     is_squarefree,
     mark_multiples,
     poly_from_roots,
     subfield_codes,
+    _RowsOnDemand,
 )
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
@@ -156,6 +161,19 @@ def test_frobenius_iterated_k_times_is_identity():
 def test_frobenius_rejects_non_subfield_order():
     with pytest.raises(ValueError):
         frobenius(ff_make(2, 3), 4, 1)  # GF(4) is not inside GF(8)
+
+
+def test_frobenius_map_matches_pow():
+    # Every subfield order of fields with a table (GF(2^8) is the largest)
+    # and of fields above TABLE_LIMIT, which compute each power.
+    for p, k in ((2, 1), (2, 4), (2, 8), (3, 2), (3, 6), (2, 9), (257, 1)):
+        field = ff_make(p, k)
+        for j in range(1, k + 1):
+            if k % j == 0:
+                frob = frobenius_map(field, p**j)
+                assert [frob(x) for x in range(field.q)] == [
+                    field.pow(x, p**j) for x in range(field.q)
+                ]
 
 
 def test_subfield_codes():
@@ -359,3 +377,78 @@ def test_mark_multiples_without_dense_tables():
         # (z + c)(z + h) = z^2 + (c + h) z + c h, indexed by its low coefficients.
         expected = {(c * h) % q + q * ((c + h) % q) for h in range(q)}
         assert {i for i, mark in enumerate(marks) if mark} == expected
+
+
+# The sieve kernel with one free digit per leaf, kept verbatim as the
+# reference for the wide-leaf walk in ``mark_multiples``.
+def _reference_mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) -> None:
+    """Set ``marks[i]`` for every monic degree-n multiple of the monic
+    ``divisor``, where i is the code of the multiple's n low coefficients.
+
+    A monic f = z^n + r is a multiple of G (degree d <= n) exactly when
+    r = -z^n mod G.  So the top n - d coefficients of r are free, and read as
+    base-q digits H they are the high part of i; the d low coefficients are
+    then fixed by H, linearly: they are those of -(z^n + H(z) z^d) mod G.
+    """
+    q = field.q
+    fadd, fmul = field.add, field.mul
+    add = field.add_table or _RowsOnDemand(fadd, q)
+    d = len(divisor) - 1
+    m = n - d
+    # residues[j] = -(z^(d+j) mod G), built as residues[j+1] = z * residues[j] mod G.
+    reduce_top = [field.neg(c) for c in divisor[:d]]  # z^d mod G
+    residues = [list(divisor[:d])]
+    for _ in range(m):
+        last = residues[-1]
+        top = last[-1]
+        residues.append([fadd(s, fmul(top, r)) for s, r in zip([0, *last[:-1]], reduce_top)])
+    # scaled[j][h] = h * residues[j]: what digit j = h adds to the low coefficients.
+    scaled = [[[fmul(h, c) for c in residues[j]] for h in range(q)] for j in range(m)]
+    weights = [q**k for k in range(d)]
+    qd = q**d
+    offsets = [h * qd for h in range(q)]
+    # Transposed last digit: columns[k][h] is coefficient k of h * residues[0].
+    columns = [list(col) for col in zip(*scaled[0])] if m else []
+
+    def walk(j: int, high: int, low: list[int]) -> None:
+        # Digits H_(m-1)..H_(j+1) are fixed: ``high`` holds them, ``low`` the
+        # low coefficients they give so far.  Digit j runs over GF(q).
+        if j == 0:
+            base = high * q * qd
+            indices = [base + o for o in offsets]
+            for a, column, w in zip(low, columns, weights):
+                row = add[a]
+                indices = [i + row[b] * w for i, b in zip(indices, column)]
+            for i in indices:
+                marks[i] = 1
+            return
+        for h, step in enumerate(scaled[j]):
+            walk(j - 1, high * q + h, [add[a][b] for a, b in zip(low, step)])
+
+    if m == 0:
+        marks[sum(c * w for c, w in zip(residues[0], weights))] = 1
+    else:
+        walk(m - 1, 0, residues[m])
+
+
+def test_mark_multiples_matches_reference():
+    # Seeded random monic divisors (reducible ones too), every m = n - d in
+    # 0..6 with q^n <= 2 * 10^5.  For q < 64 every cell with m >= 3 has a
+    # leaf of two or more digits; GF(257) has no dense tables.
+    rng = random.Random(20121)
+    wide_leaves = set()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 257):
+        field = ff_from_order(q)
+        n = 1
+        while q**n <= 2 * 10**5:
+            for d in range(max(1, n - 6), n + 1):
+                for _ in range(2):
+                    divisor = [rng.randrange(q) for _ in range(d)] + [1]
+                    marks, expected = bytearray(q**n), bytearray(q**n)
+                    mark_multiples(marks, field, divisor, n)
+                    _reference_mark_multiples(expected, field, divisor, n)
+                    assert marks == expected, (q, n, divisor)
+                if q < 64 and n - d >= 3:
+                    wide_leaves.add(q)
+            n += 1
+    assert wide_leaves == {2, 3, 4, 5, 7, 8, 9, 16}
