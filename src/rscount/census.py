@@ -36,6 +36,7 @@ from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from .fields import (
     GF,
     Poly,
+    _monic_polys,
     ff_from_order,
     frobenius_map,
     is_irreducible,
@@ -173,10 +174,10 @@ def irreducibles(field: GF, degree: int, nonzero_constant: bool = False) -> tupl
     """All monic irreducible polynomials of the given degree, sorted by code."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    polys = [Poly(field, t) for t in _irreducible_raw(field, degree)]
+    raw = _irreducible_raw(field, degree)
     if nonzero_constant:
-        polys = [f for f in polys if f.constant != 0]
-    return tuple(polys)
+        raw = itertools.compress(raw, map(operator.itemgetter(0), raw))
+    return _monic_polys(field, raw)
 
 
 @capped_cache(lambda field, degree: (
@@ -203,8 +204,7 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree == 1:
-        return tuple(sorted({Poly(field, (field.neg(1), 1)), Poly(field, (1, 1))},
-                            key=Poly.code))
+        return _monic_polys(field, sorted({(1, 1), (field.neg(1), 1)}))
     if degree % 2:
         return ()
     m = degree // 2
@@ -235,24 +235,24 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
         for g_i, terms in zip(coeffs, basis):
             for e, c in terms:
                 f[e] = add(f[e], mul(g_i, c))
-        out.append(Poly(field, f))
-    out.sort(key=Poly.code)
-    return tuple(out)
+        out.append(tuple(f))
+    return tuple(sorted(_monic_polys(field, out), key=Poly.code))
 
 
-def _partner_pairs(polys, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
+def _partner_pairs(field: GF, polys, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
     """The pairs (f, partner) among ``polys`` with f of smaller code, where
     ``partner_codes(f)`` is the partner's coefficient tuple, in ``polys`` order.
 
     f and its partner are monic of one degree, so comparing the tuples
     reversed (highest coefficient first) orders them as :meth:`Poly.code`
-    does; the partner's :class:`Poly` is built only for a pair kept."""
-    out = []
+    does; the partners' :class:`Poly` are built only for the pairs kept."""
+    kept, partners = [], []
     for f in polys:
         g = partner_codes(f)
         if f.coeffs[::-1] < g[::-1]:
-            out.append((f, Poly(f.field, g)))
-    return tuple(out)
+            kept.append(f)
+            partners.append(g)
+    return tuple(zip(kept, _monic_polys(field, partners)))
 
 
 @capped_cache(_irreducible_bound)
@@ -260,6 +260,7 @@ def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs {f, f*} of distinct reciprocal irreducible partners,
     each reported as (f, f*) with f of smaller code, sorted by f's code."""
     return _partner_pairs(
+        field,
         irreducibles(field, degree, nonzero_constant=True),
         lambda f: reciprocal_codes(field, f.coeffs),
     )
@@ -359,6 +360,7 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     over GF(base_q^2), as (f, partner) with f of smaller code."""
     ext = ff_from_order(base_q * base_q)
     return _partner_pairs(
+        ext,
         irreducibles(ext, degree, nonzero_constant=True),
         lambda f: hermitian_reciprocal_codes(ext, f.coeffs, base_q),
     )

@@ -30,7 +30,9 @@ fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .numbertheory import as_prime_power, divisors, is_prime, prime_factorization
 
@@ -696,6 +698,34 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"
+
+
+_LAST_COEFF = itemgetter(slice(-1, None))
+
+
+def _monic_polys(field: GF, rows: Iterable[tuple[int, ...]]) -> tuple[Poly, ...]:
+    """Wrap monic coefficient tuples in :class:`Poly`, checking the batch once.
+
+    Instead of :class:`Poly`'s per-coefficient checks, one C-level pass over
+    the whole batch requires every code to lie in ``range(field.q)`` and every
+    tuple to end in 1 (so it is trimmed); otherwise ``ValueError``.  Each
+    tuple is then stored as it is, not copied, so the polynomials share the
+    caller's (cached) tuples.
+    """
+    rows = tuple(rows)
+    codes = set(chain.from_iterable(rows))
+    if codes and (min(codes) < 0 or max(codes) >= field.q):
+        raise ValueError(f"coefficient code out of range for {field!r}")
+    if not set(map(_LAST_COEFF, rows)) <= {(1,)}:
+        raise ValueError("coefficient tuple is not monic")
+    new = object.__new__
+    out = []
+    for coeffs in rows:
+        f = new(Poly)
+        f.field = field
+        f.coeffs = coeffs
+        out.append(f)
+    return tuple(out)
 
 
 def poly_from_roots(field: GF, roots: Sequence[int | FieldElement]) -> Poly:

@@ -27,6 +27,11 @@ constructs from the irreducibles of half the degree.  So only the unitary
 scan's hermitian-self-reciprocal irreducibles still cost one irreducibility
 test per candidate.
 
+The orthogonal oracle counts its data without building them: one plain
+recursion reaches every datum once per ±1-eigenvalue option, with no counting
+formula, so it stays an enumeration.  :func:`iter_orthogonal_data` builds the
+same data, one :class:`ConjugacyDatum` each.
+
 Scans refuse (raising :class:`~rscount.census.EnumerationBoundError`) rather
 than run past the configured candidate cap.
 """
@@ -274,19 +279,6 @@ def oracle_unitary_histogram(n: int, q: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _block_pair_universe(field: GF, max_degree: int):
-    """Sorted building list [(degree, sign, payload), ...] of blocks & pairs."""
-    items = []
-    for d in range(2, max_degree + 1, 2):
-        for f in self_reciprocal_irreducibles(field, d):
-            items.append((d, -1, f))
-    for d in range(1, max_degree // 2 + 1):
-        for f, g in reciprocal_pairs(field, d):
-            items.append((2 * d, 1, (f, g)))
-    items.sort(key=lambda item: item[0])
-    return items
-
-
 def _z_part_options(m: int, q_odd: bool):
     """(a, a_type, b, b_type) choices admissible for total dimension m."""
     options = []
@@ -302,12 +294,15 @@ def _z_part_options(m: int, q_odd: bool):
     return options
 
 
-def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
-    """All class data of total dimension m for the orthogonal groups over GF(q).
+def _orthogonal_parts(m: int, q: int):
+    """The checked ingredients of the orthogonal data of total dimension m
+    over GF(q): the ±1-eigenvalue options of :func:`_z_part_options` and the
+    degree-sorted block/pair list [(degree, sign, payload), ...], sign -1 for
+    a self-reciprocal block and +1 for a reciprocal pair (f, f*).
 
-    Every datum's non-eigenvalue part has characteristic-polynomial constant
-    term 1 (checked: ArithmeticError otherwise), so the data are exactly the
-    admissible class labels.
+    Every block and pair must have constant term 1 (ArithmeticError
+    otherwise), so the data built from them are exactly the admissible class
+    labels.
     """
     check_int(m, "total dimension m")
     check_int(q, "field size q", 2)
@@ -318,19 +313,30 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
             "use oracle_symplectic"
         )
     field = ff_from_order(q)
-    universe = _block_pair_universe(field, m)
-    degrees = [item[0] for item in universe]
-
-    def constant_of(item) -> int:
-        d, sign, payload = item
+    universe = [(d, -1, f) for d in range(2, m + 1, 2)
+                for f in self_reciprocal_irreducibles(field, d)]
+    universe += [(2 * d, 1, pair) for d in range(1, m // 2 + 1)
+                 for pair in reciprocal_pairs(field, d)]
+    universe.sort(key=lambda item: item[0])
+    for d, sign, payload in universe:
         if sign == -1:
-            return payload.coeffs[0]
-        return field.mul(payload[0].coeffs[0], payload[1].coeffs[0])
+            constant = payload.coeffs[0]
+        else:
+            constant = field.mul(payload[0].coeffs[0], payload[1].coeffs[0])
+        if constant != 1:
+            raise ArithmeticError(f"block/pair {payload!r} has constant term other than 1")
+    return _z_part_options(m, q_odd), universe
 
-    for item in universe:
-        if constant_of(item) != 1:
-            raise ArithmeticError(f"block/pair {item[2]!r} has constant term other than 1")
 
+def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
+    """All class data of total dimension m for the orthogonal groups over GF(q).
+
+    Every datum's non-eigenvalue part has characteristic-polynomial constant
+    term 1 (checked: ArithmeticError otherwise), so the data are exactly the
+    admissible class labels.
+    """
+    options, universe = _orthogonal_parts(m, q)
+    degrees = [item[0] for item in universe]
     chosen: list = []
 
     def dfs(start: int, remaining: int, a, a_type, b, b_type):
@@ -346,7 +352,7 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
             yield from dfs(i + 1, remaining - degrees[i], a, a_type, b, b_type)
             chosen.pop()
 
-    for a, a_type, b, b_type in _z_part_options(m, q_odd):
+    for a, a_type, b, b_type in options:
         yield from dfs(0, m - a - b, a, a_type, b, b_type)
 
 
@@ -360,15 +366,39 @@ def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     S sums weight 2 over data without eigenvalue ±1 parts and weight 1 over
     the rest; D (meaningful for even m) doubles the signed count of the
     no-eigenvalue data, sign -1 per block and +1 per pair.
+
+    A datum is one ±1-eigenvalue option (a, a_type, b, b_type) with a subset
+    of the block/pair list of degree sum m - a - b; the walk reaches each
+    once, as :func:`iter_orthogonal_data` does, but only counts it.
     """
+    options, universe = _orthogonal_parts(m, q)
+    degrees = [item[0] for item in universe]
+    signs = [item[1] for item in universe]
+    size = len(universe)
+
+    def walk(start: int, remaining: int) -> tuple[int, int]:
+        """(data, signed data) among the subsets of universe[start:] of
+        degree sum ``remaining``."""
+        if remaining == 0:
+            return 1, 1
+        count = signed = 0
+        for i in range(start, size):
+            if degrees[i] > remaining:
+                break
+            c, s = walk(i + 1, remaining - degrees[i])
+            count += c
+            signed += signs[i] * s
+        return count, signed
+
     S = D = total = 0
-    for datum in iter_orthogonal_data(m, q):
-        total += 1
-        if datum.has_eigenvalue_part:
-            S += 1
+    for a, _, b, _ in options:
+        count, signed = walk(0, m - a - b)
+        total += count
+        if a or b:
+            S += count
         else:
-            S += 2
-            D += 2 * datum.block_pair_sign
+            S += 2 * count
+            D += 2 * signed
     return S, D, total
 
 

@@ -219,6 +219,35 @@ def test_hermitian_families():
                 assert is_irreducible(f) and is_irreducible(g)
 
 
+def _validated(f):
+    """The polynomial f rebuilt through the per-coefficient checks of Poly."""
+    g = Poly(f.field, list(f.coeffs))
+    assert type(f.coeffs) is tuple and hash(f) == hash(g)
+    return g
+
+
+def test_census_polys_equal_validated_polys():
+    for q in (2, 3, 4, 5, 9):
+        field = ff_from_order(q)
+        for d in range(1, 6 if q < 5 else 4):
+            raw = _irreducible_raw(field, d)
+            for nonzero_constant in (False, True):
+                polys = irreducibles(field, d, nonzero_constant)
+                expected = tuple(Poly(field, t) for t in raw if t[0] or not nonzero_constant)
+                assert tuple(map(_validated, polys)) == expected, (q, d)
+                # The polynomials share the cached tuples instead of copying them.
+                assert {id(f.coeffs) for f in polys} <= set(map(id, raw))
+            srs = self_reciprocal_irreducibles(field, d)
+            assert tuple(map(_validated, srs)) == srs
+            for f, g in reciprocal_pairs(field, d):
+                assert _validated(g) == reciprocal(f), (q, d)
+    for base_q in (2, 3):
+        for d in (1, 2, 3):
+            for f, g in hermitian_pairs(base_q, d):
+                assert _validated(f) == f
+                assert _validated(g) == hermitian_reciprocal(f, base_q), (base_q, d)
+
+
 # ---------------------------------------------------------------------------
 # census_count
 # ---------------------------------------------------------------------------

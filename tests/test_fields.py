@@ -22,6 +22,7 @@ from rscount.fields import (
     mark_multiples,
     poly_from_roots,
     subfield_codes,
+    _monic_polys,
     _RowsOnDemand,
 )
 
@@ -273,6 +274,27 @@ def test_poly_text_round_trip():
         Poly.from_text("3: 1,0,1")
     with pytest.raises(ValueError):
         Poly.from_text("q=3: 1,x")
+
+
+def test_monic_polys_checks_the_batch_and_keeps_the_tuples():
+    f9 = ff_make(3, 2)
+    rows = ((2, 0, 1), (8, 1), (1,))
+    polys = _monic_polys(f9, iter(rows))
+    assert polys == tuple(Poly(f9, list(t)) for t in rows)
+    assert all(f.coeffs is t and f.field is f9 for f, t in zip(polys, rows))
+    assert _monic_polys(f9, []) == ()
+    for bad in (
+        (1, 9, 1),  # code 9 is out of range for GF(9)
+        (-1, 1),  # negative code
+        (1, 2),  # not monic
+        (1, 1, 0),  # trailing zero: not trimmed, so not monic
+        (),  # the zero polynomial
+    ):
+        with pytest.raises(ValueError):
+            _monic_polys(f9, [(1, 1), bad])
+    # The validating constructor keeps its per-coefficient check.
+    with pytest.raises(ValueError):
+        Poly(f9, (1, 9, 1))
 
 
 # ---------------------------------------------------------------------------

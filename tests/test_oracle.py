@@ -36,6 +36,7 @@ from rscount.genfun import (
 )
 from rscount.oracle import (
     ConjugacyDatum,
+    _orthogonal_sums,
     iter_orthogonal_data,
     oracle_constant_histogram,
     oracle_count,
@@ -298,6 +299,43 @@ def test_orthogonal_data_validation():
     list(iter_orthogonal_data(4, 2))  # even dimension is fine in even char
 
 
+def _reference_orthogonal_sums(m: int, q: int, limit: int):
+    """(S, D, data_count) summed datum by datum over :func:`iter_orthogonal_data`
+    (the loop the counting walk replaced), or None past ``limit`` data."""
+    S = D = total = 0
+    for datum in itertools.islice(iter_orthogonal_data(m, q), limit + 1):
+        total += 1
+        if datum.has_eigenvalue_part:
+            S += 1
+        else:
+            S += 2
+            D += 2 * datum.block_pair_sign
+    return (S, D, total) if total <= limit else None
+
+
+def test_orthogonal_walk_matches_data_sums():
+    cells = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(2, 11):
+            if q % 2 == 0 and m % 2:
+                continue
+            expected = _reference_orthogonal_sums(m, q, 20_000)
+            if expected is None:
+                continue
+            assert _orthogonal_sums(m, q) == expected, (m, q)
+            cells += 1
+    assert cells == 49
+
+
+def test_orthogonal_walk_and_data_reject_odd_dimension_in_even_characteristic():
+    with pytest.raises(ValueError) as walk_error:
+        _orthogonal_sums(5, 4)
+    with pytest.raises(ValueError) as data_error:
+        list(iter_orthogonal_data(5, 4))
+    assert str(walk_error.value) == str(data_error.value)
+    assert "even characteristic" in str(walk_error.value)
+
+
 def test_orthogonal_oracle_anchors():
     odd = oracle_orthogonal(3, 3, "odd_dim")
     assert odd.count == 3
@@ -440,6 +478,13 @@ def test_exactness_checks_survive_python_O():
             out["constant"] = "unchecked"
         except ArithmeticError:
             out["constant"] = "raised"
+        # The oracle's counting walk builds no data, so it needs the check
+        # too; the cell (4, 3) is not cached yet.
+        try:
+            oracle.oracle_orthogonal(4, 3, "plus")
+            out["walk_constant"] = "unchecked"
+        except ArithmeticError:
+            out["walk_constant"] = "raised"
         print(json.dumps(out))
         """
     )
@@ -460,6 +505,7 @@ def test_exactness_checks_survive_python_O():
     ]
     assert out["counts"][:3] == [116, 4, 99]
     assert (out["necklace"], out["constant"]) == ("raised", "raised")
+    assert out["walk_constant"] == "raised"
 
 
 def test_orthogonal_oracle_runs_no_irreducibility_test():
@@ -506,3 +552,61 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
     ]
     assert out["calls"] == 0
     assert out["control_calls"] > 0
+
+
+def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
+    """The orthogonal oracle counts its data without building a
+    ConjugacyDatum each, and the census wraps its sieved tuples without
+    Poly's per-coefficient checks.  Counted in a fresh interpreter, so that
+    no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        import rscount.fields as fields
+        import rscount.oracle as oracle
+        from rscount.census import CensusKind, census_count, irreducibles
+        calls = {"poly": 0, "datum": 0}
+        def counted(cls, key):
+            init = cls.__init__
+            def wrapped(self, *args, **kwargs):
+                calls[key] += 1
+                init(self, *args, **kwargs)
+            cls.__init__ = wrapped
+        counted(fields.Poly, "poly")
+        counted(oracle.ConjugacyDatum, "datum")
+        result = oracle.oracle_orthogonal(10, 5, "minus")
+        out = {"counts": [
+            result.count,
+            census_count(CensusKind.IRREDUCIBLE, 7, 5, "enumerate").count,
+        ], "witnesses": result.witness_count}
+        out["calls"] = dict(calls)
+        out["irreducibles"] = sum(
+            len(irreducibles(fields.ff_from_order(q), d)) for q, d_max in ((5, 5), (7, 5))
+            for d in range(1, d_max + 1)
+        )
+        # The counters are live.
+        fields.Poly(fields.ff_from_order(5), (1, 1))
+        next(oracle.iter_orthogonal_data(10, 5))
+        out["control_calls"] = calls
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["counts"] == [
+        rs_count(GroupSpec(Family.SO_MINUS, 5, 5)),
+        census_count(CensusKind.IRREDUCIBLE, 7, 5).count,
+    ]
+    assert out["witnesses"] > 3_000
+    # One validated Poly per irreducible would be over 4,000 here (a
+    # per-polynomial constructor made 5,845, and a per-datum walk 3,403 data).
+    assert out["irreducibles"] > 4_000
+    assert out["calls"] == {"poly": 0, "datum": 0}
+    assert out["control_calls"] == {"poly": 1, "datum": 1}
