@@ -334,10 +334,15 @@ def iter_hermitian_self_reciprocal_coeffs(
                 yield tuple(coeffs)
 
 
-@capped_cache(lambda base_q, degree: (
-    (base_q + 1) * base_q ** max(degree - 1, 0),
-    f"hermitian-self-reciprocal scan over GF({base_q * base_q}) degree {degree}",
-))
+def _hermitian_bound(base_q: int, degree: int):
+    ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
+    return (
+        (base_q + 1) * base_q ** max(degree - 1, 0),
+        f"hermitian-self-reciprocal scan over GF({base_q * base_q}) degree {degree}",
+    )
+
+
+@capped_cache(_hermitian_bound)
 def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Poly, ...]:
     """Monic hermitian-self-reciprocal irreducibles of the given degree over
     GF(base_q^2), via the structured family scan, sorted by code."""
@@ -351,10 +356,12 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     return tuple(out)
 
 
-@capped_cache(lambda base_q, degree: (
-    base_q ** (2 * degree),
-    f"irreducible scan over GF({base_q * base_q}) degree {degree}",
-))
+def _hermitian_pairs_bound(base_q: int, degree: int):
+    ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
+    return base_q ** (2 * degree), f"irreducible scan over GF({base_q * base_q}) degree {degree}"
+
+
+@capped_cache(_hermitian_pairs_bound)
 def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs of distinct hermitian-reciprocal irreducible partners
     over GF(base_q^2), as (f, partner) with f of smaller code."""

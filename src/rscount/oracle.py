@@ -19,7 +19,10 @@ f(z) = z^n g(z + 1/z) between monic g of degree n and the palindromic f of
 degree 2n with constant term 1 (Carlitz 1967; Meyn, AAECC 1 (1990)): f is
 squarefree with no root at ±1 iff g is squarefree with no root at ±2.  The
 unitary scan marks the products of squares of hermitian-self-reciprocal
-irreducibles and hermitian pairs with smaller members of its own family.
+irreducibles and hermitian pairs with smaller members of its own family; it
+computes only the coefficients of a product that index its mark (the constant
+and the top half), and counts the unmarked members by strided slices of the
+marks, as the linear scan does.
 The irreducibles come from the census ``enumerate`` route only.  The
 orthogonal data are built from the census's reciprocal pairs and its
 self-reciprocal irreducibles, which the same z + 1/z correspondence
@@ -42,11 +45,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .census import (
+    _hermitian_middles,
     capped_cache,
     hermitian_pairs,
     hermitian_self_reciprocal_irreducibles,
     irreducibles,
     iter_hermitian_self_reciprocal_coeffs,
+    norm_one_circle,
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
@@ -140,12 +145,16 @@ def _linear_histogram(n: int, q: int) -> dict[int, int]:
     return {c: marks[c::q].count(0) for c in range(1, q)}
 
 
-@capped_cache(lambda n, q: (
-    q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
-))
+def _unitary_bound(n: int, q: int):
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
+    return q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
+
+
+@capped_cache(_unitary_bound)
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
-    polys over GF(q^2); constants range over the norm-one circle.
+    polys over GF(q^2); only the constants (on the norm-one circle) with a
+    nonzero count are keys.
 
     The hermitian reciprocal is multiplicative, so a member f of the family
     with a square factor g^2 is also divisible by the square of the partner
@@ -154,34 +163,75 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     (g, g').  Those products are marked; the unmarked members are counted.
 
     A member is fixed by f_0 and its top coefficients f_t..f_(n-1),
-    t = ceil(n/2), since f_i = (f_(n-i) / f_0)^q; they index its mark.
+    t = ceil(n/2), since f_i = (f_(n-i) / f_0)^q; they index its mark, so only
+    they are computed: f_0 = s_0 h_0 and, for k = 1..floor(n/2),
+    f_(n-k) = sum_j s_(d-k+j) h_(r-j) with d = deg s, r = deg h.  Each
+    cofactor degree is listed once, one constant h_0 at a time, as columns
+    over those cofactors, and every square of that degree is multiplied into
+    the columns a whole column at a time.  A mark lands only on a member of the family, and the members with
+    constant c_0 fill whole strided slices of the marks (every top when n is
+    odd; every top whose middle coefficient f_t solves the middle equation
+    for c_0 when n is even), so the unmarked members are counted by slices.
     """
     ext = ff_from_order(q * q)
     qq = ext.q
-    top = (n + 1) // 2
+    half = n // 2  # the top coefficients f_(n-1)..f_(n-half)
+    if ext.mul_table is not None:
+        add_rows, mul_rows = ext.add_table, ext.mul_table
 
-    def mark_index(f: Sequence[int]) -> int:
-        index = 0
-        for c in reversed(f[top:n]):
-            index = index * qq + c
-        return index * qq + f[0]
+        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
+            row = mul_rows[c]
+            return [add_rows[a][row[x]] for a, x in zip(acc, column)]
+    else:
+        add, mul = ext.add, ext.mul
 
-    marks = bytearray(qq ** (n - top + 1))
-    square_roots = [g.coeffs for e in range(1, n // 2 + 1)
-                    for g in hermitian_self_reciprocal_irreducibles(q, e)]
-    square_roots += [poly_mul(ext, g.coeffs, h.coeffs) for e in range(1, n // 4 + 1)
-                     for g, h in hermitian_pairs(q, e)]
-    for root in square_roots:
+        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
+            return [add(a, mul(c, x)) for a, x in zip(acc, column)]
+
+    squares_by_rest: dict[int, list] = {}
+    roots = [g.coeffs for e in range(1, half + 1)
+             for g in hermitian_self_reciprocal_irreducibles(q, e)]
+    roots += [poly_mul(ext, g.coeffs, h.coeffs) for e in range(1, n // 4 + 1)
+              for g, h in hermitian_pairs(q, e)]
+    for root in roots:
         square = poly_mul(ext, root, root)
-        rest = n - (len(square) - 1)
-        cofactors = iter_hermitian_self_reciprocal_coeffs(q, rest) if rest else [(1,)]
-        for h in cofactors:
-            marks[mark_index(poly_mul(ext, square, h))] = 1
+        squares_by_rest.setdefault(n - (len(square) - 1), []).append(square)
+
+    marks = bytearray(qq ** (half + 1))
+    for r, squares in squares_by_rest.items():
+        d = n - r
+        # One constant h_0 at a time, so that only a (q+1)-th of the degree-r
+        # cofactors is held: columns[i][m] is coefficient i of cofactor m.
+        for h0 in norm_one_circle(q) if r else (1,):
+            cofactors = iter_hermitian_self_reciprocal_coeffs(q, r, h0) if r else [(1,)]
+            columns = list(zip(*cofactors))
+            size = len(columns[0])
+            for s in squares:
+                # index = f_0 + qq f_t + ... + qq^half f_(n-1), built from the top.
+                index = [0] * size
+                for k in range(1, half + 1):
+                    # j = 0 gives s_(d-k), as h_r = 1; j runs while both exist.
+                    f = [s[d - k] if k <= d else 0] * size
+                    for j in range(max(1, k - d), min(k, r) + 1):
+                        if s[d - k + j]:
+                            f = axpy(f, s[d - k + j], columns[r - j])
+                    index = [i * qq + c for i, c in zip(index, f)]
+                f0 = ext.mul(s[0], h0)
+                for i in index:
+                    marks[i * qq + f0] = 1
+            del columns  # before the next constant's columns are built
+    # The index of a member is c_0 + qq (f_t + qq (upper)).  For odd n every
+    # index with c_0 on the circle is a member; for even n its middle f_t
+    # must be one of the middles for c_0.
     hist: dict[int, int] = {}
-    for coeffs in iter_hermitian_self_reciprocal_coeffs(q, n):
-        if not marks[mark_index(coeffs)]:
-            c0 = coeffs[0]
-            hist[c0] = hist.get(c0, 0) + 1
+    for c0 in norm_one_circle(q):
+        if n % 2:
+            count = marks[c0::qq].count(0)
+        else:
+            count = sum(marks[mid * qq + c0::qq * qq].count(0)
+                        for mid in _hermitian_middles(q, c0))
+        if count:
+            hist[c0] = count
     return hist
 
 
@@ -224,7 +274,8 @@ def oracle_linear(n: int, q: int, equals: Optional[int] = None) -> OracleResult:
         count = sum(hist.values())
         family, notes = Family.GL, "constant term nonzero"
     else:
-        if not 1 <= equals < q:
+        check_int(equals, "constant-term code")
+        if equals >= q:
             raise ValueError(f"constant-term code {equals!r} not a unit of GF({q})")
         count = hist[equals]
         family, notes = Family.SL, f"constant term fixed to code {equals}"
@@ -235,7 +286,8 @@ def oracle_unitary(n: int, q: int, equals: Optional[int] = None) -> OracleResult
     """Count degree-n conjugate-self-reciprocal squarefree polys over GF(q²).
 
     ``equals=None`` counts all (U); an integer code restricts the constant
-    term (SU uses the code of (-1)^n in GF(q²))."""
+    term (SU uses the code of (-1)^n in GF(q²)).  A code of GF(q²) off the
+    norm-one circle counts 0."""
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
     hist = _unitary_histogram(n, q)
@@ -243,6 +295,9 @@ def oracle_unitary(n: int, q: int, equals: Optional[int] = None) -> OracleResult
         count = sum(hist.values())
         family, notes = Family.U, "constant term on the norm-one circle"
     else:
+        check_int(equals, "constant-term code", 0)
+        if equals >= q * q:
+            raise ValueError(f"constant-term code {equals!r} not in GF({q * q})")
         count = hist.get(equals, 0)
         family, notes = Family.SU, f"constant term fixed to code {equals}"
     return OracleResult(GroupSpec(family, n, q), count, sum(hist.values()), notes)

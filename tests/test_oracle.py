@@ -25,7 +25,7 @@ from rscount.census import (
     self_reciprocal_irreducibles,
 )
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
-from rscount.fields import ff_from_order, poly_eval, squarefree_codes
+from rscount.fields import ff_from_order, poly_eval, poly_mul, squarefree_codes
 from rscount.genfun import (
     Identity,
     closed_side,
@@ -81,6 +81,39 @@ def _reference_unitary_histogram(n: int, q: int) -> dict[int, int]:
     hist: dict[int, int] = {}
     for coeffs in iter_hermitian_self_reciprocal_coeffs(q, n):
         if squarefree_codes(ext, coeffs):
+            c0 = coeffs[0]
+            hist[c0] = hist.get(c0, 0) + 1
+    return hist
+
+
+def _reference_unitary_sieve(n: int, q: int) -> dict[int, int]:
+    """The unitary sieve with a full product per mark and one pass over the
+    degree-n family to count: the oracle marks from the top half of each
+    product and counts by slices."""
+    ext = ff_from_order(q * q)
+    qq = ext.q
+    top = (n + 1) // 2
+
+    def mark_index(f) -> int:
+        index = 0
+        for c in reversed(f[top:n]):
+            index = index * qq + c
+        return index * qq + f[0]
+
+    marks = bytearray(qq ** (n - top + 1))
+    square_roots = [g.coeffs for e in range(1, n // 2 + 1)
+                    for g in hermitian_self_reciprocal_irreducibles(q, e)]
+    square_roots += [poly_mul(ext, g.coeffs, h.coeffs) for e in range(1, n // 4 + 1)
+                     for g, h in hermitian_pairs(q, e)]
+    for root in square_roots:
+        square = poly_mul(ext, root, root)
+        rest = n - (len(square) - 1)
+        cofactors = iter_hermitian_self_reciprocal_coeffs(q, rest) if rest else [(1,)]
+        for h in cofactors:
+            marks[mark_index(poly_mul(ext, square, h))] = 1
+    hist: dict[int, int] = {}
+    for coeffs in iter_hermitian_self_reciprocal_coeffs(q, n):
+        if not marks[mark_index(coeffs)]:
             c0 = coeffs[0]
             hist[c0] = hist.get(c0, 0) + 1
     return hist
@@ -251,6 +284,71 @@ def test_unitary_constant_filter():
     assert result.witness_count == 3
     assert result.group.family is Family.SU
     assert oracle_unitary(1, 2, equals=0).count == 0
+
+
+def test_unitary_top_half_marks_match_full_products():
+    # Every U/SU cell of the linear-scan benchmark, more odd and even q, the
+    # largest field with dense tables (GF(256)) and one above them (GF(289)).
+    cells = [(n, q) for q, n_max in ((2, 11), (3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3))
+             for n in range(1, n_max + 1)]
+    cells += [(n, q) for q in (16, 17) for n in (2, 3)]
+    assert ff_from_order(16 * 16).mul_table is not None
+    assert ff_from_order(17 * 17).mul_table is None
+    for n, q in cells:
+        hist = oracle_unitary_histogram(n, q)
+        assert hist == _reference_unitary_sieve(n, q), (n, q)
+        assert 0 not in hist.values()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_linear(2, 3, equals=1.5),
+        lambda: oracle_linear(2, 3, equals=True),
+        lambda: oracle_linear(2, 3, equals=0),
+        lambda: oracle_linear(2, 3, equals=3),
+        lambda: oracle_linear(2, 3, equals=-1),
+        lambda: oracle_unitary(2, 3, equals=1.0),
+        lambda: oracle_unitary(2, 3, equals=True),
+        lambda: oracle_unitary(2, 3, equals=9),
+        lambda: oracle_unitary(2, 3, equals=-1),
+    ],
+    ids=["linear-float", "linear-bool", "linear-zero", "linear-q", "linear-negative",
+         "unitary-float", "unitary-bool", "unitary-q2", "unitary-negative"],
+)
+def test_constant_code_validated(call):
+    with pytest.raises(ValueError, match="constant-term code"):
+        call()
+
+
+def test_unitary_constant_off_the_circle_counts_zero():
+    circle = set(norm_one_circle(3))
+    off = [c for c in range(9) if c not in circle]
+    assert off
+    for c in off:
+        assert oracle_unitary(2, 3, equals=c).count == 0
+    assert sum(oracle_unitary(2, 3, equals=c).count for c in circle) == oracle_unitary(2, 3).count
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_unitary(10, 6),
+        lambda: oracle_unitary(1, 6),
+        lambda: oracle_unitary_histogram(10, 6),
+        lambda: hermitian_pairs(6, 2),
+        lambda: hermitian_pairs(6, 20),
+        lambda: hermitian_self_reciprocal_irreducibles(6, 3),
+        lambda: hermitian_self_reciprocal_irreducibles(6, 20),
+    ],
+    ids=["unitary-past-cap", "unitary", "histogram", "pairs", "pairs-past-cap",
+         "self-reciprocal", "self-reciprocal-past-cap"],
+)
+def test_hermitian_scans_name_a_q_that_is_not_a_prime_power(call):
+    # The prime power is checked before the cap, so the error names q = 6,
+    # not GF(36) or a candidate count.
+    with pytest.raises(ValueError, match="q=6 is not a prime power"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -610,3 +708,67 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     assert out["irreducibles"] > 4_000
     assert out["calls"] == {"poly": 0, "datum": 0}
     assert out["control_calls"] == {"poly": 1, "datum": 1}
+
+
+def test_unitary_sieve_marks_from_top_halves_and_counts_by_slices():
+    """The unitary sieve multiplies polynomials only to build its squares,
+    not per mark, and lists the cofactors once per degree instead of once
+    per square, with no pass over the degree-n family.  Counted in a fresh
+    interpreter, so that no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        import rscount.oracle as oracle
+        from rscount.census import hermitian_pairs, hermitian_self_reciprocal_irreducibles
+        calls = {"poly_mul": 0, "yields": 0}
+        multiply, iterate = oracle.poly_mul, oracle.iter_hermitian_self_reciprocal_coeffs
+        def counted_mul(*args):
+            calls["poly_mul"] += 1
+            return multiply(*args)
+        def counted_iter(*args, **kwargs):
+            for coeffs in iterate(*args, **kwargs):
+                calls["yields"] += 1
+                yield coeffs
+        oracle.poly_mul = counted_mul
+        oracle.iter_hermitian_self_reciprocal_coeffs = counted_iter
+        cells = ((11, 2), (7, 3))
+        out = {"counts": [oracle.oracle_unitary(n, q).count for n, q in cells]}
+        out["calls"] = dict(calls)
+        out["roots"] = sum(
+            len(hermitian_self_reciprocal_irreducibles(q, e))
+            for n, q in cells for e in range(1, n // 2 + 1)
+        )
+        out["pairs"] = sum(
+            len(hermitian_pairs(q, e)) for n, q in cells for e in range(1, n // 4 + 1)
+        )
+        # The counters are live.
+        oracle.poly_mul(oracle.ff_from_order(4), (1, 1), (1, 1))
+        next(oracle.iter_hermitian_self_reciprocal_coeffs(2, 3))
+        out["control_calls"] = calls
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["counts"] == [
+        rs_count(GroupSpec(Family.U, 11, 2)),
+        rs_count(GroupSpec(Family.U, 7, 3)),
+    ]
+    assert out["counts"] == [1227, 1748]
+    # One square per root (self-dual irreducible or pair product) and one
+    # product per pair; a product per mark made 3,887 calls here.
+    squares = out["roots"] + out["pairs"]
+    assert 0 < out["calls"]["poly_mul"] <= squares + out["pairs"]
+    # A cofactor list per square and a pass over the family made 9,842.
+    assert 0 < out["calls"]["yields"] < 2_000
+    assert out["control_calls"] == {
+        "poly_mul": out["calls"]["poly_mul"] + 1,
+        "yields": out["calls"]["yields"] + 1,
+    }
