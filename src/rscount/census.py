@@ -16,6 +16,10 @@ Each census has two routes: ``enumerate`` (exhaustive scan of the candidate
 space, subject to the enumeration cap) and ``formula`` (necklace counting for
 irreducibles; divisor-sum recursions, derived from the orbit structure of the
 norm-one circles in the relevant extension fields, for the symmetric families).
+The self-reciprocal kinds are enumerated by construction rather than by a
+search: ``SELF_RECIPROCAL`` from the irreducibles of half the degree (z + 1/z),
+``HERMITIAN_SELF_RECIPROCAL`` from the q^d monic polynomials over GF(q) (a
+Cayley map).  No scan here runs an irreducibility test.
 The two routes agree on the overlap grid by construction of the test suite;
 the formula route exists so that truncated products can reach degrees slightly
 beyond what raw enumeration affords.
@@ -39,9 +43,9 @@ from .fields import (
     _monic_polys,
     ff_from_order,
     frobenius_map,
-    is_irreducible,
     mark_multiples,
     poly_eval,
+    poly_mul,
 )
 from .numbertheory import as_prime_power, check_int, divisors, exact_div, mobius
 
@@ -337,23 +341,60 @@ def iter_hermitian_self_reciprocal_coeffs(
 def _hermitian_bound(base_q: int, degree: int):
     ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
     return (
-        (base_q + 1) * base_q ** max(degree - 1, 0),
-        f"hermitian-self-reciprocal scan over GF({base_q * base_q}) degree {degree}",
+        base_q**degree if degree % 2 else 0,
+        f"hermitian-self-reciprocal construction from GF({base_q}) degree {degree}",
     )
 
 
 @capped_cache(_hermitian_bound)
 def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Poly, ...]:
     """Monic hermitian-self-reciprocal irreducibles of the given degree over
-    GF(base_q^2), via the structured family scan, sorted by code."""
+    GF(base_q^2), sorted by code.
+
+    They have odd degree, and they are built, not searched for.  In degree 1
+    they are the z + c for c on the norm-one circle.  Above it, fix w in
+    GF(q^2) outside GF(q): for odd d the Cayley map x -> (x - w)/(x - w^q)
+    sends GF(q^d) onto the circle y^(q^d + 1) = 1 minus the point 1, and a
+    root b of an irreducible g of degree d over GF(q) to a root of
+
+        f(z) ~ (z - 1)^d g((w^q z - w)/(z - 1)) = sum_i g_i (w^q z - w)^i (z - 1)^(d - i),
+
+    which is irreducible over GF(q^2), since GF(q^2)(b) = GF(q^(2d)).  Its
+    leading coefficient g(w^q) is nonzero, as g has no root in GF(q^2).  The
+    g come from the sieve over GF(q), whose q^d candidates are the cap
+    checked here; their codes enter GF(q^2) through a root of GF(q)'s
+    modulus (the identity for prime q).  Any root gives the same set, since
+    the set is closed under the Frobenius of GF(q).
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     ext = ff_from_order(base_q * base_q)
-    out = [
-        f
-        for t in iter_hermitian_self_reciprocal_coeffs(base_q, degree)
-        if is_irreducible(f := Poly(ext, t))
-    ]
-    out.sort(key=Poly.code)
-    return tuple(out)
+    if degree == 1:
+        return _monic_polys(ext, [(c, 1) for c in norm_one_circle(base_q)])
+    if degree % 2 == 0:
+        return ()
+    field = ff_from_order(base_q)
+    add, mul, neg = ext.add, ext.mul, ext.neg
+    frob = frobenius_map(ext, base_q)
+    w = next(c for c in range(ext.q) if frob(c) != c)
+    root = next(c for c in range(ext.q) if poly_eval(ext, field.modulus_codes, c) == 0)
+    embed = [poly_eval(ext, field._decode(c), root) for c in range(base_q)]
+    # basis[i]: (w^q z - w)^i (z - 1)^(d - i), low to high.
+    cayley, shift = [[1]], [[1]]
+    for _ in range(degree):
+        cayley.append(poly_mul(ext, cayley[-1], [neg(w), frob(w)]))
+        shift.append(poly_mul(ext, shift[-1], [neg(1), 1]))
+    basis = [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
+    out = []
+    for g in _irreducible_raw(field, degree):
+        f = [0] * (degree + 1)
+        for g_i, terms in zip(g, basis):
+            if g_i:
+                c = embed[g_i]
+                f = [add(a, mul(c, t)) for a, t in zip(f, terms)]
+        lead_inv = ext.inv(f[-1])
+        out.append(tuple(mul(a, lead_inv) for a in f))
+    return tuple(sorted(_monic_polys(ext, out), key=Poly.code))
 
 
 def _hermitian_pairs_bound(base_q: int, degree: int):
@@ -436,11 +477,7 @@ def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
     if kind is CensusKind.RECIPROCAL_PAIRS:
         return reciprocal_pairs(ff_from_order(q), d)
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
-        ext = ff_from_order(q * q)
-        return tuple(
-            f for f in irreducibles(ext, d, nonzero_constant=True)
-            if f.coeffs == hermitian_reciprocal_codes(ext, f.coeffs, q)
-        )
+        return hermitian_self_reciprocal_irreducibles(q, d)
     if kind is CensusKind.HERMITIAN_PAIRS:
         return hermitian_pairs(q, d)
     raise ValueError(f"unknown census kind {kind!r}")
@@ -456,9 +493,10 @@ def census_count(
     """Count one census cell.
 
     ``method="enumerate"`` scans the full candidate space (q^d monic
-    polynomials, or q^(2d) for the hermitian kinds, subject to the enumeration
-    cap) and can attach the witnesses; ``method="formula"`` uses the closed
-    necklace/recursion counts.
+    polynomials, or q^(2d) for the hermitian pairs, subject to the
+    enumeration cap) and can attach the witnesses; the hermitian
+    self-reciprocal members are built from the q^d monic polynomials over
+    GF(q).  ``method="formula"`` uses the closed necklace/recursion counts.
     """
     check_int(q, "field size q", 2)
     check_int(d, "degree d")

@@ -23,8 +23,9 @@ zeros (the zero polynomial has an empty tuple).  Coefficients are int codes.
 The text form is ``"q=<q>: c0,c1,...,cd"``, again low-to-high.
 
 Fields of order up to :data:`TABLE_LIMIT` carry dense add/mul/inv/neg tables
-(plain nested lists) exposed as attributes for tight enumeration loops; larger
-fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit arithmetic.
+(plain nested lists, the products and inverses filled from a generator's
+logarithms) exposed as attributes for tight enumeration loops; larger fields
+(up to :data:`MAX_FIELD_SIZE`) fall back to digit arithmetic.
 """
 
 from __future__ import annotations
@@ -81,14 +82,37 @@ class GF:
     # -- construction of tables -------------------------------------------------
 
     def _build_tables(self) -> None:
-        q = self.q
-        self.add_table = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
-        self.mul_table = [[self._mul_digits(a, b) for b in range(q)] for a in range(q)]
+        """Fill the dense tables with O(q) digit work: the sums digit by
+        digit, the products and inverses from a generator's logarithms."""
+        p, q = self.p, self.q
+        if p == 2:
+            add = [[a ^ b for b in range(q)] for a in range(q)]
+        else:
+            # A code is its lowest digit plus p times the code of the rest.
+            digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+            add = digit
+            for _ in range(self.k - 1):
+                add = [[s + p * t for t in rest for s in digit[low]]
+                       for rest in add for low in range(p)]
+        self.add_table = add
         self.neg_table = [self._neg_digits(a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._pow_via(self._mul_digits, a, q - 2)
-        self.inv_table = inv
+        # antilog[i] = g^i for a generator g of GF(q)*, doubled so that a sum
+        # of two logarithms needs no reduction mod q - 1.
+        for g in range(1, q):
+            antilog = [1]
+            while (x := self._mul_digits(antilog[-1], g)) != 1:
+                antilog.append(x)
+            if len(antilog) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(antilog):
+            log[x] = i
+        antilog += antilog
+        logs = log[1:]
+        self.mul_table = [[0] * q] + [
+            [0, *map(antilog[log[a]:].__getitem__, logs)] for a in range(1, q)
+        ]
+        self.inv_table = [0] + [antilog[q - 1 - log[a]] for a in range(1, q)]
 
     # -- digit-level arithmetic (no tables required) ----------------------------
 
@@ -828,6 +852,11 @@ def is_irreducible(f: Poly) -> bool:
     trial-divide by the cached irreducible quadratics, finishing degrees <= 5;
     then run distinct-degree factor detection, taking gcds of x**(q**i) - x
     with f for the remaining candidate factor degrees i up to deg(f) / 2.
+
+    No census or oracle scan calls it: they sieve or construct their
+    irreducibles.  It stays public because :func:`ff_make`'s modulus search
+    calls it and the benchmark's tracer (``perfbench/spans.py``) wraps it by
+    name.
     """
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")

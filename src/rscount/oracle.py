@@ -26,9 +26,9 @@ marks, as the linear scan does.
 The irreducibles come from the census ``enumerate`` route only.  The
 orthogonal data are built from the census's reciprocal pairs and its
 self-reciprocal irreducibles, which the same z + 1/z correspondence
-constructs from the irreducibles of half the degree.  So only the unitary
-scan's hermitian-self-reciprocal irreducibles still cost one irreducibility
-test per candidate.
+constructs from the irreducibles of half the degree; the unitary scan's
+hermitian-self-reciprocal irreducibles are built by a Cayley map from the
+irreducibles over GF(q).  So no scan runs an irreducibility test.
 
 The orthogonal oracle counts its data without building them: one plain
 recursion reaches every datum once per ±1-eigenvalue option, with no counting

@@ -31,8 +31,12 @@ from rscount.conjugation import (
     is_self_reciprocal,
     reciprocal,
 )
-from rscount.census import _hermitian_middles, _irreducible_raw
-from rscount.conjugation import _dlog_table
+from rscount.census import (
+    _hermitian_middles,
+    _irreducible_raw,
+    iter_hermitian_self_reciprocal_coeffs,
+)
+from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes
 from rscount.fields import (
     Poly,
     ff_from_order,
@@ -47,10 +51,11 @@ from rscount.fields import (
 # reference scans: one Rabin irreducibility test per candidate
 # ---------------------------------------------------------------------------
 #
-# The census builds its irreducibles by a product sieve and its self-reciprocal
-# irreducibles from half-degree irreducibles.  These are the direct scans they
-# replaced, kept to cross-check them polynomial by polynomial on every small
-# cell.
+# The census builds its irreducibles by a product sieve, its self-reciprocal
+# irreducibles from half-degree irreducibles and its hermitian self-reciprocal
+# irreducibles from irreducibles over GF(q) by a Cayley map.  These are the
+# scans they replaced, kept to cross-check them polynomial by polynomial on
+# every small cell.
 
 
 def _reference_irreducibles(field, degree):
@@ -85,6 +90,34 @@ def _reference_self_reciprocal_irreducibles(field, degree):
     return tuple(out)
 
 
+def _reference_hermitian_filter(base_q, degree):
+    """Monic hermitian-self-reciprocal irreducibles over GF(base_q^2), sorted
+    by code: the sieved irreducibles with nonzero constant, q^(2 degree)
+    candidates, kept when they equal their hermitian reciprocal.  The
+    constant of such a polynomial lies on the norm-one circle, which is
+    checked first."""
+    ext = ff_from_order(base_q * base_q)
+    circle = set(norm_one_circle(base_q))
+    # The uncached sieve, so that the large cells are not kept.
+    return tuple(
+        t for t in _irreducible_raw.__wrapped__(ext, degree)
+        if t[0] in circle and t == hermitian_reciprocal_codes(ext, t, base_q)
+    )
+
+
+def _reference_hermitian_rabin_scan(base_q, degree):
+    """The same family from its (q + 1) q^(degree - 1) structured candidates
+    (constant on the circle, lower half fixed by the upper half), one Rabin
+    test each, sorted by code."""
+    ext = ff_from_order(base_q * base_q)
+    found = [
+        f for t in iter_hermitian_self_reciprocal_coeffs(base_q, degree)
+        if is_irreducible(f := Poly(ext, t))
+    ]
+    found.sort(key=Poly.code)
+    return tuple(f.coeffs for f in found)
+
+
 #: Field sizes of the reference cells: characteristic 2 and 3, prime fields
 #: and the extension fields 4, 8, 9 and 16.
 _REFERENCE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
@@ -115,6 +148,21 @@ def test_self_reciprocal_construction_matches_palindrome_scan():
         field = ff_from_order(q)
         expected = _reference_self_reciprocal_irreducibles(field, d)
         assert self_reciprocal_irreducibles(field, d) == expected, (q, d)
+
+
+def test_hermitian_cayley_construction_matches_both_scans():
+    # Every d >= 1 with q^(2d) <= 10^6, even d and the extension fields
+    # GF(4), GF(8), GF(9) (whose codes enter GF(q^2) through a root of the
+    # modulus) included.
+    cells = [
+        (q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in range(1, 11) if q ** (2 * d) <= 10**6
+    ]
+    assert len(cells) == 32 and (2, 9) in cells and (3, 6) in cells and (9, 3) in cells
+    for q, d in cells:
+        built = tuple(f.coeffs for f in hermitian_self_reciprocal_irreducibles(q, d))
+        assert built == _reference_hermitian_filter(q, d), (q, d)
+        assert built == _reference_hermitian_rabin_scan(q, d), (q, d)
+        assert len(built) == census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d).count
 
 
 def test_kind_tokens_round_trip():
@@ -419,6 +467,56 @@ def test_hermitian_censuses_run_no_power_per_coefficient():
     assert out["irreducibles"] > 10_000
     assert out["calls"] <= 9 + 4
     assert out["control_calls"] == out["calls"] + 1
+
+
+def test_hermitian_census_sieves_over_the_base_field():
+    """The hermitian-self-reciprocal census sieves the q^d monic polynomials
+    over GF(q), never the q^(2d) over GF(q^2), and its cap is those q^d
+    candidates.  Counted in a fresh interpreter, so that no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        import os
+        import rscount.census as census
+        from rscount.census import CensusKind, EnumerationBoundError, census_count
+        sieved = {}
+        marks = census.mark_multiples
+        def counted(marked, field, divisor, n):
+            sieved[field.q] = sieved.get(field.q, 0) + 1
+            return marks(marked, field, divisor, n)
+        census.mark_multiples = counted
+        cell = census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5, "enumerate")
+        out = {"count": cell.count}
+        out["sieved"] = dict(sieved)
+        # The counter is live over GF(9): the hermitian pairs sieve there.
+        census_count(CensusKind.HERMITIAN_PAIRS, 3, 2, "enumerate")
+        out["control"] = dict(sieved)
+        out["cap"] = {}
+        for cap in ("242", "243"):
+            os.environ["RSCOUNT_ENUM_CAP"] = cap
+            try:
+                out["cap"][cap] = len(census.hermitian_self_reciprocal_irreducibles(3, 5))
+            except EnumerationBoundError as exc:
+                out["cap"][cap] = str(exc)
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["count"] == census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5).count == 48
+    # Over GF(3) the three monic linears (z included) and the three
+    # irreducible quadratics mark the quintics; the linears mark the quadratics.
+    assert out["sieved"] == {"3": 3 + 3 + 3}
+    assert out["control"]["9"] > 0 and out["control"]["3"] == out["sieved"]["3"]
+    assert "needs 243 candidates, above the enumeration cap 242" in out["cap"]["242"]
+    assert out["cap"]["243"] == 48
 
 
 def test_involution_predicates_reject_bad_input():

@@ -25,6 +25,7 @@ from rscount.fields import (
     _monic_polys,
     _RowsOnDemand,
 )
+from rscount.numbertheory import as_prime_power
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -128,6 +129,26 @@ def test_field_axioms_sampled(q, data):
     assert field.add(a, field.neg(a)) == 0
     if a:
         assert field.mul(a, field.inv(a)) == 1
+
+
+def test_dense_tables_equal_digit_arithmetic():
+    """The tables built from a generator's logarithms hold what the digit
+    arithmetic computes: every entry for q <= 64, sampled rows above."""
+    rng = random.Random(20)
+    cells = [(q, range(q)) for q in range(2, 65) if as_prime_power(q)]
+    cells += [
+        (q, [0, 1, q - 1, *rng.sample(range(2, q - 1), 5)]) for q in (81, 125, 128, 243, 256)
+    ]
+    assert len(cells) == 32
+    for q, rows in cells:
+        field = ff_from_order(q)
+        for a in rows:
+            assert field.add_table[a] == [field._add_digits(a, b) for b in range(q)], (q, a)
+            assert field.mul_table[a] == [field._mul_digits(a, b) for b in range(q)], (q, a)
+            assert field.neg_table[a] == field._neg_digits(a), (q, a)
+            if a:
+                assert field.inv_table[a] == field._pow_via(field._mul_digits, a, q - 2), (q, a)
+        assert len(field.add_table) == len(field.mul_table) == len(field.inv_table) == q
 
 
 def test_frobenius_power_map_is_identity():

@@ -607,29 +607,42 @@ def test_exactness_checks_survive_python_O():
 
 
 def test_orthogonal_oracle_runs_no_irreducibility_test():
-    """The orthogonal oracle and the reciprocal-pair census build their
-    irreducibles (sieve, z + 1/z construction) without one Rabin test per
-    candidate.  Counted in a fresh interpreter, so that no cache is warm."""
+    """The orthogonal and unitary oracles and the census enumerations build
+    their irreducibles (sieve, z + 1/z construction, Cayley map) without
+    one Rabin test per candidate.  Every binding of ``is_irreducible`` is
+    counted in a fresh interpreter, so that no cache is warm.  The fields
+    are built first: their modulus search is the one caller left."""
     script = textwrap.dedent(
         """
         import json
-        import rscount.census as census
+        import sys
+        import rscount
+        import rscount.fields as fields
         from rscount.census import CensusKind, census_count
-        from rscount.oracle import oracle_orthogonal
+        from rscount.oracle import oracle_orthogonal, oracle_unitary
+        for q in (4, 9):
+            fields.ff_from_order(q)
         calls = [0]
-        rabin = census.is_irreducible
+        rabin = fields.is_irreducible
         def counted(f):
             calls[0] += 1
             return rabin(f)
-        census.is_irreducible = counted
-        out = {"counts": [
+        bindings = [
+            name for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "rscount" and getattr(module, "is_irreducible", None) is rabin
+        ]
+        for name in bindings:
+            sys.modules[name].is_irreducible = counted
+        out = {"bindings": sorted(bindings), "counts": [
             oracle_orthogonal(12, 5, "plus").count,
             oracle_orthogonal(8, 4, "minus").count,
             census_count(CensusKind.RECIPROCAL_PAIRS, 4, 6, "enumerate").count,
+            census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5, "enumerate").count,
+            oracle_unitary(11, 2).count,
         ]}
         out["calls"] = calls[0]
-        # The counter is live: the hermitian scan still tests each candidate.
-        census.hermitian_self_reciprocal_irreducibles(2, 3)
+        # The counter is live: the modulus search of a new field runs it.
+        fields.ff_make(5, 3)
         out["control_calls"] = calls[0]
         print(json.dumps(out))
         """
@@ -643,10 +656,13 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
     )
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
+    assert out["bindings"] == ["rscount", "rscount.fields"]
     assert out["counts"] == [
         rs_count(GroupSpec(Family.SO_PLUS, 6, 5)),
         rs_count(GroupSpec(Family.SO_MINUS, 4, 4)),
         census_count(CensusKind.RECIPROCAL_PAIRS, 4, 6).count,
+        census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5).count,
+        rs_count(GroupSpec(Family.U, 11, 2)),
     ]
     assert out["calls"] == 0
     assert out["control_calls"] > 0
