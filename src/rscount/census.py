@@ -32,9 +32,8 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from .fields import (
@@ -125,8 +124,7 @@ class CensusKind(enum.Enum):
         raise ValueError(f"unknown census kind {token!r}")
 
 
-@dataclass(frozen=True)
-class CensusCount:
+class CensusCount(NamedTuple):
     """One census cell: the count of the family ``kind`` at field size q, degree d."""
 
     kind: CensusKind

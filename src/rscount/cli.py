@@ -3,6 +3,12 @@
 All subcommands build their entire output in memory and write it in one call,
 so output is deterministic byte-for-byte and never partial on error.
 
+One table, ``_COMMANDS``, gives each subcommand's help string, argument adder
+and handler.  A run whose first argument names a subcommand builds that
+subcommand's parser alone; ``-h``, a missing, unknown or abbreviated command,
+an option before the command and any argument left over go through the full
+parser, so usage, help and error texts are the same either way.
+
 Exit codes: 0 success/agreement, 2 invalid arguments, 3 count or identity
 disagreement, 4 enumeration-bound refusal.
 """
@@ -36,7 +42,12 @@ _EXIT_DISAGREE = 3
 _EXIT_BOUND = 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``rscount`` parser with every subcommand, or with ``command``'s alone.
+
+    A subcommand's usage, help and error texts do not depend on its siblings,
+    so the narrow parser prints them as the full one does.
+    """
     parser = argparse.ArgumentParser(
         prog="rscount",
         description=(
@@ -46,60 +57,64 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = _COMMANDS if command is None else [command]
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    tokens = [f.value for f in Family]
 
-    p_count = sub.add_parser("count", help="count classes for one group")
-    p_count.add_argument("--group", required=True, choices=tokens)
-    p_count.add_argument(
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--group", required=True, choices=[f.value for f in Family])
+    p.add_argument(
         "--n", required=True, type=int,
         help="rank parameter n (matrix size 2n for sp, ambient dimension 2n or 2n+1 for the so families)",
     )
-    p_count.add_argument("--q", required=True, type=int)
-    p_count.add_argument(
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument(
         "--method", default="formula", choices=["formula", "genfun", "oracle", "all"]
     )
 
-    p_table = sub.add_parser("table", help="counts for ranks 1..n-max")
-    p_table.add_argument("--group", required=True, choices=tokens)
-    p_table.add_argument("--q", required=True, type=int)
-    p_table.add_argument("--n-max", required=True, type=int, dest="n_max")
-    p_table.add_argument("--format", default="csv", choices=["csv", "json"])
-    p_table.add_argument(
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--group", required=True, choices=[f.value for f in Family])
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--n-max", required=True, type=int, dest="n_max")
+    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument(
         "--with-oracle",
         action="store_true",
         help="add enumeration counts and an agreement column (cells beyond the "
         "enumeration bound are left empty)",
     )
 
-    p_verify = sub.add_parser("verify", help="expand and compare series identities")
-    p_verify.add_argument(
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--identity",
         required=True,
         choices=[i.value for i in Identity] + ["all"],
         help="identity token, or 'all' to run every identity admissible at q",
     )
-    p_verify.add_argument("--q", required=True, type=int)
-    p_verify.add_argument("--terms", default=10, type=int)
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--terms", default=10, type=int)
 
-    p_census = sub.add_parser("census", help="irreducible-polynomial census table")
-    p_census.add_argument("--kind", required=True, choices=[k.value for k in CensusKind])
-    p_census.add_argument("--q", required=True, type=int)
-    p_census.add_argument("--d-max", required=True, type=int, dest="d_max")
-    p_census.add_argument("--method", default="formula", choices=["formula", "enumerate"])
 
-    p_series = sub.add_parser(
-        "series", help="counts as integer polynomials in the field size"
-    )
-    p_series.add_argument("--family", required=True, choices=tokens)
-    p_series.add_argument("--terms", required=True, type=int, help="largest rank to print")
-    p_series.add_argument(
+def _census_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=[k.value for k in CensusKind])
+    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--d-max", required=True, type=int, dest="d_max")
+    p.add_argument("--method", default="formula", choices=["formula", "enumerate"])
+
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=[f.value for f in Family])
+    p.add_argument("--terms", required=True, type=int, help="largest rank to print")
+    p.add_argument(
         "--char",
         choices=["odd", "even"],
         help="field-size parity (required for sl, su, sp, and the so families)",
     )
-
-    return parser
 
 
 def _warn_composite_q(q: int) -> None:
@@ -247,20 +262,29 @@ def _cmd_series(args) -> tuple[int, str]:
     return _EXIT_OK, "\n".join(lines) + "\n"
 
 
-_DISPATCH = {
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "census": _cmd_census,
-    "series": _cmd_series,
+#: Each command's help string, argument adder and handler, in help order.
+_COMMANDS = {
+    "count": ("count classes for one group", _count_arguments, _cmd_count),
+    "table": ("counts for ranks 1..n-max", _table_arguments, _cmd_table),
+    "verify": ("expand and compare series identities", _verify_arguments, _cmd_verify),
+    "census": ("irreducible-polynomial census table", _census_arguments, _cmd_census),
+    "series": (
+        "counts as integer polynomials in the field size", _series_arguments, _cmd_series
+    ),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A run that names its command first builds that command's parser alone.
+    # Anything left over is parsed again by the full parser, so that the
+    # "unrecognized arguments" error shows the usage with every command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extras = build_parser(command).parse_known_args(argv)
+    if extras:
+        args = build_parser().parse_args(argv)
     try:
-        code, text = _DISPATCH[args.command](args)
+        code, text = _COMMANDS[args.command][2](args)
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BOUND

@@ -17,9 +17,8 @@ from.  Products over reciprocal-symmetric data use a half-grading variable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .census import CensusKind, census_count
 from .closedform import Family, GroupSpec
@@ -107,8 +106,7 @@ def check_admissible(identity: Identity, q: int) -> None:
         raise ValueError(f"identity {identity.token} requires {parity} field size, got q={q}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of expanding both sides of one identity at one field size."""
 
     identity: str

@@ -41,8 +41,7 @@ than run past the configured candidate cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .census import (
     _hermitian_middles,
@@ -73,8 +72,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Result of one enumeration: the count plus how much work backed it."""
 
     group: GroupSpec
@@ -83,7 +81,6 @@ class OracleResult:
     notes: str = ""
 
 
-@dataclass(frozen=True)
 class ConjugacyDatum:
     """Class datum for an orthogonal group: eigenvalue ±1 parts plus blocks.
 
@@ -92,15 +89,48 @@ class ConjugacyDatum:
     even characteristic z+1 = z-1 and only the ``a`` part is used).  ``blocks``
     are distinct reciprocal-symmetric irreducibles of even degree; ``pairs``
     are distinct unordered irreducible reciprocal pairs (f, reciprocal of f).
+    Immutable, and equal and hashed by its fields.
     """
 
-    a_minus: int
-    a_type: Optional[int]
-    b_plus: int
-    b_type: Optional[int]
-    blocks: tuple[Poly, ...]
-    pairs: tuple[tuple[Poly, Poly], ...]
-    total_dim: int
+    __slots__ = ("a_minus", "a_type", "b_plus", "b_type", "blocks", "pairs", "total_dim")
+
+    def __init__(
+        self,
+        a_minus: int,
+        a_type: Optional[int],
+        b_plus: int,
+        b_type: Optional[int],
+        blocks: tuple[Poly, ...],
+        pairs: tuple[tuple[Poly, Poly], ...],
+        total_dim: int,
+    ):
+        values = (a_minus, a_type, b_plus, b_type, blocks, pairs, total_dim)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ConjugacyDatum, self._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ConjugacyDatum({body})"
 
     @property
     def has_eigenvalue_part(self) -> bool:
@@ -237,7 +267,7 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
 
 def _symplectic_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    return q ** (2 * n), f"reciprocal-symmetric scan over GF({q}) degree {2 * n}"
+    return q**n, f"symplectic scan over the monic g of degree {n} over GF({q})"
 
 
 @capped_cache(_symplectic_bound)
@@ -250,8 +280,7 @@ def _symplectic_scan(n: int, q: int) -> int:
     {a, 1/a} with a + 1/a a root b of g, and a = ±1 exactly when b = ±2.  So
     f is squarefree with no root at ±1 iff g is squarefree with g(±2) != 0
     (in characteristic 2, where 2 = -2 = 0 and 1 = -1: iff g(0) != 0).  The
-    count is taken over the g.  The cap is still checked on the q^(2n)
-    coefficient vectors of degree 2n.
+    count is taken over the g, so the cap is checked on their q^n codes.
     """
     field = ff_from_order(q)
     marks = _squarefree_marks(field, n)

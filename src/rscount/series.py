@@ -14,7 +14,6 @@ only inverses taken are of series with constant term +/-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 #: Default truncation order, comfortably beyond every acceptance grid.
@@ -172,18 +171,41 @@ def _as_qpoly(x: Union[int, QPoly]) -> QPoly:
     return x if isinstance(x, QPoly) else QPoly(x)
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series prefix of fixed truncation ``order``: coefficients c_0..c_order."""
+    """Power series prefix of fixed truncation ``order``: coefficients c_0..c_order.
 
-    order: int
-    coeffs: tuple[QPoly, ...]
+    Immutable, and equal and hashed by ``(order, coeffs)``.
+    """
 
-    def __post_init__(self):
-        if self.order < 0:
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple[QPoly, ...]):
+        if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must equal order + 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.order, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(order={self.order!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_orders(self, other)

@@ -77,7 +77,7 @@ def test_criterion_1_three_way_agreement():
     assert rs_su(2, 3) == rs_sl(2, 3) == 1
 
     # Symplectic groups.
-    for q, n_max in ((2, 13), (3, 8), (4, 6), (5, 5)):
+    for q, n_max in ((2, 13), (3, 8), (4, 6), (5, 6)):
         for n in range(1, n_max + 1):
             _three_way(Family.SP, n, q)
     assert rs_sp(1, 3) == 1

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import rscount.cli as cli
-from rscount.census import census_count, CensusKind
+from rscount.census import census_count, CensusKind, EnumerationBoundError
 from rscount.genfun import VerificationReport
 from rscount.cli import main
 
@@ -379,6 +381,147 @@ def test_unknown_group_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--group", "nope", "--n", "1", "--q", "2"])
     assert excinfo.value.code == 2
+
+
+_COUNT = ["count", "--group", "gl", "--n", "2", "--q", "3"]
+
+# Help, usage errors, parse errors and runs, each of which main must print
+# exactly as the full parser would.
+_PINNED_ARGVS = [
+    ["-h"],
+    ["--help"],
+    ["count", "-h"],
+    ["table", "-h"],
+    ["verify", "--help"],
+    ["census", "-h"],
+    ["series", "-h"],
+    [],
+    ["bogus"],
+    ["cou"],
+    ["--bogus", "count"],
+    ["-h", "count"],
+    ["count"],
+    ["table"],
+    ["verify"],
+    ["census"],
+    ["series"],
+    ["count", "--group", "gl"],
+    ["count", "--group", "nope", "--n", "1", "--q", "2"],
+    _COUNT + ["--method", "nope"],
+    ["table", "--group", "gl", "--q", "2", "--n-max", "2", "--format", "xml"],
+    ["verify", "--identity", "nope", "--q", "3"],
+    ["census", "--kind", "nope", "--q", "2", "--d-max", "2"],
+    ["series", "--family", "gl", "--terms", "2", "--char", "nope"],
+    ["count", "--group", "gl", "--n", "x", "--q", "2"],
+    ["verify", "--identity", "gl-product", "--q", "3", "--terms", "1.5"],
+    _COUNT + ["--bogus"],
+    ["series", "--family", "gl", "--terms", "2", "--bogus", "1"],
+    _COUNT + ["extra"],
+    _COUNT + ["table"],
+    _COUNT + ["--"],
+    _COUNT + ["-h"],
+    ["count", "--gr", "gl", "--n=2", "--q=3"],
+    ["count", "--group", "sl", "--n", "2", "--q", "3", "--method", "all"],
+    ["count", "--group", "gl", "--n", "0", "--q", "2"],
+    ["table", "--group", "sp", "--q", "3", "--n-max", "2", "--with-oracle"],
+    ["verify", "--identity", "all", "--q", "3", "--terms", "3"],
+    ["census", "--kind", "irreducible", "--q", "2", "--d-max", "3"],
+    ["census", "--kind", "irreducible", "--q", "6", "--d-max", "3"],
+    ["series", "--family", "sl", "--terms", "2", "--char", "odd"],
+    ["series", "--family", "sl", "--terms", "2"],
+]
+
+
+def _main_with_full_parser(argv):
+    """``main`` with every argv parsed by the parser of all five commands."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        code, text = cli._COMMANDS[args.command][2](args)
+    except EnumerationBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return code
+
+
+def _outcome(capsys, run, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["50", "120"])
+@pytest.mark.parametrize("argv", _PINNED_ARGVS, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _outcome(capsys, _main_with_full_parser, list(argv))
+    assert _outcome(capsys, main, list(argv)) == expected
+    assert _outcome(capsys, main, tuple(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", [_COUNT, ["table", "--group", "gl", "--q", "2", "--n-max", "2", "x"]])
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch, argv):
+    expected = _outcome(capsys, main, list(argv))
+    monkeypatch.setattr(sys, "argv", ["rscount"] + argv)
+    assert _outcome(capsys, lambda _: main(), None) == expected
+
+
+def test_import_and_parse_do_only_the_needed_work():
+    """``import rscount.cli`` loads neither dataclasses nor inspect, and a run
+    builds the parser of its own command alone.  Counted in a fresh isolated
+    interpreter, by wrapping argparse's ``add_parser``; ``-h`` builds all five,
+    which shows that the counter is live."""
+    script = textwrap.dedent(
+        """
+        import argparse, contextlib, io, json, sys
+        sys.path.insert(0, sys.argv[1])
+        before = set(sys.modules)
+        import rscount.cli as cli
+        loaded = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+        calls = [0]
+        add_parser = argparse._SubParsersAction.add_parser
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return add_parser(self, *args, **kwargs)
+        argparse._SubParsersAction.add_parser = counted
+        runs = []
+        for argv in json.loads(sys.argv[2]):
+            calls[0] = 0
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            runs.append([code, calls[0]])
+        print(json.dumps({"loaded": loaded, "runs": runs}))
+        """
+    )
+    argvs = [
+        _COUNT,
+        ["table", "--group", "gl", "--q", "2", "--n-max", "2"],
+        ["verify", "--identity", "gl-product", "--q", "2", "--terms", "2"],
+        ["census", "--kind", "irreducible", "--q", "2", "--d-max", "2"],
+        ["series", "--family", "gl", "--terms", "2"],
+        ["-h"],
+    ]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, package_root, json.dumps(argvs)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["loaded"] == []
+    assert out["runs"] == [[0, 1]] * 5 + [[0, 5]]
 
 
 def test_console_script_smoke():

@@ -203,6 +203,19 @@ def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
             call()
 
 
+def test_symplectic_cap_counts_the_monic_g(monkeypatch):
+    """The Sp(2n, q) sieve walks the q^n monic g behind f = z^n g(z + 1/z),
+    so its cap counts those, not the q^(2n) coefficient vectors of f."""
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(5**6 - 1))
+    with pytest.raises(
+        EnumerationBoundError,
+        match=r"^symplectic scan over the monic g of degree 6 over GF\(5\) needs 15625 candidates",
+    ):
+        oracle_symplectic(6, 5)
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(5**6))
+    assert oracle_symplectic(6, 5).count == rs_count(GroupSpec(Family.SP, 6, 5)) == 8677
+
+
 # ---------------------------------------------------------------------------
 # linear scans
 # ---------------------------------------------------------------------------
