@@ -79,6 +79,10 @@ class GF:
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
+    def __reduce__(self):
+        # Unpickle to the canonical singleton: fields are compared by identity.
+        return ff_make, (self.p, self.k)
+
     # -- construction of tables -------------------------------------------------
 
     def _build_tables(self) -> None:

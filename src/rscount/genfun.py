@@ -18,20 +18,21 @@ from.  Products over reciprocal-symmetric data use a half-grading variable
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .census import CensusKind, census_count
 from .closedform import Family, GroupSpec
 from .numbertheory import check_int, exact_div
 from .series import (
     DEFAULT_TRUNCATION,
+    Coeff,
     QPoly,
     TruncatedSeries,
     coeff,
+    mul_binomial_power,
+    rational_coeffs,
     series,
-    series_binomial_power,
     series_from_rational,
-    series_mul,
     u_poly_mul,
 )
 
@@ -134,45 +135,39 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _n_irr(q: int, d: int) -> int:
-    return census_count(CensusKind.IRREDUCIBLE, q, d).count
+def _census(kind: CensusKind, q: int, d: int) -> int:
+    return census_count(kind, q, d).count
 
 
-def _n_self_recip(q: int, two_d: int) -> int:
-    return census_count(CensusKind.SELF_RECIPROCAL, q, two_d).count
-
-
-def _n_pairs(q: int, d: int) -> int:
-    return census_count(CensusKind.RECIPROCAL_PAIRS, q, d).count
-
-
-def _n_herm(q: int, d: int) -> int:
-    return census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d).count
-
-
-def _n_herm_pairs(q: int, d: int) -> int:
-    return census_count(CensusKind.HERMITIAN_PAIRS, q, d).count
-
-
-def _product(factors, T: int) -> TruncatedSeries:
+def _product(factors, T: int) -> list[int]:
     """Multiply binomial factors (power, sign, exponent) below truncation T."""
-    acc = series([1], T)
+    acc = [1] + [0] * T
     for d, sign, exponent in factors:
-        if d > T or exponent == 0:
-            continue
-        acc = series_mul(acc, series_binomial_power(d, sign, exponent, T))
+        if d <= T and exponent:
+            mul_binomial_power(acc, d, sign, exponent)
     return acc
 
 
-def _blocks_and_pairs(q: int, T: int, block_sign: int):
-    """Factors (1 ± u^d)^(N*(2d)) (1 + u^d)^(M*(d)) for d = 1..T."""
-    for d in range(1, T + 1):
-        yield d, block_sign, _n_self_recip(q, 2 * d)
-        yield d, 1, _n_pairs(q, d)
+def _blocks_and_pairs(q: int, top: int, block_sign: int, power: int = 1, step: int = 1):
+    """Factors (1 ± u^(step d))^(power N(2d)) (1 + u^(step d))^(power M(d)) for
+    d = 1..top, with N(2d) self-reciprocal irreducibles and M(d) reciprocal pairs."""
+    for d in range(1, top + 1):
+        yield step * d, block_sign, power * _census(CensusKind.SELF_RECIPROCAL, q, 2 * d)
+        yield step * d, 1, power * _census(CensusKind.RECIPROCAL_PAIRS, q, d)
 
 
-def _series_sub_const(s: TruncatedSeries, c: int) -> TruncatedSeries:
-    return s - series([c], s.order)
+def _less_one(coeffs: list[int]) -> list[int]:
+    coeffs[0] -= 1
+    return coeffs
+
+
+def _plus_or_minus(identity: Identity, a: list[int], b: list[int]) -> list[int]:
+    """a + b - 1 for the SO-plus identities, a - b for the SO-minus ones."""
+    if identity in (Identity.SO_PLUS_EVEN, Identity.SO_PLUS_SERIES):
+        return _less_one([x + y for x, y in zip(a, b)])
+    if identity in (Identity.SO_MINUS_EVEN, Identity.SO_MINUS_SERIES):
+        return [x - y for x, y in zip(a, b)]
+    raise ValueError(f"unhandled identity {identity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,102 +179,75 @@ def product_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) ->
     """The census-product side, expanded to the given truncation order."""
     check_int(terms, "truncation order terms", 0)
     check_admissible(identity, q)
-    T = terms
+    return series(_product_coeffs(identity, q, terms), terms)
+
+
+def _product_coeffs(identity: Identity, q: int, T: int) -> list[int]:
     if identity is Identity.GL_PRODUCT:
-        return _product(((d, 1, -_n_irr(q, d)) for d in range(1, T + 1)), T)
+        factors = [(d, 1, -_census(CensusKind.IRREDUCIBLE, q, d)) for d in range(1, T + 1)]
+        return _product(factors, T)
     if identity is Identity.UNITARY_PRODUCT:
-        factors = [(d, 1, -_n_herm(q, d)) for d in range(1, T + 1)]
-        factors += [(2 * d, 1, -_n_herm_pairs(q, d)) for d in range(1, T // 2 + 1)]
+        herm, pairs = CensusKind.HERMITIAN_SELF_RECIPROCAL, CensusKind.HERMITIAN_PAIRS
+        factors = [(d, 1, -_census(herm, q, d)) for d in range(1, T + 1)]
+        factors += [(2 * d, 1, -_census(pairs, q, d)) for d in range(1, T // 2 + 1)]
         return _product(factors, T)
     if identity is Identity.SYMPLECTIC_PRODUCT:
-        return _product(
-            ((d, 1, -(_n_self_recip(q, 2 * d) + _n_pairs(q, d))) for d in range(1, T + 1)),
-            T,
-        )
+        return _product(_blocks_and_pairs(q, T, 1, power=-1), T)
     if identity in (Identity.SIGNED_PRODUCT_ODD, Identity.SIGNED_PRODUCT_EVEN):
-        factors = []
-        for d in range(1, T + 1):
-            factors.append((d, -1, -_n_self_recip(q, 2 * d)))
-            factors.append((d, 1, -_n_pairs(q, d)))
-        return _product(factors, T)
+        return _product(_blocks_and_pairs(q, T, -1, power=-1), T)
     if identity is Identity.SO_COMBINED_ODD:
-        blocks = _product(
-            ((2 * d, 1, _n_self_recip(q, 2 * d) + _n_pairs(q, d)) for d in range(1, T // 2 + 1)),
-            T,
-        )
-        weights = series([2, 2, 4, 4, 4], T)
-        return _series_sub_const(series_mul(weights, blocks), 1)
+        blocks = _product(_blocks_and_pairs(q, T // 2, 1, step=2), T)
+        return _less_one(u_poly_mul([2, 2, 4, 4, 4], blocks))
     if identity is Identity.SO_DIFF_ODD:
-        factors = []
-        for d in range(1, T // 2 + 1):
-            factors.append((2 * d, -1, _n_self_recip(q, 2 * d)))
-            factors.append((2 * d, 1, _n_pairs(q, d)))
-        signed = _product(factors, T)
-        return _series_sub_const(series_mul(series([2], T), signed), 1)
+        signed = _product(_blocks_and_pairs(q, T // 2, -1, step=2), T)
+        return _less_one([2 * c for c in signed])
     # Half-graded assemblies: one unit of the series variable per degree-2 block.
     a_side = _product(_blocks_and_pairs(q, T, 1), T)
-    b_side = _product(_blocks_and_pairs(q, T, -1), T)
-    if identity is Identity.SO_PLUS_EVEN:
-        return _series_sub_const(series_mul(series([1, 1], T), a_side) + b_side, 1)
-    if identity is Identity.SO_MINUS_EVEN:
-        return series_mul(series([1, 1], T), a_side) - b_side
     if identity is Identity.SO_ODD_DIM_SERIES:
-        return series_mul(series([1, 2], T), a_side)
-    if identity is Identity.SO_PLUS_SERIES:
-        return _series_sub_const(series_mul(series([1, 2, 2], T), a_side) + b_side, 1)
-    if identity is Identity.SO_MINUS_SERIES:
-        return series_mul(series([1, 2, 2], T), a_side) - b_side
-    raise ValueError(f"unhandled identity {identity!r}")
+        return u_poly_mul([1, 2], a_side)
+    b_side = _product(_blocks_and_pairs(q, T, -1), T)
+    even = identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN)
+    return _plus_or_minus(identity, u_poly_mul([1, 1] if even else [1, 2, 2], a_side), b_side)
 
 
 def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The rational-function side, expanded to the given truncation order."""
     check_int(terms, "truncation order terms", 0)
     check_admissible(identity, q)
-    T = terms
+    return series(_closed_coeffs(identity, q, terms), terms)
+
+
+def _closed_coeffs(identity: Identity, q: int, T: int) -> list[int]:
     if identity is Identity.GL_PRODUCT:
-        return series_from_rational([1, 1 - q, -q], [1, 0, -q], T)
+        return rational_coeffs([1, 1 - q, -q], [1, 0, -q], T)
     if identity is Identity.UNITARY_PRODUCT:
-        return series_from_rational(
+        return rational_coeffs(
             u_poly_mul([1, 0, 1], [1, -q]), u_poly_mul([1, 1], [1, 0, -q]), T
         )
     if identity is Identity.SYMPLECTIC_PRODUCT:
-        e = 2 if q % 2 else 1
-        num = u_poly_mul([1, 1], [1, -q]) if e == 1 else u_poly_mul([1, 2, 1], [1, -q])
-        return series_from_rational(num, [1, 0, -q], T)
+        num = u_poly_mul([1, 2, 1] if q % 2 else [1, 1], [1, -q])
+        return rational_coeffs(num, [1, 0, -q], T)
     if identity is Identity.SIGNED_PRODUCT_ODD:
-        return series_from_rational(u_poly_mul([1, -1], [1, 2, 1]), [1, 0, -q], T)
+        return rational_coeffs(u_poly_mul([1, -1], [1, 2, 1]), [1, 0, -q], T)
     if identity is Identity.SIGNED_PRODUCT_EVEN:
-        return series_from_rational([1, 1], [1, 0, -q], T)
+        return rational_coeffs([1, 1], [1, 0, -q], T)
     if identity is Identity.SO_COMBINED_ODD:
         num = u_poly_mul([2, 2, 4, 4, 4], [1, 0, 0, 0, -q])
         den = u_poly_mul([1, 0, 2, 0, 1], [1, 0, -q])
-        return _series_sub_const(series_from_rational(num, den, T), 1)
+        return _less_one(rational_coeffs(num, den, T))
     if identity is Identity.SO_DIFF_ODD:
-        num = u_poly_mul([2, 0, 0, 0, -2 * q], [1])
         den = u_poly_mul([1, 0, 2, 0, 1], [1, 0, -1])
-        return _series_sub_const(series_from_rational(num, den, T), 1)
-    if identity is Identity.SO_PLUS_EVEN:
-        first = series_from_rational([1, 0, -q], [1, -q], T)
-        second = series_from_rational([1, 0, -q], [1, 1], T)
-        return _series_sub_const(first + second, 1)
-    if identity is Identity.SO_MINUS_EVEN:
-        first = series_from_rational([1, 0, -q], [1, -q], T)
-        second = series_from_rational([1, 0, -q], [1, 1], T)
-        return first - second
+        return _less_one(rational_coeffs([2, 0, 0, 0, -2 * q], den, T))
+    if identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN):
+        first = rational_coeffs([1, 0, -q], [1, -q], T)
+        second = rational_coeffs([1, 0, -q], [1, 1], T)
+        return _plus_or_minus(identity, first, second)
     den_a = u_poly_mul([1, 2, 1], [1, -q])
-    den_b = u_poly_mul([1, 2, 1], [1, -1])
     if identity is Identity.SO_ODD_DIM_SERIES:
-        return series_from_rational(u_poly_mul([1, 2], [1, 0, -q]), den_a, T)
-    if identity is Identity.SO_PLUS_SERIES:
-        first = series_from_rational(u_poly_mul([1, 2, 2], [1, 0, -q]), den_a, T)
-        second = series_from_rational([1, 0, -q], den_b, T)
-        return _series_sub_const(first + second, 1)
-    if identity is Identity.SO_MINUS_SERIES:
-        first = series_from_rational(u_poly_mul([1, 2, 2], [1, 0, -q]), den_a, T)
-        second = series_from_rational([1, 0, -q], den_b, T)
-        return first - second
-    raise ValueError(f"unhandled identity {identity!r}")
+        return rational_coeffs(u_poly_mul([1, 2], [1, 0, -q]), den_a, T)
+    first = rational_coeffs(u_poly_mul([1, 2, 2], [1, 0, -q]), den_a, T)
+    second = rational_coeffs([1, 0, -q], u_poly_mul([1, 2, 1], [1, -1]), T)
+    return _plus_or_minus(identity, first, second)
 
 
 def verify_identity(
@@ -311,10 +279,7 @@ def verify_identity(
 # ---------------------------------------------------------------------------
 
 
-QLike = Union[int, QPoly]
-
-
-def _family_rational(family: Family, q: QLike, q_odd: bool):
+def _family_rational(family: Family, q: Coeff, q_odd: bool):
     """Numerator/denominator pairs whose series carry the family's counts.
 
     Returns (main_num, main_den, extra_num, extra_den, divisor) where the
@@ -322,42 +287,42 @@ def _family_rational(family: Family, q: QLike, q_odd: bool):
     divisor may be 1.  ``q`` may be an integer or the symbolic Q.
     """
     if family is Family.GL:
-        return [1, 0, -1 * q], u_poly_mul([1, 1], [1, -1 * q]), None, None, 1
+        return [1, 0, -q], u_poly_mul([1, 1], [1, -q]), None, None, 1
     if family is Family.SL:
-        extra = ([1, 0, -1 * q], [1, 0, -1]) if q_odd else (None, None)
+        extra = ([1, 0, -q], [1, 0, -1]) if q_odd else (None, None)
         return (
-            [1, 0, -1 * q],
-            u_poly_mul([1, 1], [1, -1 * q]),
+            [1, 0, -q],
+            u_poly_mul([1, 1], [1, -q]),
             extra[0],
             extra[1],
-            -1 + 1 * q,
+            q - 1,
         )
     if family is Family.U:
         return (
-            u_poly_mul([1, 1], [1, 0, -1 * q]),
-            u_poly_mul([1, 0, 1], [1, -1 * q]),
+            u_poly_mul([1, 1], [1, 0, -q]),
+            u_poly_mul([1, 0, 1], [1, -q]),
             None,
             None,
             1,
         )
     if family is Family.SU:
-        extra = ([1, 0, -1 * q], [1, 0, 1]) if q_odd else (None, None)
+        extra = ([1, 0, -q], [1, 0, 1]) if q_odd else (None, None)
         return (
-            u_poly_mul([1, 1], [1, 0, -1 * q]),
-            u_poly_mul([1, 0, 1], [1, -1 * q]),
+            u_poly_mul([1, 1], [1, 0, -q]),
+            u_poly_mul([1, 0, 1], [1, -q]),
             extra[0],
             extra[1],
-            1 + 1 * q,
+            q + 1,
         )
     if family is Family.SP:
         e_factor = [1, 2, 1] if q_odd else [1, 1]
-        return [1, 0, -1 * q], u_poly_mul(e_factor, [1, -1 * q]), None, None, 1
+        return [1, 0, -q], u_poly_mul(e_factor, [1, -q]), None, None, 1
     if family is Family.SO_ODD:
         if not q_odd:
             return _family_rational(Family.SP, q, q_odd)
         return (
-            u_poly_mul([1, 2], [1, 0, -1 * q]),
-            u_poly_mul([1, 2, 1], [1, -1 * q]),
+            u_poly_mul([1, 2], [1, 0, -q]),
+            u_poly_mul([1, 2, 1], [1, -q]),
             None,
             None,
             1,
@@ -365,13 +330,13 @@ def _family_rational(family: Family, q: QLike, q_odd: bool):
     if family in (Family.SO_PLUS, Family.SO_MINUS):
         plus = family is Family.SO_PLUS
         if q_odd:
-            main = (u_poly_mul([1, 2, 2], [1, 0, -1 * q]), u_poly_mul([1, 2, 1], [1, -1 * q]))
-            extra = ([1, 0, -1 * q], u_poly_mul([1, 2, 1], [1, -1]))
+            main = (u_poly_mul([1, 2, 2], [1, 0, -q]), u_poly_mul([1, 2, 1], [1, -q]))
+            extra = ([1, 0, -q], u_poly_mul([1, 2, 1], [1, -1]))
         else:
-            main = ([1, 0, -1 * q], [1, -1 * q])
-            extra = ([1, 0, -1 * q], [1, 1])
+            main = ([1, 0, -q], [1, -q])
+            extra = ([1, 0, -q], [1, 1])
         if not plus:
-            extra = ([-1 * c for c in extra[0]], extra[1])
+            extra = ([-c for c in extra[0]], extra[1])
         return main[0], main[1], extra[0], extra[1], 1
     raise ValueError(f"unsupported family {family!r}")
 
@@ -385,15 +350,14 @@ def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     check_int(T, "truncation order terms", 0)
     if T < n:
         raise ValueError(f"truncation order {T} is below the requested rank {n}")
-    q_odd = q % 2 == 1
-    num, den, extra_num, extra_den, divisor = _family_rational(family, q, q_odd)
-    value = coeff(series_from_rational(num, den, T), n).as_int()
+    num, den, extra_num, extra_den, divisor = _family_rational(family, q, q % 2 == 1)
+    # Coefficient n of a truncated expansion does not depend on the order T >= n.
+    value = rational_coeffs(num, den, n)[n]
     if extra_num is not None:
-        value += coeff(series_from_rational(extra_num, extra_den, T), n).as_int()
+        value += rational_coeffs(extra_num, extra_den, n)[n]
     if divisor == 1:
         return value
-    div = divisor.evaluate(q) if isinstance(divisor, QPoly) else int(divisor)
-    return exact_div(value, div, "series coefficient")
+    return exact_div(value, divisor, "series coefficient")
 
 
 def symbolic_count_polynomials(
@@ -416,6 +380,6 @@ def symbolic_count_polynomials(
         if extra is not None:
             value = value + coeff(extra, n)
         if divisor != 1:
-            value = value.divexact(divisor if isinstance(divisor, QPoly) else QPoly(divisor))
+            value = value.divexact(divisor)
         out[n] = value
     return out

@@ -177,7 +177,8 @@ def _linear_histogram(n: int, q: int) -> dict[int, int]:
 
 def _unitary_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    return q ** (2 * n), f"conjugate-symmetric scan over GF({q}^2) degree {n}"
+    # One mark per constant and top half: (q^2)^(floor(n/2) + 1) of them.
+    return (q * q) ** (n // 2 + 1), f"unitary sieve over the marks of degree {n} over GF({q}^2)"
 
 
 @capped_cache(_unitary_bound)

@@ -1,19 +1,18 @@
-"""Truncated formal power series in u whose coefficients are integer polynomials in Q.
+"""Truncated formal power series in u, over ints or integer polynomials in Q.
 
-Everything in this package that is "a generating function" lives here: the
-coefficient type :class:`QPoly` is a univariate integer polynomial in a symbol
-Q (the series specialize to concrete counts when Q is evaluated at a field
-size), and :class:`TruncatedSeries` is a fixed-order prefix c_0 + c_1 u + ...
-+ c_T u^T with exact arithmetic below the truncation order.
+A coefficient is an ``int`` at a concrete field size q, or a :class:`QPoly`,
+an integer polynomial in a symbol Q that specializes to counts when Q is
+evaluated at q.  The kernels :func:`u_poly_mul`, :func:`rational_coeffs` and
+:func:`mul_binomial_power` work on coefficient lists of either kind, so a
+numeric series is never boxed.  :class:`TruncatedSeries` is the boxed form, a
+fixed-order prefix c_0 + c_1 u + ... + c_T u^T of QPolys.
 
 Division never happens at the coefficient level: rational functions enter as
-numerator/denominator u-polynomials via :func:`series_from_rational`, and the
-only inverses taken are of series with constant term +/-1.
+numerator/denominator u-polynomials whose denominator has constant term +/-1.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Union
 
 #: Default truncation order, comfortably beyond every acceptance grid.
@@ -45,6 +44,9 @@ class QPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def is_constant(self) -> bool:
@@ -167,7 +169,11 @@ class QPoly:
         return f"QPoly({self})"
 
 
-def _as_qpoly(x: Union[int, QPoly]) -> QPoly:
+#: A series coefficient: an int at a concrete field size, a QPoly in the symbol.
+Coeff = Union[int, QPoly]
+
+
+def _as_qpoly(x: Coeff) -> QPoly:
     return x if isinstance(x, QPoly) else QPoly(x)
 
 
@@ -228,7 +234,7 @@ def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
         raise ValueError(f"mismatched truncation orders {a.order} != {b.order}")
 
 
-def series(u_poly: Sequence[Union[int, QPoly]], order: int) -> TruncatedSeries:
+def series(u_poly: Sequence[Coeff], order: int) -> TruncatedSeries:
     """Build a series from a u-polynomial given as coefficients c_0, c_1, ...."""
     coeffs = [_as_qpoly(c) for c in u_poly[: order + 1]]
     coeffs.extend(QPoly() for _ in range(order + 1 - len(coeffs)))
@@ -245,36 +251,7 @@ def coeff(s: TruncatedSeries, n: int) -> QPoly:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
     _check_orders(a, b)
-    T = a.order
-    out = [QPoly() for _ in range(T + 1)]
-    for i, x in enumerate(a.coeffs):
-        if x.is_zero:
-            continue
-        for j in range(T + 1 - i):
-            y = b.coeffs[j]
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return TruncatedSeries(T, tuple(out))
-
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse mod u^(order+1); constant term must be +1 or -1."""
-    c0 = a.coeffs[0]
-    if not (c0 == 1 or c0 == -1):
-        raise ValueError("series inverse needs constant term +1 or -1")
-    sign = c0.as_int()
-    T = a.order
-    out = [QPoly() for _ in range(T + 1)]
-    out[0] = QPoly(sign)
-    for n in range(1, T + 1):
-        acc = QPoly()
-        for i in range(1, n + 1):
-            ai = a.coeffs[i]
-            if not ai.is_zero:
-                acc = acc + ai * out[n - i]
-        # c0 * out[n] + acc = 0 and c0 = sign = 1/c0
-        out[n] = QPoly(-sign) * acc
-    return TruncatedSeries(T, tuple(out))
+    return series(u_poly_mul(a.coeffs, b.coeffs), a.order)
 
 
 def series_binomial_power(d: int, sign: int, exponent: int, order: int) -> TruncatedSeries:
@@ -282,49 +259,93 @@ def series_binomial_power(d: int, sign: int, exponent: int, order: int) -> Trunc
 
     ``sign`` is +1 or -1; ``exponent`` may be negative (formal binomial series).
     """
+    coeffs = [1] + [0] * order
+    mul_binomial_power(coeffs, d, sign, exponent)
+    return series(coeffs, order)
+
+
+def series_from_rational(
+    numerator: Sequence[Coeff], denominator: Sequence[Coeff], order: int
+) -> TruncatedSeries:
+    """Expand numerator/denominator (u-polynomials) to the given order.
+
+    The denominator's constant term must be +1 or -1 so the expansion stays
+    over the integers.
+    """
+    return series(rational_coeffs(numerator, denominator, order), order)
+
+
+# ---------------------------------------------------------------------------
+# kernels on coefficient lists (ints or QPolys)
+# ---------------------------------------------------------------------------
+
+
+def u_poly_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+    """Multiply two u-polynomials exactly; the product of two ints stays an int."""
+    if not a or not b:
+        return []
+    out: list[Coeff] = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def rational_coeffs(
+    numerator: Sequence[Coeff], denominator: Sequence[Coeff], order: int
+) -> list[Coeff]:
+    """Coefficients c_0..c_order of numerator/denominator.
+
+    With e = den_0 = +1 or -1, den * c = num gives the recurrence
+    c_n = e * (num_n - sum_(i >= 1) den_i c_(n-i)), which takes O(order * deg den)
+    steps and no inverse.
+    """
+    lead = denominator[0] if denominator else 0
+    if not (lead == 1 or lead == -1):
+        raise ValueError("rational expansion needs a denominator with constant term +1 or -1")
+    flip = lead != 1
+    tail = [(i, c) for i, c in enumerate(denominator[: order + 1]) if i and c]
+    out: list[Coeff] = list(numerator[: order + 1])
+    out.extend([0] * (order + 1 - len(out)))
+    for n in range(order + 1):
+        acc = out[n]
+        for i, c in tail:
+            if i > n:
+                break
+            acc = acc - c * out[n - i]
+        out[n] = -acc if flip else acc
+    return out
+
+
+def mul_binomial_power(coeffs: list[Coeff], d: int, sign: int, exponent: int) -> None:
+    """Multiply ``coeffs`` in place by (1 + sign * u^d) ** exponent, truncated.
+
+    The factor has only len(coeffs) // d + 1 terms below the truncation, the
+    generalized binomials C(exponent, j) sign^j at u^(j d), so the product
+    costs O(len(coeffs)^2 / d).
+    """
     if d < 1:
         raise ValueError("binomial degree d must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = [QPoly() for _ in range(order + 1)]
-    for j in range(order // d + 1):
-        if exponent >= 0:
-            if j > exponent:
+    top = len(coeffs) - 1
+    terms = []
+    b = 1
+    for j in range(1, top // d + 1):
+        # C(e, j) = C(e, j - 1) (e - j + 1) / j, exact for every integer e.
+        b = b * (exponent - j + 1) // j
+        if not b:
+            break
+        terms.append((j * d, b if sign == 1 or j % 2 == 0 else -b))
+    # From the top down, so each coeffs[n - shift] read is still the old one.
+    for n in range(top, d - 1, -1):
+        acc = coeffs[n]
+        for shift, c in terms:
+            if shift > n:
                 break
-            c = math.comb(exponent, j)
-        else:
-            c = (-1) ** j * math.comb(-exponent + j - 1, j)
-        out[j * d] = QPoly(c * sign**j)
-    return TruncatedSeries(order, tuple(out))
-
-
-def series_from_rational(
-    numerator: Sequence[Union[int, QPoly]],
-    denominator: Sequence[Union[int, QPoly]],
-    order: int,
-) -> TruncatedSeries:
-    """Expand numerator/denominator (u-polynomials) to the given order.
-
-    The denominator's constant term must be +1 or -1 so the inverse stays over
-    the integers.
-    """
-    num = series(numerator, order)
-    den = series(denominator, order)
-    return series_mul(num, series_inv(den))
-
-
-def u_poly_mul(
-    a: Sequence[Union[int, QPoly]], b: Sequence[Union[int, QPoly]]
-) -> list[QPoly]:
-    """Multiply two u-polynomials (coefficient lists over QPoly) exactly."""
-    pa = [_as_qpoly(c) for c in a]
-    pb = [_as_qpoly(c) for c in b]
-    if not pa or not pb:
-        return []
-    out = [QPoly() for _ in range(len(pa) + len(pb) - 1)]
-    for i, x in enumerate(pa):
-        if not x.is_zero:
-            for j, y in enumerate(pb):
-                if not y.is_zero:
-                    out[i + j] = out[i + j] + x * y
-    return out
+            x = coeffs[n - shift]
+            if x:
+                acc += c * x
+        coeffs[n] = acc

@@ -1,8 +1,12 @@
 """Unit tests for the series-identity verifier and coefficient-extraction counts."""
 
+import functools
+import math
+
 import pytest
 
 import rscount.genfun as genfun
+from rscount.census import CensusKind, census_count
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
 from rscount.genfun import (
     Identity,
@@ -14,7 +18,8 @@ from rscount.genfun import (
     symbolic_count_polynomials,
     verify_identity,
 )
-from rscount.series import coeff
+from rscount.numbertheory import exact_div
+from rscount.series import QPoly, coeff
 
 ALL_TOKENS = [
     "gl-product",
@@ -267,3 +272,273 @@ def test_symbolic_polynomials_for_even_dim_orthogonal_odd_q():
 def test_symbolic_polynomials_validation():
     with pytest.raises(ValueError):
         symbolic_count_polynomials(Family.GL, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the boxed QPoly path the integer kernels replaced
+# ---------------------------------------------------------------------------
+#
+# Every coefficient is a constant QPoly; products are full Cauchy products,
+# rational functions are expanded as numerator times the inverse of the
+# denominator, and a factor (1 + s u^d)^e is built whole before it is
+# multiplied in.  Only the census counts are shared with the code under test.
+
+
+def _irr(q, d):
+    return census_count(CensusKind.IRREDUCIBLE, q, d).count
+
+
+def _self_recip(q, two_d):
+    return census_count(CensusKind.SELF_RECIPROCAL, q, two_d).count
+
+
+def _pairs(q, d):
+    return census_count(CensusKind.RECIPROCAL_PAIRS, q, d).count
+
+
+def _herm(q, d):
+    return census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d).count
+
+
+def _herm_pairs(q, d):
+    return census_count(CensusKind.HERMITIAN_PAIRS, q, d).count
+
+
+def _ref_box(u_poly, T):
+    out = [QPoly(c) if isinstance(c, int) else c for c in u_poly[: T + 1]]
+    return out + [QPoly() for _ in range(T + 1 - len(out))]
+
+
+def _ref_mul(a, b):
+    T = len(a) - 1
+    out = [QPoly() for _ in range(T + 1)]
+    for i, x in enumerate(a):
+        if x.is_zero:
+            continue
+        for j in range(T + 1 - i):
+            if not b[j].is_zero:
+                out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def _ref_inv(a):
+    sign = a[0].as_int()
+    assert sign in (1, -1)
+    out = [QPoly(sign)] + [QPoly() for _ in a[1:]]
+    for n in range(1, len(a)):
+        acc = QPoly()
+        for i in range(1, n + 1):
+            if not a[i].is_zero:
+                acc = acc + a[i] * out[n - i]
+        out[n] = QPoly(-sign) * acc
+    return out
+
+
+def _ref_rational(num, den, T):
+    return _ref_mul(_ref_box(num, T), _ref_inv(_ref_box(den, T)))
+
+
+def _ref_poly_mul(a, b):
+    out = [QPoly() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + QPoly(x) * QPoly(y)
+    return out
+
+
+def _ref_binomial(d, sign, exponent, T):
+    out = [QPoly() for _ in range(T + 1)]
+    for j in range(T // d + 1):
+        if exponent >= 0:
+            if j > exponent:
+                break
+            c = math.comb(exponent, j)
+        else:
+            c = (-1) ** j * math.comb(-exponent + j - 1, j)
+        out[j * d] = QPoly(c * sign**j)
+    return out
+
+
+def _ref_product(factors, T):
+    acc = _ref_box([1], T)
+    for d, sign, exponent in factors:
+        if d <= T and exponent:
+            acc = _ref_mul(acc, _ref_binomial(d, sign, exponent, T))
+    return acc
+
+
+@functools.lru_cache(maxsize=16)  # shared by the five half-graded identities
+def _ref_half_graded(q, T, block_sign):
+    factors = []
+    for d in range(1, T + 1):
+        factors.append((d, block_sign, _self_recip(q, 2 * d)))
+        factors.append((d, 1, _pairs(q, d)))
+    return tuple(_ref_product(factors, T))
+
+
+def _ref_less_one(s):
+    return [s[0] - 1] + list(s[1:])
+
+
+def _ref_plus(a, b):
+    return _ref_less_one([x + y for x, y in zip(a, b)])
+
+
+def _ref_minus(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def reference_product_side(identity, q, T):
+    I = Identity
+    if identity is I.GL_PRODUCT:
+        return _ref_product([(d, 1, -_irr(q, d)) for d in range(1, T + 1)], T)
+    if identity is I.UNITARY_PRODUCT:
+        factors = [(d, 1, -_herm(q, d)) for d in range(1, T + 1)]
+        factors += [(2 * d, 1, -_herm_pairs(q, d)) for d in range(1, T // 2 + 1)]
+        return _ref_product(factors, T)
+    if identity is I.SYMPLECTIC_PRODUCT:
+        return _ref_product(
+            [(d, 1, -(_self_recip(q, 2 * d) + _pairs(q, d))) for d in range(1, T + 1)], T
+        )
+    if identity in (I.SIGNED_PRODUCT_ODD, I.SIGNED_PRODUCT_EVEN):
+        factors = []
+        for d in range(1, T + 1):
+            factors.append((d, -1, -_self_recip(q, 2 * d)))
+            factors.append((d, 1, -_pairs(q, d)))
+        return _ref_product(factors, T)
+    if identity is I.SO_COMBINED_ODD:
+        blocks = _ref_product(
+            [(2 * d, 1, _self_recip(q, 2 * d) + _pairs(q, d)) for d in range(1, T // 2 + 1)], T
+        )
+        return _ref_less_one(_ref_mul(_ref_box([2, 2, 4, 4, 4], T), blocks))
+    if identity is I.SO_DIFF_ODD:
+        factors = []
+        for d in range(1, T // 2 + 1):
+            factors.append((2 * d, -1, _self_recip(q, 2 * d)))
+            factors.append((2 * d, 1, _pairs(q, d)))
+        return _ref_less_one(_ref_mul(_ref_box([2], T), _ref_product(factors, T)))
+    a_side = list(_ref_half_graded(q, T, 1))
+    b_side = list(_ref_half_graded(q, T, -1))
+    if identity is I.SO_PLUS_EVEN:
+        return _ref_plus(_ref_mul(_ref_box([1, 1], T), a_side), b_side)
+    if identity is I.SO_MINUS_EVEN:
+        return _ref_minus(_ref_mul(_ref_box([1, 1], T), a_side), b_side)
+    if identity is I.SO_ODD_DIM_SERIES:
+        return _ref_mul(_ref_box([1, 2], T), a_side)
+    if identity is I.SO_PLUS_SERIES:
+        return _ref_plus(_ref_mul(_ref_box([1, 2, 2], T), a_side), b_side)
+    assert identity is I.SO_MINUS_SERIES
+    return _ref_minus(_ref_mul(_ref_box([1, 2, 2], T), a_side), b_side)
+
+
+def reference_closed_side(identity, q, T):
+    I, R, M = Identity, _ref_rational, _ref_poly_mul
+    if identity is I.GL_PRODUCT:
+        return R([1, 1 - q, -q], [1, 0, -q], T)
+    if identity is I.UNITARY_PRODUCT:
+        return R(M([1, 0, 1], [1, -q]), M([1, 1], [1, 0, -q]), T)
+    if identity is I.SYMPLECTIC_PRODUCT:
+        num = M([1, 2, 1], [1, -q]) if q % 2 else M([1, 1], [1, -q])
+        return R(num, [1, 0, -q], T)
+    if identity is I.SIGNED_PRODUCT_ODD:
+        return R(M([1, -1], [1, 2, 1]), [1, 0, -q], T)
+    if identity is I.SIGNED_PRODUCT_EVEN:
+        return R([1, 1], [1, 0, -q], T)
+    if identity is I.SO_COMBINED_ODD:
+        num = M([2, 2, 4, 4, 4], [1, 0, 0, 0, -q])
+        return _ref_less_one(R(num, M([1, 0, 2, 0, 1], [1, 0, -q]), T))
+    if identity is I.SO_DIFF_ODD:
+        return _ref_less_one(R([2, 0, 0, 0, -2 * q], M([1, 0, 2, 0, 1], [1, 0, -1]), T))
+    if identity in (I.SO_PLUS_EVEN, I.SO_MINUS_EVEN):
+        first = R([1, 0, -q], [1, -q], T)
+        second = R([1, 0, -q], [1, 1], T)
+        return (_ref_plus if identity is I.SO_PLUS_EVEN else _ref_minus)(first, second)
+    den_a = M([1, 2, 1], [1, -q])
+    if identity is I.SO_ODD_DIM_SERIES:
+        return R(M([1, 2], [1, 0, -q]), den_a, T)
+    first = R(M([1, 2, 2], [1, 0, -q]), den_a, T)
+    second = R([1, 0, -q], M([1, 2, 1], [1, -1]), T)
+    return (_ref_plus if identity is I.SO_PLUS_SERIES else _ref_minus)(first, second)
+
+
+def _admissible_qs(identity, q_max=11):
+    return [q for q in (2, 3, 4, 5, 7, 8, 9, 11)
+            if q <= q_max and admissible_parity(identity) in ("both", "odd" if q % 2 else "even")]
+
+
+@pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.token)
+def test_integer_sides_match_the_boxed_reference(identity):
+    """Both sides, coefficient by coefficient, against the QPoly path at T = 48.
+
+    A truncated expansion is a prefix of every longer one, so T = 48 covers
+    every lower truncation as well.
+    """
+    T = 48
+    for q in _admissible_qs(identity):
+        expected_product = reference_product_side(identity, q, T)
+        expected_closed = reference_closed_side(identity, q, T)
+        assert product_side(identity, q, T).coeffs == tuple(expected_product), (identity, q)
+        assert closed_side(identity, q, T).coeffs == tuple(expected_closed), (identity, q)
+
+
+_GRID_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32)
+
+
+def _reference_counts(family, q, T):
+    """Counts at ranks 1..T (index n) from the boxed expansion of the family's
+    rational form."""
+    num, den, extra_num, extra_den, divisor = genfun._family_rational(family, q, q % 2 == 1)
+    values = [c.as_int() for c in _ref_rational(num, den, T)]
+    if extra_num is not None:
+        values = [v + c.as_int() for v, c in zip(values, _ref_rational(extra_num, extra_den, T))]
+    return [None] + [exact_div(v, divisor, "reference") for v in values[1:]]
+
+
+def test_gf_count_matches_the_boxed_reference():
+    """Every family, 13 field sizes, ranks 1..40, at terms = n and terms = 40."""
+    for family in Family:
+        for q in _GRID_QS:
+            expected = _reference_counts(family, q, 40)
+            for n in range(1, 41):
+                spec = GroupSpec(family, n, q)
+                assert gf_count(spec) == gf_count(spec, terms=40) == expected[n], spec
+
+
+def test_symbolic_polynomials_match_the_boxed_reference():
+    Q = QPoly.symbol()
+    for family in Family:
+        for q_odd in (False, True):
+            num, den, extra_num, extra_den, divisor = genfun._family_rational(family, Q, q_odd)
+            main = _ref_rational(num, den, 30)
+            extra = _ref_rational(extra_num, extra_den, 30) if extra_num is not None else None
+            polys = symbolic_count_polynomials(family, 30, q_odd=q_odd)
+            for n in range(1, 31):
+                value = main[n] + (extra[n] if extra is not None else 0)
+                assert polys[n] == value.divexact(divisor), (family, q_odd, n)
+
+
+def test_integer_paths_build_no_qpoly(monkeypatch):
+    """At an integer q, gf_count constructs no QPoly and verify_identity
+    multiplies none: its sides are boxed once, at the end."""
+    calls = {"init": 0, "mul": 0}
+    init, mul = QPoly.__init__, QPoly.__mul__
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QPoly, "__init__", counting_init)
+    monkeypatch.setattr(QPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(QPoly, "__rmul__", counting_mul)
+    for family in Family:
+        for q in (3, 4):
+            gf_count(GroupSpec(family, 12, q), terms=20)
+    assert calls == {"init": 0, "mul": 0}
+    for identity in Identity:
+        verify_identity(identity, admissible_q(identity), terms=24)
+    assert calls["mul"] == 0
+    assert calls["init"] == 2 * 25 * len(Identity)  # the boxing, counted

@@ -216,6 +216,20 @@ def test_symplectic_cap_counts_the_monic_g(monkeypatch):
     assert oracle_symplectic(6, 5).count == rs_count(GroupSpec(Family.SP, 6, 5)) == 8677
 
 
+def test_unitary_cap_counts_the_marks(monkeypatch):
+    """The U(n, q) sieve holds one mark per constant and top half of a
+    member, (q^2)^(floor(n/2) + 1) of them, so its cap counts those, not the
+    q^(2n) coefficient vectors over GF(q^2)."""
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(9**3 - 1))
+    with pytest.raises(
+        EnumerationBoundError,
+        match=r"^unitary sieve over the marks of degree 5 over GF\(3\^2\) needs 729 candidates",
+    ):
+        oracle_unitary(5, 3)
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(9**3))
+    assert oracle_unitary(5, 3).count == rs_count(GroupSpec(Family.U, 5, 3))
+
+
 # ---------------------------------------------------------------------------
 # linear scans
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ def test_records_are_immutable_values(cls, fields, others):
     assert {record: 1}[twin] == 1
     body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(record) == f"{cls.__name__}({body})"
-    # By repr: an unpickled Poly lies in a new GF object, so it is not equal.
-    assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
+    unpickled = pickle.loads(pickle.dumps(record))
+    assert unpickled == record
+    assert repr(unpickled) == repr(record)
     for name, value in fields.items():
         assert getattr(record, name) == value
         with pytest.raises(AttributeError):

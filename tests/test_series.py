@@ -1,5 +1,7 @@
 """Unit tests for integer-polynomial coefficients and truncated series."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,11 @@ from rscount.series import (
     QPoly,
     TruncatedSeries,
     coeff,
+    mul_binomial_power,
+    rational_coeffs,
     series,
     series_binomial_power,
     series_from_rational,
-    series_inv,
     series_mul,
     u_poly_mul,
 )
@@ -136,36 +139,46 @@ def test_series_mul_order_mismatch():
         series_mul(series([1], 3), series([1], 4))
 
 
+def inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """1/s by the recurrence kernel: the rational function 1/s."""
+    return series_from_rational([1], s.coeffs, s.order)
+
+
 def test_series_inverse_round_trip():
     one_plus = series([1, 1], 6)
-    assert series_mul(one_plus, series_inv(one_plus)) == series([1], 6)
-    geometric = series_inv(series([1, -1 * Q], 6))
+    assert series_mul(one_plus, inverse(one_plus)) == series([1], 6)
+    geometric = inverse(series([1, -1 * Q], 6))
     # 1/(1 - Qu) has coefficients 1, Q, Q^2, ...
     for j in range(7):
         assert coeff(geometric, j) == Q**j
     # (1 - Qu) * sum Q^n u^n == 1
     assert series_mul(series([1, -1 * Q], 6), geometric) == series([1], 6)
+    # The same recurrence on plain ints: 1/(1 - 3u) = sum 3^n u^n.
+    assert rational_coeffs([1], [1, -3], 6) == [3**j for j in range(7)]
 
 
 def test_series_inverse_alternating():
-    inv = series_inv(series([1, 1], 6))
+    inv = inverse(series([1, 1], 6))
     for j in range(7):
         assert coeff(inv, j) == (-1) ** j
-    inv_sq = series_inv(series_mul(series([1, 1], 6), series([1, 1], 6)))
+    inv_sq = inverse(series_mul(series([1, 1], 6), series([1, 1], 6)))
     for j in range(7):
         assert coeff(inv_sq, j) == (-1) ** j * (j + 1)
+    assert rational_coeffs([1], [1, 2, 1], 6) == [(-1) ** j * (j + 1) for j in range(7)]
 
 
 def test_series_inverse_with_negative_unit():
     s = series([-1, 2], 5)
-    assert series_mul(s, series_inv(s)) == series([1], 5)
+    assert series_mul(s, inverse(s)) == series([1], 5)
+    assert u_poly_mul([-1, 2], rational_coeffs([1], [-1, 2], 5))[:6] == [1, 0, 0, 0, 0, 0]
 
 
 def test_series_inverse_rejects_non_unit():
-    with pytest.raises(ValueError):
-        series_inv(series([2, 1], 4))
-    with pytest.raises(ValueError):
-        series_inv(series([0, 1], 4))
+    for den in ([2, 1], [0, 1], [], [Q, 1]):
+        with pytest.raises(ValueError, match="denominator with constant term"):
+            inverse(series(den, 4))
+        with pytest.raises(ValueError, match="denominator with constant term"):
+            rational_coeffs([1], den, 4)
 
 
 def test_series_binomial_power():
@@ -195,6 +208,28 @@ def test_series_binomial_power_matches_repeated_multiplication():
                 neg = series_binomial_power(d, sign, -exponent, 10)
                 pos = series_binomial_power(d, sign, exponent, 10)
                 assert series_mul(neg, pos) == series([1], 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=st.lists(st.integers(-9, 9), min_size=1, max_size=13),
+    d=st.integers(1, 5),
+    sign=st.sampled_from((1, -1)),
+    exponent=st.integers(-40, 40),
+)
+def test_mul_binomial_power_in_place_matches_cauchy_product(start, d, sign, exponent):
+    T = len(start) - 1
+    factor = [0] * (T + 1)
+    for j in range(T // d + 1):
+        if exponent >= 0:
+            c = math.comb(exponent, j)
+        else:
+            c = (-1) ** j * math.comb(-exponent + j - 1, j)
+        factor[j * d] = c * sign**j
+    expected = u_poly_mul(start, factor)[: T + 1]
+    coeffs = list(start)
+    mul_binomial_power(coeffs, d, sign, exponent)
+    assert coeffs == expected
 
 
 def test_series_from_rational_examples():
@@ -252,7 +287,10 @@ def test_evaluation_homomorphism():
 
 
 def test_u_poly_mul():
-    assert [p.coeffs for p in u_poly_mul([1, 1], [1, -1])] == [(1,), (), (-1,)]
+    # Int entries stay ints; a QPoly entry makes its products QPolys.
+    assert u_poly_mul([1, 1], [1, -1]) == [1, 0, -1]
+    assert all(type(c) is int for c in u_poly_mul([1, 1], [1, -1]))
+    assert u_poly_mul([1, 1], [1, -1 * Q]) == [1, 1 - Q, -1 * Q]
     assert u_poly_mul([], [1, 2]) == []
 
 
