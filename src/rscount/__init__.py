@@ -32,7 +32,6 @@ from .conjugation import (
 )
 from .fields import (
     GF,
-    FieldElement,
     Poly,
     ff_from_order,
     ff_generator,
@@ -40,6 +39,7 @@ from .fields import (
     frobenius,
     is_irreducible,
     is_squarefree,
+    multiplicative_order,
     subfield_codes,
 )
 from .genfun import (
@@ -67,7 +67,6 @@ __all__ = [
     "CharacterIndex",
     "EnumerationBoundError",
     "Family",
-    "FieldElement",
     "GF",
     "GroupSpec",
     "Identity",
@@ -93,6 +92,7 @@ __all__ = [
     "is_irreducible",
     "is_self_reciprocal",
     "is_squarefree",
+    "multiplicative_order",
     "oracle_constant_histogram",
     "oracle_count",
     "oracle_linear",

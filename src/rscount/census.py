@@ -156,9 +156,8 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     if degree == 1:
         return tuple((c, 1) for c in range(q))
     marked = bytearray(q**degree)
-    for e in range(1, degree // 2 + 1):
-        for g in _irreducible_raw(field, e):
-            mark_multiples(marked, field, g, degree)
+    factors = (g for e in range(1, degree // 2 + 1) for g in _irreducible_raw(field, e))
+    mark_multiples(marked, field, factors, degree)
     # product() runs through the low coefficients in index order, the highest
     # one first; the unmarked ones are reversed and made monic.
     survivors = itertools.compress(

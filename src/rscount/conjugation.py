@@ -19,10 +19,18 @@ counts out of the full counts, without ever materializing complex characters.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .fields import GF, FieldElement, Poly, ff_from_order, ff_generator, frobenius_map
+from .fields import (
+    GF,
+    Poly,
+    ff_from_order,
+    ff_generator,
+    frobenius_map,
+    multiplicative_order,
+    scale_map,
+)
 from .numbertheory import as_prime_power
 
 
@@ -42,18 +50,11 @@ def _require_unit_constant(f: Poly) -> None:
         raise ValueError("need a nonzero constant term")
 
 
-def _times(field: GF, c: int):
-    """Multiplication by the code c, as a function of one code."""
-    if field.mul_table is not None:
-        return field.mul_table[c].__getitem__
-    return partial(field.mul, c)
-
-
 def reciprocal_codes(field: GF, coeffs: Sequence[int]) -> tuple[int, ...]:
     """The coefficient tuple of the monic reciprocal of the monic polynomial
     with coefficients ``coeffs`` (low to high, nonzero constant, unchecked):
     b_i = a_(n-i) * a_0^(-1)."""
-    return tuple(map(_times(field, field.inv(coeffs[0])), reversed(coeffs)))
+    return tuple(map(scale_map(field, field.inv(coeffs[0])), reversed(coeffs)))
 
 
 def hermitian_reciprocal_codes(
@@ -63,7 +64,7 @@ def hermitian_reciprocal_codes(
     polynomial with coefficients ``coeffs`` over ``field`` = GF(base_q**2)
     (low to high, nonzero constant, unchecked): b_i = (a_(n-i) * a_0^(-1))**base_q,
     by :func:`rscount.fields.frobenius_map`."""
-    scaled = map(_times(field, field.inv(coeffs[0])), reversed(coeffs))
+    scaled = map(scale_map(field, field.inv(coeffs[0])), reversed(coeffs))
     return tuple(map(frobenius_map(field, base_q), scaled))
 
 
@@ -136,41 +137,46 @@ def _dlog_table(field: GF, zeta_code: int) -> dict[int, int]:
     return table
 
 
-def det_discrete_log(f: Poly, zeta: FieldElement) -> CharacterIndex:
+def _require_order(field: GF, zeta: int, order: int, what: str) -> None:
+    if not 0 <= zeta < field.q:
+        raise ValueError(f"zeta code {zeta} out of range for {field!r}")
+    if multiplicative_order(field, zeta) != order:
+        raise ValueError(f"zeta must {what}")
+
+
+def det_discrete_log(f: Poly, zeta: int) -> CharacterIndex:
     """Label f by the discrete log, base zeta, of (-1)^deg(f) * f(0), mod q-1.
 
-    ``zeta`` must generate the multiplicative group of f's field (use
-    :func:`rscount.fields.ff_generator`).  The label is additive under
-    polynomial multiplication, and for the characteristic polynomial of a
-    matrix it is the discrete log of the determinant.
+    ``zeta`` is the code of a generator of the multiplicative group of f's
+    field (use :func:`rscount.fields.ff_generator`).  The label is additive
+    under polynomial multiplication, and for the characteristic polynomial of
+    a matrix it is the discrete log of the determinant.
     """
     _require_unit_constant(f)
     field = f.field
-    if zeta.field is not field:
-        raise ValueError("zeta must live in the polynomial's field")
-    if zeta.multiplicative_order() != field.q - 1:
-        raise ValueError("zeta must generate the full multiplicative group")
+    _require_order(field, zeta, field.q - 1, "generate the full multiplicative group")
     value = f.constant
     if f.degree % 2:
         value = field.mul(field.neg(1), value)
-    return CharacterIndex(field.q - 1, _dlog_table(field, zeta.code)[value])
+    return CharacterIndex(field.q - 1, _dlog_table(field, zeta)[value])
 
 
-def unitary_circle_generator(base_q: int) -> FieldElement:
-    """Return the canonical generator g**(base_q - 1) of the order-(base_q + 1)
-    subgroup of GF(base_q**2)*, where g is the canonical field generator."""
+def unitary_circle_generator(base_q: int) -> int:
+    """Return the code of the canonical generator g**(base_q - 1) of the
+    order-(base_q + 1) subgroup of GF(base_q**2)*, where g is the canonical
+    field generator."""
     pk = as_prime_power(base_q)
     if pk is None:
         raise ValueError(f"base_q={base_q} is not a prime power")
     ext = ff_from_order(base_q * base_q)
-    return ff_generator(ext) ** (base_q - 1)
+    return ext.pow(ff_generator(ext), base_q - 1)
 
 
-def unitary_det_discrete_log(f: Poly, base_q: int, zeta: FieldElement) -> CharacterIndex:
+def unitary_det_discrete_log(f: Poly, base_q: int, zeta: int) -> CharacterIndex:
     """Label f over GF(base_q**2) by a discrete log in the norm-one circle, mod base_q+1.
 
     Two cases, both landing in the order-(base_q + 1) subgroup generated by
-    ``zeta``: if f is hermitian-self-reciprocal the labelled value is
+    the code ``zeta``: if f is hermitian-self-reciprocal the labelled value is
     (-1)^deg(f) * f(0); otherwise f represents a conjugate pair and the value
     is f(0) * ftilde(0) = f(0)^(1 - base_q).  Raises ArithmeticError if the
     value falls outside the circle (impossible for valid inputs; kept as an
@@ -179,17 +185,14 @@ def unitary_det_discrete_log(f: Poly, base_q: int, zeta: FieldElement) -> Charac
     _require_unit_constant(f)
     _require_extension(f, base_q)
     field = f.field
-    if zeta.field is not field:
-        raise ValueError("zeta must live in the polynomial's field")
-    if zeta.multiplicative_order() != base_q + 1:
-        raise ValueError("zeta must have order base_q + 1")
+    _require_order(field, zeta, base_q + 1, "have order base_q + 1")
     if is_hermitian_self_reciprocal(f, base_q):
         value = f.constant
         if f.degree % 2:
             value = field.mul(field.neg(1), value)
     else:
         value = field.pow(f.constant, 1 - base_q)
-    table = _dlog_table(field, zeta.code)
+    table = _dlog_table(field, zeta)
     if value not in table:
         raise ArithmeticError("labelled value escaped the norm-one circle")
     return CharacterIndex(base_q + 1, table[value])

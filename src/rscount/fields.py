@@ -22,10 +22,18 @@ Polynomials
 zeros (the zero polynomial has an empty tuple).  Coefficients are int codes.
 The text form is ``"q=<q>: c0,c1,...,cd"``, again low-to-high.
 
+Int codes are the only element type: every function takes and returns codes,
+and :func:`multiplicative_order`, :func:`ff_generator` and :func:`frobenius`
+work on them directly.
+
 Fields of order up to :data:`TABLE_LIMIT` carry dense add/mul/inv/neg tables
 (plain nested lists, the products and inverses filled from a generator's
-logarithms) exposed as attributes for tight enumeration loops; larger fields
-(up to :data:`MAX_FIELD_SIZE`) fall back to digit arithmetic.
+logarithms); larger fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit
+arithmetic.  Only this module reads the tables.  Other modules get the choice
+made for them through the kernels here: :func:`frobenius_map`,
+:func:`scale_map` and :func:`axpy_kernel` return functions that read the
+tables inline where they exist, and :func:`mark_multiples` sieves a batch of
+divisors over one set of addition rows.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .numbertheory import as_prime_power, divisors, is_prime, prime_factorization
+from .numbertheory import as_prime_power, is_prime, prime_factorization
 
 #: Largest field order for which dense arithmetic tables are precomputed.
 TABLE_LIMIT = 256
@@ -222,104 +230,8 @@ class GF:
         """Return the code of the prime-subfield element m * 1 (m an ordinary int)."""
         return m % self.p
 
-    # -- element objects and iteration -----------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for {self!r}")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def neg_one(self) -> "FieldElement":
-        return FieldElement(self, self.neg(1))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k}={self.q})"
-
-
-class FieldElement:
-    """A single element of a :class:`GF`, wrapping (field, code) with operators.
-
-    Thin convenience layer: hot loops should work with raw codes and the field
-    tables directly.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: GF, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coordinates(self) -> tuple[int, ...]:
-        """Base-p digit vector: coordinate i is the coefficient of z^i."""
-        return tuple(self.field._decode(self.code))
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise TypeError("operands must belong to the same field")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(other.code)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.code))
-
-    def multiplicative_order(self) -> int:
-        if self.code == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = self.field.q - 1
-        for prime, _ in prime_factorization(order):
-            while order % prime == 0 and self.field.pow(self.code, order // prime) == 1:
-                order //= prime
-        return order
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q}):{self.code}"
 
 
 # -- field construction ---------------------------------------------------------
@@ -336,6 +248,8 @@ def ff_make(p: int, k: int = 1) -> GF:
     return _ff_make(p, k)
 
 
+# Unbounded on purpose: this cache is the table of canonical singletons that
+# GF.__reduce__ and every identity comparison of fields rely on.
 @lru_cache(maxsize=None)
 def _ff_make(p: int, k: int) -> GF:
     if not is_prime(p):
@@ -363,12 +277,23 @@ def ff_from_order(q: int) -> GF:
     return ff_make(*pk)
 
 
-def ff_generator(field: GF) -> FieldElement:
-    """Return the least-coded generator of the multiplicative group of ``field``."""
+def multiplicative_order(field: GF, code: int) -> int:
+    """Return the multiplicative order of the nonzero code ``code`` in ``field``."""
+    if code == 0:
+        raise ValueError("0 has no multiplicative order")
+    order = field.q - 1
+    for prime, _ in prime_factorization(order):
+        while order % prime == 0 and field.pow(code, order // prime) == 1:
+            order //= prime
+    return order
+
+
+def ff_generator(field: GF) -> int:
+    """Return the least code that generates the multiplicative group of ``field``."""
     target = field.q - 1
     for code in range(1, field.q):
-        if FieldElement(field, code).multiplicative_order() == target:
-            return FieldElement(field, code)
+        if multiplicative_order(field, code) == target:
+            return code
     raise AssertionError("unreachable: GF(q)* is cyclic")
 
 
@@ -393,19 +318,14 @@ def frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     return tuple(map(power, range(field.q))).__getitem__
 
 
-def frobenius(field: GF, q0: int, x: int | FieldElement) -> int | FieldElement:
-    """Apply the Frobenius power map x -> x**q0 for a subfield order q0.
+def frobenius(field: GF, q0: int, x: int) -> int:
+    """Apply the Frobenius power map x -> x**q0 to the code x, for a subfield
+    order q0.
 
     ``q0`` must equal p**j for some j >= 1 dividing k, i.e. GF(q0) must be a
     subfield of ``field``; the map is then the generator of Gal(GF(q)/GF(q0)).
-    Accepts and returns either an int code or a :class:`FieldElement`.
     """
-    frob = frobenius_map(field, q0)
-    if isinstance(x, FieldElement):
-        if x.field is not field:
-            raise ValueError("element does not belong to the given field")
-        return FieldElement(field, frob(x.code))
-    return frob(x)
+    return frobenius_map(field, q0)(x)
 
 
 def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
@@ -415,6 +335,33 @@ def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
     """
     frob = frobenius_map(field, q0)
     return tuple(c for c in range(field.q) if frob(c) == c)
+
+
+def scale_map(field: GF, c: int) -> Callable[[int], int]:
+    """Return multiplication by the code c as a function of one code: a read
+    of row c of the dense table, or one :meth:`GF.mul` per call above
+    :data:`TABLE_LIMIT`."""
+    if field.mul_table is not None:
+        return field.mul_table[c].__getitem__
+    return partial(field.mul, c)
+
+
+def axpy_kernel(field: GF) -> Callable[[list[int], int, Sequence[int]], list[int]]:
+    """Return ``axpy(acc, c, column)``, the list ``acc[i] + c * column[i]``
+    elementwise: inline reads of the dense tables, or one :meth:`GF.add` and
+    one :meth:`GF.mul` per entry above :data:`TABLE_LIMIT`."""
+    if field.mul_table is not None:
+        add_rows, mul_rows = field.add_table, field.mul_table
+
+        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
+            row = mul_rows[c]
+            return [add_rows[a][row[x]] for a, x in zip(acc, column)]
+    else:
+        add, mul = field.add, field.mul
+
+        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
+            return [add(a, mul(c, x)) for a, x in zip(acc, column)]
+    return axpy
 
 
 # -- raw polynomial kernels -----------------------------------------------------
@@ -520,9 +467,31 @@ class _RowsOnDemand(dict):
         return row
 
 
-def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) -> None:
-    """Set ``marks[i]`` for every monic degree-n multiple of the monic
-    ``divisor``, where i is the code of the multiple's n low coefficients.
+def mark_multiples(
+    marks: bytearray, field: GF, divisors: Iterable[Sequence[int]], n: int
+) -> None:
+    """Set ``marks[i]`` for every monic degree-n multiple of each monic
+    polynomial in ``divisors``, where i is the code of the multiple's n low
+    coefficients.
+
+    A field above :data:`TABLE_LIMIT` has no addition table; the rows the
+    walks read are built once for all the divisors of the call, and freed
+    when it returns.
+    """
+    rows = field.add_table or _RowsOnDemand(field.add, field.q)
+    try:
+        for divisor in divisors:
+            _mark_multiples_of(marks, field, rows, divisor, n)
+    finally:
+        if rows is not field.add_table:
+            rows.clear()  # a walk's closure holds the rows until a collection
+
+
+def _mark_multiples_of(
+    marks: bytearray, field: GF, add: Sequence[Sequence[int]], divisor: Sequence[int], n: int
+) -> None:
+    """Mark the monic degree-n multiples of one monic ``divisor``, reading
+    sums from the rows ``add``.
 
     A monic f = z^n + r is a multiple of G (degree d <= n) exactly when
     r = -z^n mod G.  So the top m = n - d coefficients of r are free, and read
@@ -537,7 +506,6 @@ def mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) 
     """
     q = field.q
     fadd, fmul = field.add, field.mul
-    add = field.add_table or _RowsOnDemand(fadd, q)
     d = len(divisor) - 1
     m = n - d
     # residues[j] = -(z^(d+j) mod G), built as residues[j+1] = z * residues[j] mod G.
@@ -594,17 +562,12 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: GF, coeffs: Sequence[int | FieldElement]):
+    def __init__(self, field: GF, coeffs: Sequence[int]):
         codes = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field is not field:
-                    raise ValueError("coefficient from a different field")
-                codes.append(c.code)
-            else:
-                if not 0 <= c < field.q:
-                    raise ValueError(f"coefficient code {c} out of range for {field!r}")
-                codes.append(c)
+            if not 0 <= c < field.q:
+                raise ValueError(f"coefficient code {c} out of range for {field!r}")
+            codes.append(c)
         self.field = field
         self.coeffs: tuple[int, ...] = poly_trim(codes)
 
@@ -627,9 +590,6 @@ class Poly:
     def constant(self) -> int:
         """Code of the constant coefficient."""
         return self.coeffs[0] if self.coeffs else 0
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def code(self) -> int:
         """Integer encoding sum(c_i * q**i); a canonical sort key per degree."""
@@ -655,13 +615,6 @@ class Poly:
             out[i] = add(out[i], c)
         return Poly(self.field, out)
 
-    def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly(self.field, [neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly(self.field, poly_mul(self.field, self.coeffs, other.coeffs))
@@ -670,9 +623,6 @@ class Poly:
         self._check(other)
         q, r = poly_divmod(self.field, self.coeffs, other.coeffs)
         return Poly(self.field, q), Poly(self.field, r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -684,11 +634,7 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(self.field, poly_derivative(self.field, self.coeffs))
 
-    def __call__(self, x: int | FieldElement) -> int | FieldElement:
-        if isinstance(x, FieldElement):
-            if x.field is not self.field:
-                raise ValueError("evaluation point from a different field")
-            return FieldElement(self.field, poly_eval(self.field, self.coeffs, x.code))
+    def __call__(self, x: int) -> int:
         return poly_eval(self.field, self.coeffs, x)
 
     # -- comparison / hashing / text
@@ -756,12 +702,11 @@ def _monic_polys(field: GF, rows: Iterable[tuple[int, ...]]) -> tuple[Poly, ...]
     return tuple(out)
 
 
-def poly_from_roots(field: GF, roots: Sequence[int | FieldElement]) -> Poly:
-    """Return the monic polynomial with the given multiset of roots."""
+def poly_from_roots(field: GF, roots: Sequence[int]) -> Poly:
+    """Return the monic polynomial with the given multiset of root codes."""
     out = [1]
     for r in roots:
-        code = r.code if isinstance(r, FieldElement) else r
-        out = poly_mul(field, out, [field.neg(code), 1])
+        out = poly_mul(field, out, [field.neg(r), 1])
     return Poly(field, out)
 
 
@@ -777,9 +722,10 @@ def is_squarefree(f: Poly) -> bool:
     return squarefree_codes(f.field, f.coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _irreducible_quadratics(field: GF) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducible quadratics over a field of order <= 128 (cached)."""
+    """All monic irreducible quadratics over a field of order <= 128 (the
+    lists of the 16 most recent fields are kept)."""
     q = field.q
     out = []
     for c1 in range(q):

@@ -41,7 +41,7 @@ than run past the configured candidate cap.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .census import (
     _hermitian_middles,
@@ -55,7 +55,7 @@ from .census import (
     self_reciprocal_irreducibles,
 )
 from .closedform import Family, GroupSpec
-from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul
+from .fields import GF, Poly, axpy_kernel, ff_from_order, mark_multiples, poly_mul
 from .numbertheory import check_int, exact_div
 
 __all__ = [
@@ -156,9 +156,9 @@ def _squarefree_marks(field: GF, n: int) -> bytearray:
     enumerated monic irreducible g suffices.
     """
     marks = bytearray(field.q**n)
-    for e in range(1, n // 2 + 1):
-        for g in irreducibles(field, e):
-            mark_multiples(marks, field, poly_mul(field, g.coeffs, g.coeffs), n)
+    squares = (poly_mul(field, g.coeffs, g.coeffs)
+               for e in range(1, n // 2 + 1) for g in irreducibles(field, e))
+    mark_multiples(marks, field, squares, n)
     return marks
 
 
@@ -207,18 +207,7 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     ext = ff_from_order(q * q)
     qq = ext.q
     half = n // 2  # the top coefficients f_(n-1)..f_(n-half)
-    if ext.mul_table is not None:
-        add_rows, mul_rows = ext.add_table, ext.mul_table
-
-        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
-            row = mul_rows[c]
-            return [add_rows[a][row[x]] for a, x in zip(acc, column)]
-    else:
-        add, mul = ext.add, ext.mul
-
-        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
-            return [add(a, mul(c, x)) for a, x in zip(acc, column)]
-
+    axpy = axpy_kernel(ext)
     squares_by_rest: dict[int, list] = {}
     roots = [g.coeffs for e in range(1, half + 1)
              for g in hermitian_self_reciprocal_irreducibles(q, e)]
@@ -286,8 +275,8 @@ def _symplectic_scan(n: int, q: int) -> int:
     field = ff_from_order(q)
     marks = _squarefree_marks(field, n)
     two = field.scalar(2)
-    for c in (two, field.neg(two)):
-        mark_multiples(marks, field, (c, 1), n)  # g with a root at -c
+    # The g with a root at -c, for c = ±2.
+    mark_multiples(marks, field, [(c, 1) for c in (two, field.neg(two))], n)
     return marks.count(0)
 
 

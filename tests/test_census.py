@@ -39,6 +39,7 @@ from rscount.census import (
 from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes
 from rscount.fields import (
     Poly,
+    _irreducible_quadratics,
     ff_from_order,
     ff_make,
     frobenius_map,
@@ -410,7 +411,9 @@ def test_hermitian_involution_accounting():
 
 
 def test_field_keyed_caches_are_bounded():
-    for cache in (frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles):
+    for cache in (
+        frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles, _irreducible_quadratics
+    ):
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 
@@ -481,9 +484,10 @@ def test_hermitian_census_sieves_over_the_base_field():
         from rscount.census import CensusKind, EnumerationBoundError, census_count
         sieved = {}
         marks = census.mark_multiples
-        def counted(marked, field, divisor, n):
-            sieved[field.q] = sieved.get(field.q, 0) + 1
-            return marks(marked, field, divisor, n)
+        def counted(marked, field, divisors, n):
+            divisors = list(divisors)
+            sieved[field.q] = sieved.get(field.q, 0) + len(divisors)
+            return marks(marked, field, divisors, n)
         census.mark_multiples = counted
         cell = census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5, "enumerate")
         out = {"count": cell.count}

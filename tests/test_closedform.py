@@ -80,6 +80,38 @@ def test_routes_share_only_the_family_vocabulary():
                 )
 
 
+_TABLE_NAMES = {
+    "add_table", "mul_table", "neg_table", "inv_table", "TABLE_LIMIT", "_RowsOnDemand",
+}
+
+
+def _names(tree: ast.Module):
+    """Every identifier a module names: variables, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+            if node.asname:
+                yield node.asname
+
+
+def test_only_fields_knows_the_field_tables():
+    """Int codes are the only element type, and only ``fields`` decides
+    between the dense tables and digit arithmetic: no other module names a
+    table, the table limit or the row builder, and none names FieldElement."""
+    package = Path(rscount.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {m.stem for m in modules} >= {"fields", "conjugation", "census", "oracle"}
+    for path in modules:
+        names = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+        assert "FieldElement" not in names, path.name
+        if path.stem != "fields":
+            assert not names & _TABLE_NAMES, (path.name, names & _TABLE_NAMES)
+
+
 # ---------------------------------------------------------------------------
 # Anchor values (each checked by hand against the defining formulas)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the reciprocal involutions and determinant labels."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,18 +9,22 @@ from rscount.conjugation import (
     CharacterIndex,
     det_discrete_log,
     hermitian_reciprocal,
+    hermitian_reciprocal_codes,
     is_hermitian_self_reciprocal,
     is_self_reciprocal,
     reciprocal,
+    reciprocal_codes,
     type_sign,
     unitary_circle_generator,
     unitary_det_discrete_log,
 )
 from rscount.fields import (
+    TABLE_LIMIT,
     Poly,
     ff_from_order,
     ff_generator,
     ff_make,
+    multiplicative_order,
     poly_from_roots,
 )
 
@@ -85,6 +90,29 @@ def test_self_reciprocal_iff_roots_closed_under_inversion():
                 assert is_self_reciprocal(f) == (inverses == sorted(roots))
 
 
+def test_involution_kernels_without_dense_tables():
+    """Above TABLE_LIMIT the kernels multiply by one GF.mul per coefficient;
+    both match their coefficient definitions over GF(257) and GF(17^2)."""
+    rng = random.Random(257)
+    f257, f289 = ff_make(257), ff_make(17, 2)
+    assert min(f257.q, f289.q) > TABLE_LIMIT
+    for degree in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            a = [rng.randrange(1, 257)] + [rng.randrange(257) for _ in range(degree - 1)] + [1]
+            # b_i = a_(n-i) / a_0, in plain arithmetic mod 257.
+            inverse = pow(a[0], -1, 257)
+            expected = tuple(c * inverse % 257 for c in reversed(a))
+            assert reciprocal_codes(f257, a) == expected
+            assert reciprocal_codes(f257, expected) == tuple(a)
+
+            a = [rng.randrange(1, 289)] + [rng.randrange(289) for _ in range(degree - 1)] + [1]
+            # b_i = (a_(n-i) * a_0^(q^2 - 2))^17.
+            inverse = f289.pow(a[0], 289 - 2)
+            expected = tuple(f289.pow(f289.mul(c, inverse), 17) for c in reversed(a))
+            assert hermitian_reciprocal_codes(f289, a, 17) == expected
+            assert hermitian_reciprocal_codes(f289, expected, 17) == tuple(a)
+
+
 # ---------------------------------------------------------------------------
 # the hermitian (conjugate) reciprocal over GF(q^2)
 # ---------------------------------------------------------------------------
@@ -100,7 +128,7 @@ def test_hermitian_reciprocal_examples():
     f9 = ff_make(3, 2)
     g = ff_generator(f9)  # order 8; g^4 != 1
     t_minus_g = poly_from_roots(f9, [g])
-    expected = poly_from_roots(f9, [g ** (-3)])
+    expected = poly_from_roots(f9, [f9.pow(g, -3)])
     conj = hermitian_reciprocal(t_minus_g, 3)
     assert conj != t_minus_g
     assert conj == expected  # root transformation a -> a^(-q)
@@ -164,18 +192,20 @@ def test_type_sign_rejects_z_plus_minus_one():
 
 def test_det_discrete_log_examples():
     f3 = ff_make(3)
-    zeta = f3.element(2)
+    zeta = 2
     assert det_discrete_log(Poly(f3, [1, 1]), zeta) == CharacterIndex(2, 1)  # z - 2
     assert det_discrete_log(Poly(f3, [2, 1]), zeta) == CharacterIndex(2, 0)  # z - 1
     f2 = ff_make(2)
-    one = f2.element(1)
-    assert det_discrete_log(Poly(f2, [1, 1, 1]), one) == CharacterIndex(1, 0)
+    assert det_discrete_log(Poly(f2, [1, 1, 1]), 1) == CharacterIndex(1, 0)
 
 
 def test_det_discrete_log_requires_generator():
     f5 = ff_make(5)
     with pytest.raises(ValueError):
-        det_discrete_log(Poly(f5, [1, 1]), f5.element(4))  # order 2, not 4
+        det_discrete_log(Poly(f5, [1, 1]), 4)  # order 2, not 4
+    for code in (0, -1, 5):  # no order, or not a code of GF(5)
+        with pytest.raises(ValueError):
+            det_discrete_log(Poly(f5, [1, 1]), code)
 
 
 def test_det_discrete_log_is_additive():
@@ -197,7 +227,7 @@ def test_det_discrete_log_is_additive():
 def test_unitary_circle_generator_orders():
     for base_q in (2, 3, 4):
         zeta = unitary_circle_generator(base_q)
-        assert zeta.multiplicative_order() == base_q + 1
+        assert multiplicative_order(ff_from_order(base_q * base_q), zeta) == base_q + 1
 
 
 def test_unitary_det_discrete_log_examples():
@@ -208,7 +238,7 @@ def test_unitary_det_discrete_log_examples():
     label = unitary_det_discrete_log(t_minus_omega, 2, zeta2)
     assert label.modulus == 3
     # (-1)^1 * f(0) = omega, and zeta^label = omega.
-    assert (zeta2**label.value) == omega
+    assert f4.pow(zeta2, label.value) == omega
 
     t_minus_one = poly_from_roots(f4, [1])
     assert unitary_det_discrete_log(t_minus_one, 2, zeta2) == CharacterIndex(3, 0)
@@ -227,14 +257,16 @@ def test_unitary_det_discrete_log_pair_member():
     f = poly_from_roots(f9, [g])
     assert not is_hermitian_self_reciprocal(f, 3)
     label = unitary_det_discrete_log(f, 3, zeta)
-    constant = f9.element(f.constant)
-    assert zeta**label.value == constant ** (1 - 3)
+    assert f9.pow(zeta, label.value) == f9.pow(f.constant, 1 - 3)
 
 
 def test_unitary_det_discrete_log_requires_circle_generator():
     f9 = ff_make(3, 2)
     with pytest.raises(ValueError):
         unitary_det_discrete_log(Poly(f9, [1, 1]), 3, ff_generator(f9))  # order 8
+    for code in (0, -1, 9):  # no order, or not a code of GF(9)
+        with pytest.raises(ValueError):
+            unitary_det_discrete_log(Poly(f9, [1, 1]), 3, code)
 
 
 def test_unitary_labels_cover_all_small_polynomials():

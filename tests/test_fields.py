@@ -1,16 +1,22 @@
 """Unit tests for finite-field and polynomial arithmetic."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rscount
 from rscount.fields import (
     MAX_FIELD_SIZE,
     GF,
-    FieldElement,
     Poly,
     ff_from_order,
     ff_generator,
@@ -20,6 +26,7 @@ from rscount.fields import (
     is_irreducible,
     is_squarefree,
     mark_multiples,
+    multiplicative_order,
     poly_from_roots,
     subfield_codes,
     _monic_polys,
@@ -79,18 +86,25 @@ def test_ff_from_order_rejects_non_prime_power():
 
 
 def test_ff_generator_values():
-    assert ff_generator(ff_make(2)).code == 1
-    assert ff_generator(ff_make(3)).code == 2
-    assert ff_generator(ff_make(5)).code == 2
-    assert ff_generator(ff_make(7)).code == 3
+    assert ff_generator(ff_make(2)) == 1
+    assert ff_generator(ff_make(3)) == 2
+    assert ff_generator(ff_make(5)) == 2
+    assert ff_generator(ff_make(7)) == 3
     # In GF(4) the coset element z (code 2) generates the order-3 group.
-    assert ff_generator(ff_make(2, 2)).code == 2
+    assert ff_generator(ff_make(2, 2)) == 2
 
 
 def test_ff_generator_has_full_order():
     for q in SMALL_ORDERS:
-        g = ff_generator(ff_from_order(q))
-        assert g.multiplicative_order() == q - 1
+        field = ff_from_order(q)
+        assert multiplicative_order(field, ff_generator(field)) == q - 1
+
+
+def test_multiplicative_order_examples():
+    f7 = ff_make(7)
+    assert [multiplicative_order(f7, a) for a in range(1, 7)] == [1, 3, 6, 3, 6, 2]
+    with pytest.raises(ValueError):
+        multiplicative_order(f7, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +175,9 @@ def test_frobenius_power_map_is_identity():
 
 def test_frobenius_examples():
     f4 = ff_make(2, 2)
-    omega = f4.element(2)
+    omega = 2
     squared = frobenius(f4, 2, omega)
-    assert squared == omega * omega
+    assert squared == f4.mul(omega, omega)
     assert frobenius(f4, 2, squared) == omega  # involution on GF(4)
     f9 = ff_make(3, 2)
     for a in range(3):  # prime subfield is fixed pointwise
@@ -274,7 +288,7 @@ def test_poly_evaluation():
     f = Poly(f5, [1, 0, 1])  # z^2 + 1
     assert f(2) == 0  # 4 + 1 = 5 = 0
     assert f(1) == 2
-    assert f(f5.element(3)) == f5.element(0)
+    assert f(3) == 0
 
 
 def test_poly_from_roots():
@@ -409,6 +423,49 @@ def test_irreducible_count_matches_necklace_formula():
             assert found == necklace
 
 
+def test_is_irreducible_above_the_trial_division_limits():
+    """Above q = 128 ``is_irreducible`` skips the trial division by the
+    irreducible quadratics, above q = 1024 the root scan too.  Over GF(257)
+    and GF(1031) it agrees with polynomials whose factorization is known by
+    construction, among them reducible ones with no root."""
+    rng = random.Random(1031)
+    for p in (257, 1031):
+        field = ff_make(p)
+
+        def has_root(coeffs):
+            return any(
+                sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0 for x in range(p)
+            )
+
+        # Irreducible quadratics by Euler's criterion on the discriminant,
+        # irreducible cubics as the cubics with no root.
+        quadratics, cubics = [], []
+        while len(quadratics) < 6:
+            b, c = rng.randrange(p), rng.randrange(p)
+            if pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1:
+                quadratics.append(Poly(field, (c, b, 1)))
+        while len(cubics) < 3:
+            coeffs = (rng.randrange(1, p), rng.randrange(p), rng.randrange(p), 1)
+            if not has_root(coeffs):
+                cubics.append(Poly(field, coeffs))
+        # z^4 - 3 over GF(257) (3 has order 256) and z^5 - 2 over GF(1031)
+        # (2 is no fifth power): irreducible binomials (Lidl-Niederreiter 3.75).
+        if p == 257:
+            assert pow(3, 128, p) != 1
+            binomial = Poly(field, (p - 3, 0, 0, 0, 1))
+        else:
+            assert pow(2, (p - 1) // 5, p) != 1
+            binomial = Poly(field, (p - 2, 0, 0, 0, 0, 1))
+        irreducible = quadratics + cubics + [binomial]
+        rootless = [quadratics[i] * quadratics[i + 1] for i in range(5)]
+        rootless += [quadratics[0] * cubics[0], quadratics[1] * quadratics[2] * quadratics[3]]
+        rootless += [cubics[1] * cubics[2]]
+        with_root = [Poly(field, (rng.randrange(p), 1)) * f for f in cubics + quadratics[:2]]
+        assert not any(has_root(f.coeffs) for f in rootless)
+        assert all(is_irreducible(f) for f in irreducible), p
+        assert not any(is_irreducible(f) for f in rootless + with_root), p
+
+
 def test_mark_multiples_without_dense_tables():
     # GF(257) is above the dense-table limit; marks come from computed rows.
     field = ff_make(257)
@@ -416,15 +473,18 @@ def test_mark_multiples_without_dense_tables():
     q = field.q
     for c in (0, 1, 2, 255):
         marks = bytearray(q**2)
-        mark_multiples(marks, field, (c, 1), 2)
+        mark_multiples(marks, field, [(c, 1)], 2)
         # (z + c)(z + h) = z^2 + (c + h) z + c h, indexed by its low coefficients.
         expected = {(c * h) % q + q * ((c + h) % q) for h in range(q)}
         assert {i for i, mark in enumerate(marks) if mark} == expected
 
 
-# The sieve kernel with one free digit per leaf, kept verbatim as the
-# reference for the wide-leaf walk in ``mark_multiples``.
-def _reference_mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int], n: int) -> None:
+# The sieve kernel with one free digit per leaf and one divisor per call,
+# kept as the reference for the wide-leaf walk in ``mark_multiples``.
+# ``rows``, when given, are addition rows that the caller shares across calls.
+def _reference_mark_multiples(
+    marks: bytearray, field: GF, divisor: Sequence[int], n: int, rows=None
+) -> None:
     """Set ``marks[i]`` for every monic degree-n multiple of the monic
     ``divisor``, where i is the code of the multiple's n low coefficients.
 
@@ -435,7 +495,7 @@ def _reference_mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int
     """
     q = field.q
     fadd, fmul = field.add, field.mul
-    add = field.add_table or _RowsOnDemand(fadd, q)
+    add = rows or field.add_table or _RowsOnDemand(fadd, q)
     d = len(divisor) - 1
     m = n - d
     # residues[j] = -(z^(d+j) mod G), built as residues[j+1] = z * residues[j] mod G.
@@ -477,21 +537,76 @@ def _reference_mark_multiples(marks: bytearray, field: GF, divisor: Sequence[int
 def test_mark_multiples_matches_reference():
     # Seeded random monic divisors (reducible ones too), every m = n - d in
     # 0..6 with q^n <= 2 * 10^5.  For q < 64 every cell with m >= 3 has a
-    # leaf of two or more digits; GF(257) has no dense tables.
+    # leaf of two or more digits; GF(257) has no dense tables.  Each divisor
+    # is marked alone, and all of one n together in one batch call.
     rng = random.Random(20121)
     wide_leaves = set()
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 257):
         field = ff_from_order(q)
         n = 1
         while q**n <= 2 * 10**5:
+            batch, union, divisors = bytearray(q**n), bytearray(q**n), []
             for d in range(max(1, n - 6), n + 1):
                 for _ in range(2):
                     divisor = [rng.randrange(q) for _ in range(d)] + [1]
                     marks, expected = bytearray(q**n), bytearray(q**n)
-                    mark_multiples(marks, field, divisor, n)
+                    mark_multiples(marks, field, [divisor], n)
                     _reference_mark_multiples(expected, field, divisor, n)
                     assert marks == expected, (q, n, divisor)
+                    _reference_mark_multiples(union, field, divisor, n)
+                    divisors.append(divisor)
                 if q < 64 and n - d >= 3:
                     wide_leaves.add(q)
+            mark_multiples(batch, field, iter(divisors), n)
+            assert batch == union, (q, n)
             n += 1
     assert wide_leaves == {2, 3, 4, 5, 7, 8, 9, 16}
+
+
+def test_mark_multiples_builds_each_addition_row_once_per_call():
+    """Over GF(257), which has no dense tables, one batch call builds each
+    addition row at most once for all its divisors, and frees them on return.
+    Counted in a fresh interpreter, so that no cache is warm."""
+    script = textwrap.dedent(
+        """
+        import json
+        from rscount import fields
+        from rscount.census import _irreducible_raw
+        built = [0]
+        build = fields._RowsOnDemand.__missing__
+        def counted(self, a):
+            built[0] += 1
+            return build(self, a)
+        fields._RowsOnDemand.__missing__ = counted
+        field = fields.ff_make(257)
+        out = {"irreducibles": len(_irreducible_raw(field, 2)), "sieve_rows": built[0]}
+        built[0] = 0
+        marks = bytearray(257**2)
+        rows = []
+        clear = fields._RowsOnDemand.clear
+        fields._RowsOnDemand.clear = lambda self: (rows.append(len(self)), clear(self))
+        fields.mark_multiples(marks, field, [(c, 1) for c in range(257)], 2)
+        out["rows"], out["freed"], out["marks"] = built[0], rows, marks.hex()
+        print(json.dumps(out))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    field = ff_make(257)
+    q = field.q
+    # 257 linears mark the (q^2 + q) / 2 reducible monic quadratics.
+    assert out["irreducibles"] == (q * q - q) // 2 == 32_896
+    assert 0 < out["sieve_rows"] <= q
+    assert 0 < out["rows"] <= q and out["freed"] == [out["rows"]]
+    # The per-divisor reference, reading one shared dense table.
+    rows = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    expected = bytearray(q * q)
+    for c in range(q):
+        _reference_mark_multiples(expected, field, (c, 1), 2, rows)
+    assert bytes.fromhex(out["marks"]) == expected
