@@ -488,7 +488,11 @@ def mark_multiples(
 
 
 def _mark_multiples_of(
-    marks: bytearray, field: GF, add: Sequence[Sequence[int]], divisor: Sequence[int], n: int
+    marks: bytearray,
+    field: GF,
+    add: list[list[int]] | _RowsOnDemand,
+    divisor: Sequence[int],
+    n: int,
 ) -> None:
     """Mark the monic degree-n multiples of one monic ``divisor``, reading
     sums from the rows ``add``.

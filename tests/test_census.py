@@ -39,12 +39,12 @@ from rscount.census import (
 from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes
 from rscount.fields import (
     Poly,
-    _irreducible_quadratics,
     ff_from_order,
     ff_make,
     frobenius_map,
     is_irreducible,
     poly_eval,
+    _irreducible_quadratics,
 )
 
 
