@@ -59,7 +59,7 @@ from .oracle import (
     oracle_unitary,
     oracle_unitary_histogram,
 )
-from .series import QPoly, TruncatedSeries
+from .series import QPoly
 
 __all__ = [
     "CensusCount",
@@ -73,7 +73,6 @@ __all__ = [
     "OracleResult",
     "Poly",
     "QPoly",
-    "TruncatedSeries",
     "VerificationReport",
     "admissible_parity",
     "census_count",

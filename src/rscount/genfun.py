@@ -3,12 +3,18 @@
 Two independent jobs live here:
 
 * :func:`verify_identity` expands both sides of a product-vs-rational identity
-  as truncated integer series at a concrete field size q and compares exactly.
-  The product sides are assembled from census counts of irreducible
-  polynomials; the closed sides are small rational functions.
+  at a concrete field size q and compares them exactly.  Each side is a tuple
+  of the ints c_0..c_T, the coefficients of u^0..u^T.  The product sides are
+  assembled from census counts of irreducible polynomials; the closed sides
+  are small rational functions.
 * :func:`gf_count` extracts a single class count as a series coefficient of
-  the solved rational form — an arithmetic route independent of the
+  the family's rational terms, an arithmetic route independent of the
   closed-form expressions in :mod:`rscount.closedform`.
+  :func:`symbolic_count_polynomials` runs the same terms with q the symbol Q.
+
+Each family's generating function has one shape (:func:`_family_rational`):
+a list of rational terms num/den and a divisor, the rank-n count being the
+sum of the terms' u^n coefficients divided by the divisor.
 
 Identity tokens name what each identity multiplies out, not where it comes
 from.  Products over reciprocal-symmetric data use a half-grading variable
@@ -27,13 +33,9 @@ from .series import (
     DEFAULT_TRUNCATION,
     Coeff,
     QPoly,
-    TruncatedSeries,
-    coeff,
-    mul_binomial_power,
-    rational_coeffs,
-    series,
+    series_binomial_power,
     series_from_rational,
-    u_poly_mul,
+    series_mul,
 )
 
 __all__ = [
@@ -144,7 +146,7 @@ def _product(factors, T: int) -> list[int]:
     acc = [1] + [0] * T
     for d, sign, exponent in factors:
         if d <= T and exponent:
-            mul_binomial_power(acc, d, sign, exponent)
+            series_binomial_power(acc, d, sign, exponent)
     return acc
 
 
@@ -175,11 +177,18 @@ def _plus_or_minus(identity: Identity, a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def product_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """The census-product side, expanded to the given truncation order."""
+def _check_side(identity: Identity, q: int, terms: int) -> None:
+    """Check q and terms, then the parity: only the last is a skip for the CLI."""
+    check_int(q, "field size q", 2)
     check_int(terms, "truncation order terms", 0)
     check_admissible(identity, q)
-    return series(_product_coeffs(identity, q, terms), terms)
+
+
+def product_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+    """The census-product side: its coefficients of u^0..u^terms."""
+    _check_side(identity, q, terms)
+    # Products by a u-polynomial run past u^terms; the truncation drops that tail.
+    return tuple(_product_coeffs(identity, q, terms)[: terms + 1])
 
 
 def _product_coeffs(identity: Identity, q: int, T: int) -> list[int]:
@@ -197,56 +206,55 @@ def _product_coeffs(identity: Identity, q: int, T: int) -> list[int]:
         return _product(_blocks_and_pairs(q, T, -1, power=-1), T)
     if identity is Identity.SO_COMBINED_ODD:
         blocks = _product(_blocks_and_pairs(q, T // 2, 1, step=2), T)
-        return _less_one(u_poly_mul([2, 2, 4, 4, 4], blocks))
+        return _less_one(series_mul([2, 2, 4, 4, 4], blocks))
     if identity is Identity.SO_DIFF_ODD:
         signed = _product(_blocks_and_pairs(q, T // 2, -1, step=2), T)
         return _less_one([2 * c for c in signed])
     # Half-graded assemblies: one unit of the series variable per degree-2 block.
     a_side = _product(_blocks_and_pairs(q, T, 1), T)
     if identity is Identity.SO_ODD_DIM_SERIES:
-        return u_poly_mul([1, 2], a_side)
+        return series_mul([1, 2], a_side)
     b_side = _product(_blocks_and_pairs(q, T, -1), T)
     even = identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN)
-    return _plus_or_minus(identity, u_poly_mul([1, 1] if even else [1, 2, 2], a_side), b_side)
+    return _plus_or_minus(identity, series_mul([1, 1] if even else [1, 2, 2], a_side), b_side)
 
 
-def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """The rational-function side, expanded to the given truncation order."""
-    check_int(terms, "truncation order terms", 0)
-    check_admissible(identity, q)
-    return series(_closed_coeffs(identity, q, terms), terms)
+def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+    """The rational-function side: its coefficients of u^0..u^terms."""
+    _check_side(identity, q, terms)
+    return tuple(_closed_coeffs(identity, q, terms))
 
 
 def _closed_coeffs(identity: Identity, q: int, T: int) -> list[int]:
     if identity is Identity.GL_PRODUCT:
-        return rational_coeffs([1, 1 - q, -q], [1, 0, -q], T)
+        return series_from_rational([1, 1 - q, -q], [1, 0, -q], T)
     if identity is Identity.UNITARY_PRODUCT:
-        return rational_coeffs(
-            u_poly_mul([1, 0, 1], [1, -q]), u_poly_mul([1, 1], [1, 0, -q]), T
+        return series_from_rational(
+            series_mul([1, 0, 1], [1, -q]), series_mul([1, 1], [1, 0, -q]), T
         )
     if identity is Identity.SYMPLECTIC_PRODUCT:
-        num = u_poly_mul([1, 2, 1] if q % 2 else [1, 1], [1, -q])
-        return rational_coeffs(num, [1, 0, -q], T)
+        num = series_mul([1, 2, 1] if q % 2 else [1, 1], [1, -q])
+        return series_from_rational(num, [1, 0, -q], T)
     if identity is Identity.SIGNED_PRODUCT_ODD:
-        return rational_coeffs(u_poly_mul([1, -1], [1, 2, 1]), [1, 0, -q], T)
+        return series_from_rational(series_mul([1, -1], [1, 2, 1]), [1, 0, -q], T)
     if identity is Identity.SIGNED_PRODUCT_EVEN:
-        return rational_coeffs([1, 1], [1, 0, -q], T)
+        return series_from_rational([1, 1], [1, 0, -q], T)
     if identity is Identity.SO_COMBINED_ODD:
-        num = u_poly_mul([2, 2, 4, 4, 4], [1, 0, 0, 0, -q])
-        den = u_poly_mul([1, 0, 2, 0, 1], [1, 0, -q])
-        return _less_one(rational_coeffs(num, den, T))
+        num = series_mul([2, 2, 4, 4, 4], [1, 0, 0, 0, -q])
+        den = series_mul([1, 0, 2, 0, 1], [1, 0, -q])
+        return _less_one(series_from_rational(num, den, T))
     if identity is Identity.SO_DIFF_ODD:
-        den = u_poly_mul([1, 0, 2, 0, 1], [1, 0, -1])
-        return _less_one(rational_coeffs([2, 0, 0, 0, -2 * q], den, T))
+        den = series_mul([1, 0, 2, 0, 1], [1, 0, -1])
+        return _less_one(series_from_rational([2, 0, 0, 0, -2 * q], den, T))
     if identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN):
-        first = rational_coeffs([1, 0, -q], [1, -q], T)
-        second = rational_coeffs([1, 0, -q], [1, 1], T)
+        first = series_from_rational([1, 0, -q], [1, -q], T)
+        second = series_from_rational([1, 0, -q], [1, 1], T)
         return _plus_or_minus(identity, first, second)
-    den_a = u_poly_mul([1, 2, 1], [1, -q])
+    den_a = series_mul([1, 2, 1], [1, -q])
     if identity is Identity.SO_ODD_DIM_SERIES:
-        return rational_coeffs(u_poly_mul([1, 2], [1, 0, -q]), den_a, T)
-    first = rational_coeffs(u_poly_mul([1, 2, 2], [1, 0, -q]), den_a, T)
-    second = rational_coeffs([1, 0, -q], u_poly_mul([1, 2, 1], [1, -1]), T)
+        return series_from_rational(series_mul([1, 2], [1, 0, -q]), den_a, T)
+    first = series_from_rational(series_mul([1, 2, 2], [1, 0, -q]), den_a, T)
+    second = series_from_rational([1, 0, -q], series_mul([1, 2, 1], [1, -1]), T)
     return _plus_or_minus(identity, first, second)
 
 
@@ -256,10 +264,8 @@ def verify_identity(
     """Expand both sides at field size q and compare coefficients exactly."""
     lhs = product_side(identity, q, terms)
     rhs = closed_side(identity, q, terms)
-    lhs_ints = tuple(c.as_int() for c in lhs.coeffs)
-    rhs_ints = tuple(c.as_int() for c in rhs.coeffs)
     first_mismatch = None
-    for i, (a, b) in enumerate(zip(lhs_ints, rhs_ints)):
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             first_mismatch = i
             break
@@ -269,8 +275,8 @@ def verify_identity(
         terms=terms,
         passed=first_mismatch is None,
         first_mismatch=first_mismatch,
-        lhs_coeffs=lhs_ints,
-        rhs_coeffs=rhs_ints,
+        lhs_coeffs=lhs,
+        rhs_coeffs=rhs,
     )
 
 
@@ -280,64 +286,41 @@ def verify_identity(
 
 
 def _family_rational(family: Family, q: Coeff, q_odd: bool):
-    """Numerator/denominator pairs whose series carry the family's counts.
+    """The rational terms whose series carry the family's counts.
 
-    Returns (main_num, main_den, extra_num, extra_den, divisor) where the
-    rank-n count is ([u^n]main + [u^n]extra) / divisor; extra may be None and
-    divisor may be 1.  ``q`` may be an integer or the symbolic Q.
+    Returns ([(num, den), ...], divisor): the rank-n count is the sum of the
+    terms' u^n coefficients, divided by divisor.  ``q`` may be an integer or
+    the symbolic Q.
     """
-    if family is Family.GL:
-        return [1, 0, -q], u_poly_mul([1, 1], [1, -q]), None, None, 1
-    if family is Family.SL:
-        extra = ([1, 0, -q], [1, 0, -1]) if q_odd else (None, None)
-        return (
-            [1, 0, -q],
-            u_poly_mul([1, 1], [1, -q]),
-            extra[0],
-            extra[1],
-            q - 1,
-        )
-    if family is Family.U:
-        return (
-            u_poly_mul([1, 1], [1, 0, -q]),
-            u_poly_mul([1, 0, 1], [1, -q]),
-            None,
-            None,
-            1,
-        )
-    if family is Family.SU:
-        extra = ([1, 0, -q], [1, 0, 1]) if q_odd else (None, None)
-        return (
-            u_poly_mul([1, 1], [1, 0, -q]),
-            u_poly_mul([1, 0, 1], [1, -q]),
-            extra[0],
-            extra[1],
-            q + 1,
-        )
-    if family is Family.SP:
-        e_factor = [1, 2, 1] if q_odd else [1, 1]
-        return [1, 0, -q], u_poly_mul(e_factor, [1, -q]), None, None, 1
-    if family is Family.SO_ODD:
-        if not q_odd:
-            return _family_rational(Family.SP, q, q_odd)
-        return (
-            u_poly_mul([1, 2], [1, 0, -q]),
-            u_poly_mul([1, 2, 1], [1, -q]),
-            None,
-            None,
-            1,
-        )
-    if family in (Family.SO_PLUS, Family.SO_MINUS):
-        plus = family is Family.SO_PLUS
+    if family in (Family.GL, Family.SL):
+        terms = [([1, 0, -q], series_mul([1, 1], [1, -q]))]
+        if family is Family.GL:
+            return terms, 1
         if q_odd:
-            main = (u_poly_mul([1, 2, 2], [1, 0, -q]), u_poly_mul([1, 2, 1], [1, -q]))
-            extra = ([1, 0, -q], u_poly_mul([1, 2, 1], [1, -1]))
+            terms.append(([1, 0, -q], [1, 0, -1]))
+        return terms, q - 1
+    if family in (Family.U, Family.SU):
+        terms = [(series_mul([1, 1], [1, 0, -q]), series_mul([1, 0, 1], [1, -q]))]
+        if family is Family.U:
+            return terms, 1
+        if q_odd:
+            terms.append(([1, 0, -q], [1, 0, 1]))
+        return terms, q + 1
+    if family is Family.SP or (family is Family.SO_ODD and not q_odd):
+        e_factor = [1, 2, 1] if q_odd else [1, 1]
+        return [([1, 0, -q], series_mul(e_factor, [1, -q]))], 1
+    if family is Family.SO_ODD:
+        return [(series_mul([1, 2], [1, 0, -q]), series_mul([1, 2, 1], [1, -q]))], 1
+    if family in (Family.SO_PLUS, Family.SO_MINUS):
+        if q_odd:
+            main = (series_mul([1, 2, 2], [1, 0, -q]), series_mul([1, 2, 1], [1, -q]))
+            extra = ([1, 0, -q], series_mul([1, 2, 1], [1, -1]))
         else:
             main = ([1, 0, -q], [1, -q])
             extra = ([1, 0, -q], [1, 1])
-        if not plus:
+        if family is Family.SO_MINUS:
             extra = ([-c for c in extra[0]], extra[1])
-        return main[0], main[1], extra[0], extra[1], 1
+        return [main, extra], 1
     raise ValueError(f"unsupported family {family!r}")
 
 
@@ -350,13 +333,9 @@ def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
     check_int(T, "truncation order terms", 0)
     if T < n:
         raise ValueError(f"truncation order {T} is below the requested rank {n}")
-    num, den, extra_num, extra_den, divisor = _family_rational(family, q, q % 2 == 1)
+    rational_terms, divisor = _family_rational(family, q, q % 2 == 1)
     # Coefficient n of a truncated expansion does not depend on the order T >= n.
-    value = rational_coeffs(num, den, n)[n]
-    if extra_num is not None:
-        value += rational_coeffs(extra_num, extra_den, n)[n]
-    if divisor == 1:
-        return value
+    value = sum(series_from_rational(num, den, n)[n] for num, den in rational_terms)
     return exact_div(value, divisor, "series coefficient")
 
 
@@ -370,16 +349,9 @@ def symbolic_count_polynomials(
     for the other families.
     """
     check_int(max_n, "max_n")
-    Q = QPoly.symbol()
-    num, den, extra_num, extra_den, divisor = _family_rational(family, Q, q_odd)
-    main = series_from_rational(num, den, max_n)
-    extra = series_from_rational(extra_num, extra_den, max_n) if extra_num is not None else None
-    out: dict[int, QPoly] = {}
-    for n in range(1, max_n + 1):
-        value = coeff(main, n)
-        if extra is not None:
-            value = value + coeff(extra, n)
-        if divisor != 1:
-            value = value.divexact(divisor)
-        out[n] = value
-    return out
+    rational_terms, divisor = _family_rational(family, QPoly.symbol(), q_odd)
+    expansions = [series_from_rational(num, den, max_n) for num, den in rational_terms]
+    return {
+        n: sum((s[n] for s in expansions), QPoly()).divexact(divisor)
+        for n in range(1, max_n + 1)
+    }

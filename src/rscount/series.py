@@ -1,11 +1,13 @@
-"""Truncated formal power series in u, over ints or integer polynomials in Q.
+"""Truncated formal power series in u, as plain coefficient lists.
 
-A coefficient is an ``int`` at a concrete field size q, or a :class:`QPoly`,
-an integer polynomial in a symbol Q that specializes to counts when Q is
-evaluated at q.  The kernels :func:`u_poly_mul`, :func:`rational_coeffs` and
-:func:`mul_binomial_power` work on coefficient lists of either kind, so a
-numeric series is never boxed.  :class:`TruncatedSeries` is the boxed form, a
-fixed-order prefix c_0 + c_1 u + ... + c_T u^T of QPolys.
+A series is the list c_0, c_1, ..., c_T of its coefficients.  A coefficient
+is an ``int`` at a concrete field size q, or a :class:`QPoly`, an integer
+polynomial in a symbol Q that specializes to counts when Q is evaluated at q.
+Three kernels work on lists of either kind: :func:`series_mul` (the exact
+product of two u-polynomials), :func:`series_from_rational` (num/den expanded
+by the denominator's recurrence) and :func:`series_binomial_power` (one sparse
+factor (1 +/- u^d)^e, multiplied in place).  A product of two ints stays an
+int, so a numeric series is never boxed.
 
 Division never happens at the coefficient level: rational functions enter as
 numerator/denominator u-polynomials whose denominator has constant term +/-1.
@@ -143,7 +145,8 @@ class QPoly:
         return isinstance(other, QPoly) and other.coeffs == self.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant equals its int, so it must hash as that int.
+        return hash(self.as_int()) if self.is_constant else hash(self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -177,110 +180,7 @@ def _as_qpoly(x: Coeff) -> QPoly:
     return x if isinstance(x, QPoly) else QPoly(x)
 
 
-class TruncatedSeries:
-    """Power series prefix of fixed truncation ``order``: coefficients c_0..c_order.
-
-    Immutable, and equal and hashed by ``(order, coeffs)``.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: tuple[QPoly, ...]):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.coeffs) == (other.order, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.order, self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order!r}, coeffs={self.coeffs!r})"
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_orders(self, other)
-        return TruncatedSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_orders(self, other)
-        return TruncatedSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-
-def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.order != b.order:
-        raise ValueError(f"mismatched truncation orders {a.order} != {b.order}")
-
-
-def series(u_poly: Sequence[Coeff], order: int) -> TruncatedSeries:
-    """Build a series from a u-polynomial given as coefficients c_0, c_1, ...."""
-    coeffs = [_as_qpoly(c) for c in u_poly[: order + 1]]
-    coeffs.extend(QPoly() for _ in range(order + 1 - len(coeffs)))
-    return TruncatedSeries(order, tuple(coeffs))
-
-
-def coeff(s: TruncatedSeries, n: int) -> QPoly:
-    """The exact coefficient of u^n (0 <= n <= truncation order)."""
-    if not 0 <= n <= s.order:
-        raise ValueError(f"coefficient index {n} outside truncation order {s.order}")
-    return s.coeffs[n]
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    _check_orders(a, b)
-    return series(u_poly_mul(a.coeffs, b.coeffs), a.order)
-
-
-def series_binomial_power(d: int, sign: int, exponent: int, order: int) -> TruncatedSeries:
-    """(1 + sign * u^d) ** exponent with exact binomial coefficients.
-
-    ``sign`` is +1 or -1; ``exponent`` may be negative (formal binomial series).
-    """
-    coeffs = [1] + [0] * order
-    mul_binomial_power(coeffs, d, sign, exponent)
-    return series(coeffs, order)
-
-
-def series_from_rational(
-    numerator: Sequence[Coeff], denominator: Sequence[Coeff], order: int
-) -> TruncatedSeries:
-    """Expand numerator/denominator (u-polynomials) to the given order.
-
-    The denominator's constant term must be +1 or -1 so the expansion stays
-    over the integers.
-    """
-    return series(rational_coeffs(numerator, denominator, order), order)
-
-
-# ---------------------------------------------------------------------------
-# kernels on coefficient lists (ints or QPolys)
-# ---------------------------------------------------------------------------
-
-
-def u_poly_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+def series_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
     """Multiply two u-polynomials exactly; the product of two ints stays an int."""
     if not a or not b:
         return []
@@ -293,7 +193,7 @@ def u_poly_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
     return out
 
 
-def rational_coeffs(
+def series_from_rational(
     numerator: Sequence[Coeff], denominator: Sequence[Coeff], order: int
 ) -> list[Coeff]:
     """Coefficients c_0..c_order of numerator/denominator.
@@ -319,7 +219,7 @@ def rational_coeffs(
     return out
 
 
-def mul_binomial_power(coeffs: list[Coeff], d: int, sign: int, exponent: int) -> None:
+def series_binomial_power(coeffs: list[Coeff], d: int, sign: int, exponent: int) -> None:
     """Multiply ``coeffs`` in place by (1 + sign * u^d) ** exponent, truncated.
 
     The factor has only len(coeffs) // d + 1 terms below the truncation, the

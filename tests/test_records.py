@@ -1,4 +1,4 @@
-"""The value semantics of the five record classes.
+"""The value semantics of the four record classes.
 
 Each record is immutable, equal (and hashed alike) exactly when its fields
 are, pickles and prints by its fields, and keeps its defaults, derived
@@ -14,14 +14,12 @@ from rscount.closedform import Family, GroupSpec
 from rscount.fields import Poly, ff_from_order
 from rscount.genfun import VerificationReport
 from rscount.oracle import ConjugacyDatum, OracleResult
-from rscount.series import QPoly, TruncatedSeries
 
 _F3 = ff_from_order(3)
 _BLOCK = Poly(_F3, (1, 0, 1))
 _PAIR = (Poly(_F3, (2, 1)), Poly(_F3, (2, 1)))
 
 # (class, fields, a different value for each field that can change alone).
-# A TruncatedSeries' order cannot change without its coefficient count.
 RECORDS = [
     (
         VerificationReport,
@@ -46,11 +44,6 @@ RECORDS = [
         CensusCount,
         dict(kind=CensusKind.IRREDUCIBLE, q=3, degree=2, count=3, witnesses=(_BLOCK,)),
         dict(kind=CensusKind.SELF_RECIPROCAL, q=5, degree=3, count=4, witnesses=None),
-    ),
-    (
-        TruncatedSeries,
-        dict(order=2, coeffs=(QPoly(1), QPoly(0), QPoly([0, 1]))),
-        dict(coeffs=(QPoly(1), QPoly(1), QPoly([0, 1]))),
     ),
 ]
 
@@ -109,16 +102,3 @@ def test_verification_report_to_json():
         "rhs_coeffs": [1, 3, 5],
     }
 
-
-@pytest.mark.parametrize(
-    "order, coeffs, message",
-    [
-        (-1, (), "truncation order must be >= 0"),
-        (2, (QPoly(1),), "coefficient count must equal order + 1"),
-        (0, (QPoly(1), QPoly(0)), "coefficient count must equal order + 1"),
-    ],
-)
-def test_truncated_series_checks_its_shape(order, coeffs, message):
-    with pytest.raises(ValueError) as excinfo:
-        TruncatedSeries(order, coeffs)
-    assert str(excinfo.value) == message

@@ -1,4 +1,4 @@
-"""Unit tests for integer-polynomial coefficients and truncated series."""
+"""Unit tests for integer-polynomial coefficients and the series kernels."""
 
 import math
 
@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 from rscount.series import (
     DEFAULT_TRUNCATION,
     QPoly,
-    TruncatedSeries,
-    coeff,
-    mul_binomial_power,
-    rational_coeffs,
-    series,
     series_binomial_power,
     series_from_rational,
     series_mul,
-    u_poly_mul,
 )
 
 Q = QPoly.symbol()
@@ -45,6 +39,17 @@ def test_qpoly_equality_with_ints():
     assert QPoly((5,)) == 5
     assert QPoly() == 0
     assert Q != 1
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 5])
+def test_constant_qpoly_hashes_as_its_int(value):
+    # Equal values must hash alike, or set and dict lookups miss.
+    poly = QPoly(value)
+    assert poly == value and hash(poly) == hash(value)
+    assert value in {poly} and poly in {value}
+    assert {value: "x"}.get(poly) == "x"
+    assert {poly: "x"}.get(value) == "x"
+    assert QPoly((value, 0, 0)) in {value}
 
 
 def test_qpoly_as_int_and_evaluate():
@@ -108,7 +113,7 @@ def test_qpoly_divexact_round_trip(a, b):
 
 
 # ---------------------------------------------------------------------------
-# TruncatedSeries
+# series kernels on coefficient lists
 # ---------------------------------------------------------------------------
 
 
@@ -116,98 +121,111 @@ def test_default_truncation_covers_acceptance_grids():
     assert DEFAULT_TRUNCATION == 24
 
 
+def truncated(u_poly, order):
+    """A u-polynomial as a series to the given order: cut, or padded with zeros."""
+    return series_from_rational(u_poly, [1], order)
+
+
+def mul(a, b, order):
+    """The product of two series, truncated at ``order``."""
+    return series_mul(a, b)[: order + 1]
+
+
+def add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def inverse(den, order):
+    """1/den by the recurrence kernel: the rational function 1/den."""
+    return series_from_rational([1], den, order)
+
+
+def one(order):
+    return truncated([1], order)
+
+
 def test_series_construction_and_coeff():
-    s = series([1, 2, 3], 4)
-    assert s.order == 4
-    assert coeff(s, 0) == 1
-    assert coeff(s, 2) == 3
-    assert coeff(s, 4) == 0
-    with pytest.raises(ValueError):
-        coeff(s, 5)
-    with pytest.raises(ValueError):
-        coeff(s, -1)
+    s = truncated([1, 2, 3], 4)
+    assert s == [1, 2, 3, 0, 0]
+    assert s[0] == 1 and s[2] == 3 and s[4] == 0
+    assert truncated([1, 2, 3, 4], 1) == [1, 2]
+    assert truncated([], 2) == [0, 0, 0]
+    # An expansion has order + 1 entries however long num and den are.
+    for order in (0, 1, 5):
+        assert len(series_from_rational([1] * 7, [1] * 7, order)) == order + 1
 
 
 def test_series_mul_example():
-    one_plus = series([1, 1], 4)
-    one_minus = series([1, -1], 4)
-    assert one_plus * one_minus == series([1, 0, -1], 4)
-
-
-def test_series_mul_order_mismatch():
-    with pytest.raises(ValueError):
-        series_mul(series([1], 3), series([1], 4))
-
-
-def inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """1/s by the recurrence kernel: the rational function 1/s."""
-    return series_from_rational([1], s.coeffs, s.order)
+    assert series_mul([1, 1], [1, -1]) == [1, 0, -1]
+    assert mul(truncated([1, 1], 4), truncated([1, -1], 4), 4) == [1, 0, -1, 0, 0]
 
 
 def test_series_inverse_round_trip():
-    one_plus = series([1, 1], 6)
-    assert series_mul(one_plus, inverse(one_plus)) == series([1], 6)
-    geometric = inverse(series([1, -1 * Q], 6))
+    one_plus = truncated([1, 1], 6)
+    assert mul(one_plus, inverse(one_plus, 6), 6) == one(6)
+    geometric = inverse([1, -1 * Q], 6)
     # 1/(1 - Qu) has coefficients 1, Q, Q^2, ...
     for j in range(7):
-        assert coeff(geometric, j) == Q**j
+        assert geometric[j] == Q**j
     # (1 - Qu) * sum Q^n u^n == 1
-    assert series_mul(series([1, -1 * Q], 6), geometric) == series([1], 6)
+    assert mul([1, -1 * Q], geometric, 6) == one(6)
     # The same recurrence on plain ints: 1/(1 - 3u) = sum 3^n u^n.
-    assert rational_coeffs([1], [1, -3], 6) == [3**j for j in range(7)]
+    assert series_from_rational([1], [1, -3], 6) == [3**j for j in range(7)]
 
 
 def test_series_inverse_alternating():
-    inv = inverse(series([1, 1], 6))
+    inv = inverse([1, 1], 6)
     for j in range(7):
-        assert coeff(inv, j) == (-1) ** j
-    inv_sq = inverse(series_mul(series([1, 1], 6), series([1, 1], 6)))
+        assert inv[j] == (-1) ** j
+    inv_sq = inverse(mul([1, 1], [1, 1], 6), 6)
     for j in range(7):
-        assert coeff(inv_sq, j) == (-1) ** j * (j + 1)
-    assert rational_coeffs([1], [1, 2, 1], 6) == [(-1) ** j * (j + 1) for j in range(7)]
+        assert inv_sq[j] == (-1) ** j * (j + 1)
+    assert series_from_rational([1], [1, 2, 1], 6) == [(-1) ** j * (j + 1) for j in range(7)]
 
 
 def test_series_inverse_with_negative_unit():
-    s = series([-1, 2], 5)
-    assert series_mul(s, inverse(s)) == series([1], 5)
-    assert u_poly_mul([-1, 2], rational_coeffs([1], [-1, 2], 5))[:6] == [1, 0, 0, 0, 0, 0]
+    assert mul([-1, 2], inverse([-1, 2], 5), 5) == one(5)
+    assert inverse([-1, 2], 5) == [-(2**j) for j in range(6)]
 
 
 def test_series_inverse_rejects_non_unit():
     for den in ([2, 1], [0, 1], [], [Q, 1]):
         with pytest.raises(ValueError, match="denominator with constant term"):
-            inverse(series(den, 4))
-        with pytest.raises(ValueError, match="denominator with constant term"):
-            rational_coeffs([1], den, 4)
+            series_from_rational([1], den, 4)
+
+
+def binomial_power(d, sign, exponent, order):
+    coeffs = one(order)
+    series_binomial_power(coeffs, d, sign, exponent)
+    return coeffs
 
 
 def test_series_binomial_power():
-    assert series_binomial_power(1, 1, 2, 3) == series([1, 2, 1], 3)
-    inv = series_binomial_power(2, 1, -1, 6)
-    assert inv == series([1, 0, -1, 0, 1, 0, -1], 6)
-    stars_and_bars = series_binomial_power(1, -1, -3, 4)
-    assert coeff(stars_and_bars, 2) == 6
+    assert binomial_power(1, 1, 2, 3) == [1, 2, 1, 0]
+    assert binomial_power(2, 1, -1, 6) == [1, 0, -1, 0, 1, 0, -1]
+    stars_and_bars = binomial_power(1, -1, -3, 4)
+    assert stars_and_bars[2] == 6
     with pytest.raises(ValueError):
-        series_binomial_power(0, 1, 2, 4)
+        binomial_power(0, 1, 2, 4)
     with pytest.raises(ValueError):
-        series_binomial_power(1, 2, 2, 4)
+        binomial_power(1, 2, 2, 4)
 
 
 def test_series_binomial_power_matches_repeated_multiplication():
     for d in (1, 2, 3):
         for sign in (1, -1):
             for exponent in range(0, 5):
-                direct = series_binomial_power(d, sign, exponent, 10)
-                manual = series([1], 10)
-                base = series([1] + [0] * (d - 1) + [sign], 10)
+                direct = binomial_power(d, sign, exponent, 10)
+                manual = one(10)
+                base = [1] + [0] * (d - 1) + [sign]
                 for _ in range(exponent):
-                    manual = series_mul(manual, base)
+                    manual = mul(manual, base, 10)
                 assert direct == manual
             # Negative exponents invert the positive powers.
             for exponent in range(1, 4):
-                neg = series_binomial_power(d, sign, -exponent, 10)
-                pos = series_binomial_power(d, sign, exponent, 10)
-                assert series_mul(neg, pos) == series([1], 10)
+                neg = binomial_power(d, sign, -exponent, 10)
+                pos = binomial_power(d, sign, exponent, 10)
+                assert mul(neg, pos, 10) == one(10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,7 +235,7 @@ def test_series_binomial_power_matches_repeated_multiplication():
     sign=st.sampled_from((1, -1)),
     exponent=st.integers(-40, 40),
 )
-def test_mul_binomial_power_in_place_matches_cauchy_product(start, d, sign, exponent):
+def test_series_binomial_power_in_place_matches_cauchy_product(start, d, sign, exponent):
     T = len(start) - 1
     factor = [0] * (T + 1)
     for j in range(T // d + 1):
@@ -226,39 +244,66 @@ def test_mul_binomial_power_in_place_matches_cauchy_product(start, d, sign, expo
         else:
             c = (-1) ** j * math.comb(-exponent + j - 1, j)
         factor[j * d] = c * sign**j
-    expected = u_poly_mul(start, factor)[: T + 1]
+    expected = series_mul(start, factor)[: T + 1]
     coeffs = list(start)
-    mul_binomial_power(coeffs, d, sign, exponent)
+    series_binomial_power(coeffs, d, sign, exponent)
     assert coeffs == expected
 
 
 def test_series_from_rational_examples():
     # coefficient of u^2 in (1 - Qu^2)/((1+u)(1-Qu)) is (Q-1)^2
-    s = series_from_rational([1, 0, -1 * Q], u_poly_mul([1, 1], [1, -1 * Q]), 6)
-    assert coeff(s, 2) == Q**2 - 2 * Q + 1
-    assert coeff(s, 2).evaluate(2) == 1
+    s = series_from_rational([1, 0, -1 * Q], series_mul([1, 1], [1, -1 * Q]), 6)
+    assert s[2] == Q**2 - 2 * Q + 1
+    assert s[2].evaluate(2) == 1
 
-    assert coeff(series_from_rational([1], [1, -1 * Q], 6), 5) == Q**5
+    assert series_from_rational([1], [1, -1 * Q], 6)[5] == Q**5
 
     u_side = series_from_rational(
-        u_poly_mul([1, 1], [1, 0, -1 * Q]), u_poly_mul([1, 0, 1], [1, -1 * Q]), 4
+        series_mul([1, 1], [1, 0, -1 * Q]), series_mul([1, 0, 1], [1, -1 * Q]), 4
     )
-    assert coeff(u_side, 1) == Q + 1
+    assert u_side[1] == Q + 1
 
-    sp_side = series_from_rational([1, 0, -1 * Q], u_poly_mul([1, 2, 1], [1, -1 * Q]), 4)
-    assert coeff(sp_side, 2) == Q**2 - 3 * Q + 3
+    sp_side = series_from_rational([1, 0, -1 * Q], series_mul([1, 2, 1], [1, -1 * Q]), 4)
+    assert sp_side[2] == Q**2 - 3 * Q + 3
 
-    assert coeff(sp_side, 0) == 1
+    assert sp_side[0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num=st.lists(st.integers(-9, 9), max_size=8),
+    lead=st.sampled_from((1, -1)),
+    tail=st.lists(st.integers(-9, 9), max_size=6),
+    T=st.integers(0, 10),
+)
+def test_series_from_rational_inverts_series_mul(num, lead, tail, T):
+    den = [lead] + tail
+    padded = (num + [0] * (T + 1))[: T + 1]
+    assert series_mul(den, series_from_rational(num, den, T))[: T + 1] == padded
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num=st.lists(qpolys, max_size=6),
+    lead=st.sampled_from((QPoly(1), QPoly(-1))),
+    tail=st.lists(qpolys, max_size=4),
+    T=st.integers(0, 8),
+)
+def test_series_from_rational_inverts_series_mul_over_qpolys(num, lead, tail, T):
+    den = [lead] + tail
+    padded = (num + [QPoly()] * (T + 1))[: T + 1]
+    assert series_mul(den, series_from_rational(num, den, T))[: T + 1] == padded
 
 
 def test_series_ring_laws_small():
-    a = series([1, 1 * Q, 3], 12)
-    b = series([1, -2, 0, 5], 12)
-    c = series([2, 0, 1 * Q], 12)
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    assert (a * b) * c == a * (b * c)
-    assert a - a == series([], 12)
+    T = 12
+    a = truncated([1, 1 * Q, 3], T)
+    b = truncated([1, -2, 0, 5], T)
+    c = truncated([2, 0, 1 * Q], T)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, add(b, c), T) == add(mul(a, b, T), mul(a, c, T))
+    assert mul(mul(a, b, T), c, T) == mul(a, mul(b, c, T), T)
+    assert [x - x for x in a] == truncated([], T)
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,33 +314,28 @@ def test_series_ring_laws_small():
 )
 def test_series_ring_laws_random(a, b, c):
     T = 8
-    sa, sb, sc = series(a, T), series(b, T), series(c, T)
-    assert sa * (sb + sc) == sa * sb + sa * sc
-    assert (sa * sb) * sc == sa * (sb * sc)
-    assert sa * sb == sb * sa
+    sa, sb, sc = truncated(a, T), truncated(b, T), truncated(c, T)
+    assert mul(sa, add(sb, sc), T) == add(mul(sa, sb, T), mul(sa, sc, T))
+    assert mul(mul(sa, sb, T), sc, T) == mul(sa, mul(sb, sc, T), T)
+    assert mul(sa, sb, T) == mul(sb, sa, T)
 
 
 def test_evaluation_homomorphism():
     # Expanding symbolically and evaluating at q agrees with expanding at q.
     for q in (2, 3, 5):
         symbolic = series_from_rational(
-            [1, 0, -1 * Q], u_poly_mul([1, 1], [1, -1 * Q]), 10
+            [1, 0, -1 * Q], series_mul([1, 1], [1, -1 * Q]), 10
         )
-        numeric = series_from_rational([1, 0, -q], u_poly_mul([1, 1], [1, -q]), 10)
+        numeric = series_from_rational([1, 0, -q], series_mul([1, 1], [1, -q]), 10)
         for n in range(11):
-            assert coeff(symbolic, n).evaluate(q) == coeff(numeric, n).as_int()
+            # An entry Q never reached stays a plain int; adding QPoly() lifts it.
+            assert (symbolic[n] + QPoly()).evaluate(q) == numeric[n]
 
 
-def test_u_poly_mul():
+def test_series_mul_entry_types():
     # Int entries stay ints; a QPoly entry makes its products QPolys.
-    assert u_poly_mul([1, 1], [1, -1]) == [1, 0, -1]
-    assert all(type(c) is int for c in u_poly_mul([1, 1], [1, -1]))
-    assert u_poly_mul([1, 1], [1, -1 * Q]) == [1, 1 - Q, -1 * Q]
-    assert u_poly_mul([], [1, 2]) == []
-
-
-def test_truncated_series_validation():
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, (QPoly(1),))
-    with pytest.raises(ValueError):
-        TruncatedSeries(-1, ())
+    assert series_mul([1, 1], [1, -1]) == [1, 0, -1]
+    assert all(type(c) is int for c in series_mul([1, 1], [1, -1]))
+    assert all(type(c) is int for c in series_from_rational([1, 0, -3], [1, 2, 1], 6))
+    assert series_mul([1, 1], [1, -1 * Q]) == [1, 1 - Q, -1 * Q]
+    assert series_mul([], [1, 2]) == []
