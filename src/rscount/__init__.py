@@ -53,10 +53,6 @@ from .oracle import (
     OracleResult,
     oracle_constant_histogram,
     oracle_count,
-    oracle_linear,
-    oracle_orthogonal,
-    oracle_symplectic,
-    oracle_unitary,
     oracle_unitary_histogram,
 )
 from .series import QPoly
@@ -94,10 +90,6 @@ __all__ = [
     "multiplicative_order",
     "oracle_constant_histogram",
     "oracle_count",
-    "oracle_linear",
-    "oracle_orthogonal",
-    "oracle_symplectic",
-    "oracle_unitary",
     "oracle_unitary_histogram",
     "reciprocal",
     "reciprocal_pairs",

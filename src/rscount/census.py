@@ -466,11 +466,7 @@ def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
     if kind is CensusKind.IRREDUCIBLE:
         return irreducibles(ff_from_order(q), d, nonzero_constant=True)
     if kind is CensusKind.SELF_RECIPROCAL:
-        field = ff_from_order(q)
-        return tuple(
-            f for f in irreducibles(field, d, nonzero_constant=True)
-            if f.coeffs == reciprocal_codes(field, f.coeffs)
-        )
+        return self_reciprocal_irreducibles(ff_from_order(q), d)
     if kind is CensusKind.RECIPROCAL_PAIRS:
         return reciprocal_pairs(ff_from_order(q), d)
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
@@ -491,8 +487,9 @@ def census_count(
 
     ``method="enumerate"`` scans the full candidate space (q^d monic
     polynomials, or q^(2d) for the hermitian pairs, subject to the
-    enumeration cap) and can attach the witnesses; the hermitian
-    self-reciprocal members are built from the q^d monic polynomials over
+    enumeration cap) and can attach the witnesses; the self-reciprocal
+    members are built from the q^(d/2) monic polynomials of half the degree,
+    the hermitian self-reciprocal ones from the q^d monic polynomials over
     GF(q).  ``method="formula"`` uses the closed necklace/recursion counts.
     """
     check_int(q, "field size q", 2)

@@ -1,7 +1,11 @@
 """Ground-truth class counts by exhaustive enumeration.
 
-Each oracle walks a complete candidate space and counts class invariants
-directly, sharing no arithmetic with the closed-form or series routes:
+:func:`oracle_count` is the one count entry point: it routes a group spec to
+its scan.  :func:`oracle_constant_histogram` and
+:func:`oracle_unitary_histogram` give the linear and unitary scans' counts
+per constant term.  Each scan walks a complete candidate space and counts
+class invariants directly, sharing no arithmetic with the closed-form or
+series routes:
 
 * linear / unitary / symplectic families: monic squarefree polynomials under
   the family's symmetry and constant-term constraint, one class per polynomial;
@@ -64,10 +68,6 @@ __all__ = [
     "iter_orthogonal_data",
     "oracle_constant_histogram",
     "oracle_count",
-    "oracle_linear",
-    "oracle_orthogonal",
-    "oracle_symplectic",
-    "oracle_unitary",
     "oracle_unitary_histogram",
 ]
 
@@ -81,7 +81,7 @@ class OracleResult(NamedTuple):
     notes: str = ""
 
 
-class ConjugacyDatum:
+class ConjugacyDatum(NamedTuple):
     """Class datum for an orthogonal group: eigenvalue ±1 parts plus blocks.
 
     ``a_minus``/``b_plus`` are the multiplicities of the factors (z-1)/(z+1);
@@ -89,48 +89,15 @@ class ConjugacyDatum:
     even characteristic z+1 = z-1 and only the ``a`` part is used).  ``blocks``
     are distinct reciprocal-symmetric irreducibles of even degree; ``pairs``
     are distinct unordered irreducible reciprocal pairs (f, reciprocal of f).
-    Immutable, and equal and hashed by its fields.
     """
 
-    __slots__ = ("a_minus", "a_type", "b_plus", "b_type", "blocks", "pairs", "total_dim")
-
-    def __init__(
-        self,
-        a_minus: int,
-        a_type: Optional[int],
-        b_plus: int,
-        b_type: Optional[int],
-        blocks: tuple[Poly, ...],
-        pairs: tuple[tuple[Poly, Poly], ...],
-        total_dim: int,
-    ):
-        values = (a_minus, a_type, b_plus, b_type, blocks, pairs, total_dim)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ConjugacyDatum, self._values()
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"ConjugacyDatum({body})"
+    a_minus: int
+    a_type: Optional[int]
+    b_plus: int
+    b_type: Optional[int]
+    blocks: tuple[Poly, ...]
+    pairs: tuple[tuple[Poly, Poly], ...]
+    total_dim: int
 
     @property
     def has_eigenvalue_part(self) -> bool:
@@ -280,58 +247,6 @@ def _symplectic_scan(n: int, q: int) -> int:
     return marks.count(0)
 
 
-def oracle_linear(n: int, q: int, equals: Optional[int] = None) -> OracleResult:
-    """Count monic squarefree degree-n polynomials over GF(q).
-
-    ``equals=None`` applies the nonzero-constant constraint (GL); an integer
-    code restricts to that exact constant term (SL uses the code of (-1)^n).
-    """
-    check_int(n, "rank n")
-    check_int(q, "field size q", 2)
-    hist = _linear_histogram(n, q)
-    if equals is None:
-        count = sum(hist.values())
-        family, notes = Family.GL, "constant term nonzero"
-    else:
-        check_int(equals, "constant-term code")
-        if equals >= q:
-            raise ValueError(f"constant-term code {equals!r} not a unit of GF({q})")
-        count = hist[equals]
-        family, notes = Family.SL, f"constant term fixed to code {equals}"
-    return OracleResult(GroupSpec(family, n, q), count, sum(hist.values()), notes)
-
-
-def oracle_unitary(n: int, q: int, equals: Optional[int] = None) -> OracleResult:
-    """Count degree-n conjugate-self-reciprocal squarefree polys over GF(q²).
-
-    ``equals=None`` counts all (U); an integer code restricts the constant
-    term (SU uses the code of (-1)^n in GF(q²)).  A code of GF(q²) off the
-    norm-one circle counts 0."""
-    check_int(n, "rank n")
-    check_int(q, "field size q", 2)
-    hist = _unitary_histogram(n, q)
-    if equals is None:
-        count = sum(hist.values())
-        family, notes = Family.U, "constant term on the norm-one circle"
-    else:
-        check_int(equals, "constant-term code", 0)
-        if equals >= q * q:
-            raise ValueError(f"constant-term code {equals!r} not in GF({q * q})")
-        count = hist.get(equals, 0)
-        family, notes = Family.SU, f"constant term fixed to code {equals}"
-    return OracleResult(GroupSpec(family, n, q), count, sum(hist.values()), notes)
-
-
-def oracle_symplectic(n: int, q: int) -> OracleResult:
-    """Count degree-2n reciprocal-symmetric squarefree polys, no ±1 roots."""
-    check_int(n, "rank n")
-    check_int(q, "field size q", 2)
-    count = _symplectic_scan(n, q)
-    return OracleResult(
-        GroupSpec(Family.SP, n, q), count, count, "one class per polynomial"
-    )
-
-
 def oracle_constant_histogram(n: int, q: int) -> dict[int, int]:
     """For each unit constant code, the count of monic squarefree degree-n
     polynomials over GF(q) with that constant term."""
@@ -384,7 +299,7 @@ def _orthogonal_parts(m: int, q: int):
     if not q_odd and m % 2:
         raise ValueError(
             "odd-dimensional orthogonal data in even characteristic are symplectic; "
-            "use oracle_symplectic"
+            f"count them with oracle_count(GroupSpec(Family.SP, {(m - 1) // 2}, {q}))"
         )
     field = ff_from_order(q)
     universe = [(d, -1, f) for d in range(2, m + 1, 2)
@@ -430,10 +345,15 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
         yield from dfs(0, m - a - b, a, a_type, b, b_type)
 
 
-# The census scans behind the data are capped at q^(m//2) candidates, at the
-# self-reciprocal irreducibles of degree m (or m-1) and the reciprocal pairs of
-# degree m//2, so the cached sums are capped at the same bound.
-@capped_cache(lambda m, q: (q ** (m // 2), f"orthogonal data scan over GF({q}) dimension {m}"))
+def _orthogonal_bound(m: int, q: int):
+    ff_from_order(q)  # a q that is not a prime power fails before the cap check
+    # The census scans behind the data are capped at q^(m//2) candidates, at
+    # the self-reciprocal irreducibles of degree m (or m-1) and the reciprocal
+    # pairs of degree m//2, so the cached sums are capped at the same bound.
+    return q ** (m // 2), f"orthogonal data scan over GF({q}) dimension {m}"
+
+
+@capped_cache(_orthogonal_bound)
 def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     """(S, D, data_count) for total dimension m over GF(q).
 
@@ -476,70 +396,46 @@ def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     return S, D, total
 
 
-def oracle_orthogonal(m: int, q: int, target: str) -> OracleResult:
-    """Class count for SO of total dimension m over GF(q).
-
-    ``target`` is "plus"/"minus" (even m) or "odd_dim" (odd m, odd q).  The
-    returned group spec carries the rank: n = m//2.
-    """
-    if target not in ("plus", "minus", "odd_dim"):
-        raise ValueError(f"target must be 'plus', 'minus', or 'odd_dim', got {target!r}")
-    check_int(m, "total dimension m", 2)
-    check_int(q, "field size q", 2)
-    if m % 2 == 0 and target == "odd_dim":
-        raise ValueError("target 'odd_dim' needs odd total dimension m")
-    if m % 2 == 1 and target != "odd_dim":
-        raise ValueError(f"target {target!r} needs even total dimension m")
-    if m % 2 == 1 and q % 2 == 0:
-        raise ValueError(
-            "odd total dimension in even characteristic coincides with the "
-            "symplectic group; use oracle_symplectic((m-1)//2, q)"
-        )
-    S, D, total = _orthogonal_sums(m, q)
-    n = m // 2
-    if target == "odd_dim":
-        total_weight, family = S, Family.SO_ODD
-    elif target == "plus":
-        total_weight, family = S + D, Family.SO_PLUS
-    else:
-        total_weight, family = S - D, Family.SO_MINUS
-    count = exact_div(total_weight, 2, "orthogonal weighted sum")
-    return OracleResult(GroupSpec(family, n, q), count, total, f"S={S}, D={D}")
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
 
 def oracle_count(spec: GroupSpec) -> OracleResult:
-    """Route a group spec to its enumeration, including the SL/SU constant
-    filters and the even-characteristic odd-orthogonal delegation."""
+    """Count the regular semisimple classes of ``spec`` by enumeration.
+
+    GL and U count every member of their scan's constant-term histogram, SL
+    and SU the members whose constant term is the code of (-1)^n.  Sp, and
+    SO(2n+1) in even characteristic (isomorphic to Sp there), count the
+    symplectic scan.  The other orthogonal families halve S, S + D or S - D
+    of the orthogonal walk over dimension 2n+1 or 2n.
+    """
     family, n, q = spec
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
-    if family is Family.GL:
-        return oracle_linear(n, q)
-    if family is Family.SL:
-        code = 1 if n % 2 == 0 else ff_from_order(q).neg(1)
-        return oracle_linear(n, q, equals=code)
-    if family is Family.U:
-        return oracle_unitary(n, q)
-    if family is Family.SU:
-        code = 1 if n % 2 == 0 else ff_from_order(q * q).neg(1)
-        return oracle_unitary(n, q, equals=code)
-    if family is Family.SP:
-        return oracle_symplectic(n, q)
+    if family in (Family.GL, Family.SL, Family.U, Family.SU):
+        linear = family in (Family.GL, Family.SL)
+        # The histogram first: its scan names a q that is not a prime power.
+        hist = _linear_histogram(n, q) if linear else _unitary_histogram(n, q)
+        total = sum(hist.values())
+        if family is Family.GL:
+            return OracleResult(spec, total, total, "constant term nonzero")
+        if family is Family.U:
+            return OracleResult(spec, total, total, "constant term on the norm-one circle")
+        code = 1 if n % 2 == 0 else ff_from_order(q if linear else q * q).neg(1)
+        return OracleResult(spec, hist.get(code, 0), total, f"constant term fixed to code {code}")
+    if family is Family.SP or (family is Family.SO_ODD and q % 2 == 0):
+        count = _symplectic_scan(n, q)
+        notes = ("one class per polynomial" if family is Family.SP else
+                 "delegated to the symplectic scan (isomorphic in even characteristic)")
+        return OracleResult(spec, count, count, notes)
     if family is Family.SO_ODD:
-        if q % 2 == 0:
-            result = oracle_symplectic(n, q)
-            return OracleResult(
-                spec, result.count, result.witness_count,
-                "delegated to the symplectic scan (isomorphic in even characteristic)",
-            )
-        return oracle_orthogonal(2 * n + 1, q, "odd_dim")
-    if family is Family.SO_PLUS:
-        return oracle_orthogonal(2 * n, q, "plus")
-    if family is Family.SO_MINUS:
-        return oracle_orthogonal(2 * n, q, "minus")
-    raise ValueError(f"unsupported family {family!r}")
+        S, D, total = _orthogonal_sums(2 * n + 1, q)
+        weight = S
+    elif family in (Family.SO_PLUS, Family.SO_MINUS):
+        S, D, total = _orthogonal_sums(2 * n, q)
+        weight = S + D if family is Family.SO_PLUS else S - D
+    else:
+        raise ValueError(f"unsupported family {family!r}")
+    count = exact_div(weight, 2, "orthogonal weighted sum")
+    return OracleResult(spec, count, total, f"S={S}, D={D}")

@@ -22,12 +22,17 @@ DEFAULT_TRUNCATION = 24
 
 
 class QPoly:
-    """Integer-coefficient polynomial in the symbol Q, low-to-high tuple."""
+    """Integer-coefficient polynomial in the symbol Q, low-to-high tuple.
+
+    Built from an int, a low-to-high coefficient sequence, or another QPoly,
+    of which it is an equal copy."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Union[int, Sequence[int]] = ()):
-        if isinstance(coeffs, int):
+    def __init__(self, coeffs: Union[int, "QPoly", Sequence[int]] = ()):
+        if isinstance(coeffs, QPoly):
+            coeffs = coeffs.coeffs
+        elif isinstance(coeffs, int):
             coeffs = (coeffs,)
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:

@@ -365,6 +365,16 @@ def test_census_formula_equals_enumerate():
                 assert fast == slow, (kind, q, d)
 
 
+def test_self_reciprocal_census_enumerates_past_the_irreducible_cap(monkeypatch):
+    # The members are built from the irreducibles of half the degree, so the
+    # enumerate route runs at degrees whose q^d candidates exceed the cap.
+    monkeypatch.delenv("RSCOUNT_ENUM_CAP", raising=False)
+    assert 3**17 > DEFAULT_ENUM_CAP
+    for d in (17, 18):
+        enumerated = census_count(CensusKind.SELF_RECIPROCAL, 3, d, method="enumerate").count
+        assert enumerated == census_count(CensusKind.SELF_RECIPROCAL, 3, d).count, d
+
+
 def test_census_count_validation():
     with pytest.raises(ValueError):
         census_count(CensusKind.IRREDUCIBLE, 6, 2)  # composite q

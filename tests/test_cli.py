@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -87,6 +88,17 @@ def test_count_invalid_rank(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_count_oracle_names_a_q_that_is_not_a_prime_power(capsys, n):
+    # SU(1, 6) fixes its constant term in GF(q^2); the error still names q.
+    code, out, err = run_cli(
+        capsys, "count", "--group", "su", "--n", n, "--q", "6", "--method", "oracle"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: q=6 is not a prime power"
 
 
 def test_count_oracle_refuses_beyond_bound(capsys, monkeypatch):
@@ -304,6 +316,16 @@ def test_census_methods_agree(capsys):
         for d in (1, 2, 3):
             expected = census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 2, d).count
             assert lines[d] == f"hermitian-self-reciprocal,2,{d},{expected}"
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, so that the documentation
+    cannot name a function or argument the package no longer has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_census_requires_prime_power(capsys):

@@ -40,12 +40,12 @@ from rscount.oracle import (
     iter_orthogonal_data,
     oracle_constant_histogram,
     oracle_count,
-    oracle_linear,
-    oracle_orthogonal,
-    oracle_symplectic,
-    oracle_unitary,
     oracle_unitary_histogram,
 )
+
+
+def _oracle(family: Family, n: int, q: int):
+    return oracle_count(GroupSpec(family, n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +171,19 @@ def test_symplectic_sieve_matches_gcd_scan():
     cells = list(_reference_cells(lambda n, q: q**n))
     assert (11, 2) in cells and (3, 4) in cells and (3, 8) in cells
     for n, q in cells:
-        assert oracle_symplectic(n, q).count == _reference_symplectic_scan(n, q), (n, q)
+        assert _oracle(Family.SP, n, q).count == _reference_symplectic_scan(n, q), (n, q)
 
 
 def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
     import rscount.oracle as oracle
 
     cells = [
-        lambda: oracle_linear(3, 2),
+        lambda: _oracle(Family.GL, 3, 2),
         lambda: oracle_constant_histogram(3, 2),
-        lambda: oracle_unitary(3, 2),
+        lambda: _oracle(Family.U, 3, 2),
         lambda: oracle_unitary_histogram(3, 2),
-        lambda: oracle_symplectic(3, 2),
-        lambda: oracle_orthogonal(6, 3, "plus"),
+        lambda: _oracle(Family.SP, 3, 2),
+        lambda: _oracle(Family.SO_PLUS, 3, 3),
         lambda: irreducibles(ff_from_order(3), 4),
         lambda: self_reciprocal_irreducibles(ff_from_order(3), 6),
         lambda: reciprocal_pairs(ff_from_order(3), 2),
@@ -198,7 +198,7 @@ def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
         raise AssertionError("marks allocated past the cap")
 
     monkeypatch.setattr(oracle, "_squarefree_marks", no_marks)
-    for call in cells + [lambda: oracle_linear(5, 2), lambda: oracle_symplectic(5, 3)]:
+    for call in cells + [lambda: _oracle(Family.GL, 5, 2), lambda: _oracle(Family.SP, 5, 3)]:
         with pytest.raises(EnumerationBoundError, match="above the enumeration cap 4"):
             call()
 
@@ -211,9 +211,9 @@ def test_symplectic_cap_counts_the_monic_g(monkeypatch):
         EnumerationBoundError,
         match=r"^symplectic scan over the monic g of degree 6 over GF\(5\) needs 15625 candidates",
     ):
-        oracle_symplectic(6, 5)
+        _oracle(Family.SP, 6, 5)
     monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(5**6))
-    assert oracle_symplectic(6, 5).count == rs_count(GroupSpec(Family.SP, 6, 5)) == 8677
+    assert _oracle(Family.SP, 6, 5).count == rs_count(GroupSpec(Family.SP, 6, 5)) == 8677
 
 
 def test_unitary_cap_counts_the_marks(monkeypatch):
@@ -225,9 +225,9 @@ def test_unitary_cap_counts_the_marks(monkeypatch):
         EnumerationBoundError,
         match=r"^unitary sieve over the marks of degree 5 over GF\(3\^2\) needs 729 candidates",
     ):
-        oracle_unitary(5, 3)
+        _oracle(Family.U, 5, 3)
     monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(9**3))
-    assert oracle_unitary(5, 3).count == rs_count(GroupSpec(Family.U, 5, 3))
+    assert _oracle(Family.U, 5, 3).count == rs_count(GroupSpec(Family.U, 5, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +236,10 @@ def test_unitary_cap_counts_the_marks(monkeypatch):
 
 
 def test_linear_oracle_anchors():
-    assert oracle_linear(1, 5).count == 4
-    assert oracle_linear(2, 2).count == 1
-    assert oracle_linear(2, 3).count == 4
-    result = oracle_linear(3, 2)
+    assert _oracle(Family.GL, 1, 5).count == 4
+    assert _oracle(Family.GL, 2, 2).count == 1
+    assert _oracle(Family.GL, 2, 3).count == 4
+    result = _oracle(Family.GL, 3, 2)
     assert result.count == 3
     assert result.group == GroupSpec(Family.GL, 3, 2)
     assert result.witness_count == result.count
@@ -255,14 +255,14 @@ def test_linear_histogram_by_hand():
 
 
 def test_linear_constant_filter():
-    result = oracle_linear(2, 3, equals=1)
-    assert result.count == 1
+    # SL fixes the constant term to the code of (-1)^n: 1 for n = 2, and
+    # 2 = -1 over GF(3) for n = 3.
+    result = _oracle(Family.SL, 2, 3)
+    assert result.count == oracle_constant_histogram(2, 3)[1] == 1
     assert result.witness_count == 4
-    assert result.group.family is Family.SL
-    with pytest.raises(ValueError):
-        oracle_linear(2, 3, equals=0)
-    with pytest.raises(ValueError):
-        oracle_linear(2, 3, equals=3)
+    assert result.group == GroupSpec(Family.SL, 2, 3)
+    assert result.notes == "constant term fixed to code 1"
+    assert _oracle(Family.SL, 3, 3).count == oracle_constant_histogram(3, 3)[2]
 
 
 def test_linear_histogram_parity_structure():
@@ -287,11 +287,11 @@ def test_linear_histogram_parity_structure():
 
 
 def test_unitary_oracle_anchors():
-    result = oracle_unitary(1, 2)
+    result = _oracle(Family.U, 1, 2)
     assert result.count == 3
     assert result.group == GroupSpec(Family.U, 1, 2)
-    assert oracle_unitary(2, 2).count == 3
-    assert oracle_unitary(2, 3).count == 8
+    assert _oracle(Family.U, 2, 2).count == 3
+    assert _oracle(Family.U, 2, 3).count == 8
 
 
 def test_unitary_histogram_structure():
@@ -306,11 +306,12 @@ def test_unitary_histogram_structure():
 
 def test_unitary_constant_filter():
     ext = ff_from_order(4)
-    result = oracle_unitary(1, 2, equals=ext.neg(1))
-    assert result.count == 1
+    result = _oracle(Family.SU, 1, 2)
+    assert result.count == oracle_unitary_histogram(1, 2)[ext.neg(1)] == 1
     assert result.witness_count == 3
-    assert result.group.family is Family.SU
-    assert oracle_unitary(1, 2, equals=0).count == 0
+    assert result.group == GroupSpec(Family.SU, 1, 2)
+    assert result.notes == f"constant term fixed to code {ext.neg(1)}"
+    assert oracle_unitary_histogram(1, 2).get(0, 0) == 0
 
 
 def test_unitary_top_half_marks_match_full_products():
@@ -327,54 +328,41 @@ def test_unitary_top_half_marks_match_full_products():
         assert 0 not in hist.values()
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: oracle_linear(2, 3, equals=1.5),
-        lambda: oracle_linear(2, 3, equals=True),
-        lambda: oracle_linear(2, 3, equals=0),
-        lambda: oracle_linear(2, 3, equals=3),
-        lambda: oracle_linear(2, 3, equals=-1),
-        lambda: oracle_unitary(2, 3, equals=1.0),
-        lambda: oracle_unitary(2, 3, equals=True),
-        lambda: oracle_unitary(2, 3, equals=9),
-        lambda: oracle_unitary(2, 3, equals=-1),
-    ],
-    ids=["linear-float", "linear-bool", "linear-zero", "linear-q", "linear-negative",
-         "unitary-float", "unitary-bool", "unitary-q2", "unitary-negative"],
-)
-def test_constant_code_validated(call):
-    with pytest.raises(ValueError, match="constant-term code"):
-        call()
-
-
 def test_unitary_constant_off_the_circle_counts_zero():
     circle = set(norm_one_circle(3))
     off = [c for c in range(9) if c not in circle]
     assert off
+    hist = oracle_unitary_histogram(2, 3)
     for c in off:
-        assert oracle_unitary(2, 3, equals=c).count == 0
-    assert sum(oracle_unitary(2, 3, equals=c).count for c in circle) == oracle_unitary(2, 3).count
+        assert hist.get(c, 0) == 0
+    assert sum(hist.get(c, 0) for c in circle) == _oracle(Family.U, 2, 3).count
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle_unitary(10, 6),
-        lambda: oracle_unitary(1, 6),
+        lambda: _oracle(Family.U, 10, 6),
+        lambda: _oracle(Family.U, 1, 6),
+        lambda: _oracle(Family.SU, 1, 6),
+        lambda: _oracle(Family.SU, 2, 6),
         lambda: oracle_unitary_histogram(10, 6),
         lambda: hermitian_pairs(6, 2),
         lambda: hermitian_pairs(6, 20),
         lambda: hermitian_self_reciprocal_irreducibles(6, 3),
         lambda: hermitian_self_reciprocal_irreducibles(6, 20),
+        lambda: _oracle(Family.SO_PLUS, 30, 6),
+        lambda: _oracle(Family.SO_MINUS, 30, 6),
+        lambda: _oracle(Family.SO_ODD, 30, 15),
+        lambda: _oracle(Family.SO_PLUS, 1, 6),
     ],
-    ids=["unitary-past-cap", "unitary", "histogram", "pairs", "pairs-past-cap",
-         "self-reciprocal", "self-reciprocal-past-cap"],
+    ids=["unitary-past-cap", "unitary", "su-odd-rank", "su-even-rank", "histogram", "pairs",
+         "pairs-past-cap", "self-reciprocal", "self-reciprocal-past-cap",
+         "so+-past-cap", "so--past-cap", "so-odd-past-cap", "so+"],
 )
-def test_hermitian_scans_name_a_q_that_is_not_a_prime_power(call):
-    # The prime power is checked before the cap, so the error names q = 6,
-    # not GF(36) or a candidate count.
-    with pytest.raises(ValueError, match="q=6 is not a prime power"):
+def test_scans_name_a_q_that_is_not_a_prime_power(call):
+    # The prime power is checked before the cap, so the error names q itself,
+    # not GF(q^2) or a candidate count.
+    with pytest.raises(ValueError, match=r"^q=(6|15) is not a prime power$"):
         call()
 
 
@@ -386,10 +374,10 @@ def test_hermitian_scans_name_a_q_that_is_not_a_prime_power(call):
 def test_symplectic_oracle_anchors():
     # Degree-2 palindromes with no root at +/-1 and squarefree: exactly
     # z^2+z+1 over GF(2) and z^2+1 over GF(3).
-    assert oracle_symplectic(1, 2).count == 1
-    assert oracle_symplectic(1, 3).count == 1
-    assert oracle_symplectic(2, 3).count == 3
-    result = oracle_symplectic(3, 2)
+    assert _oracle(Family.SP, 1, 2).count == 1
+    assert _oracle(Family.SP, 1, 3).count == 1
+    assert _oracle(Family.SP, 2, 3).count == 3
+    result = _oracle(Family.SP, 3, 2)
     assert result.count == 3
     assert result.witness_count == result.count
     assert result.group == GroupSpec(Family.SP, 3, 2)
@@ -462,32 +450,29 @@ def test_orthogonal_walk_and_data_reject_odd_dimension_in_even_characteristic():
 
 
 def test_orthogonal_oracle_anchors():
-    odd = oracle_orthogonal(3, 3, "odd_dim")
+    odd = _oracle(Family.SO_ODD, 1, 3)
     assert odd.count == 3
     assert odd.group == GroupSpec(Family.SO_ODD, 1, 3)
     assert odd.witness_count == 6
     assert odd.notes == "S=6, D=0"
 
-    plus = oracle_orthogonal(2, 3, "plus")
-    minus = oracle_orthogonal(2, 3, "minus")
+    plus = _oracle(Family.SO_PLUS, 1, 3)
+    minus = _oracle(Family.SO_MINUS, 1, 3)
     assert plus.count == 2
     assert minus.count == 4
+    assert plus.group == GroupSpec(Family.SO_PLUS, 1, 3)
+    assert minus.group == GroupSpec(Family.SO_MINUS, 1, 3)
     assert plus.notes == "S=6, D=-2"
     assert minus.notes == "S=6, D=-2"
     assert plus.witness_count == minus.witness_count == 5
 
 
 def test_orthogonal_oracle_validation():
-    with pytest.raises(ValueError):
-        oracle_orthogonal(4, 3, "both")
-    with pytest.raises(ValueError):
-        oracle_orthogonal(1, 3, "odd_dim")
-    with pytest.raises(ValueError):
-        oracle_orthogonal(4, 3, "odd_dim")
-    with pytest.raises(ValueError):
-        oracle_orthogonal(5, 3, "plus")
-    with pytest.raises(ValueError):
-        oracle_orthogonal(5, 2, "odd_dim")
+    for family in (Family.SO_ODD, Family.SO_PLUS, Family.SO_MINUS):
+        with pytest.raises(ValueError, match="rank n"):
+            _oracle(family, 0, 3)
+        with pytest.raises(ValueError, match="field size q"):
+            _oracle(family, 1, 1)
 
 
 def test_block_pair_sign():
@@ -528,24 +513,24 @@ def test_oracle_count_even_char_odd_orthogonal_delegates():
 
 def test_oracle_validation():
     with pytest.raises(ValueError):
-        oracle_linear(0, 3)
+        _oracle(Family.GL, 0, 3)
     with pytest.raises(ValueError):
-        oracle_unitary(1, 1)
+        _oracle(Family.U, 1, 1)
     with pytest.raises(ValueError):
-        oracle_symplectic(-1, 3)
+        _oracle(Family.SP, -1, 3)
 
 
 _BOOL_CALLS = [
-    ("oracle_linear", lambda: oracle_linear(True, 3)),
-    ("oracle_linear q", lambda: oracle_linear(2, True)),
-    ("oracle_unitary", lambda: oracle_unitary(True, 3)),
-    ("oracle_symplectic", lambda: oracle_symplectic(True, 3)),
+    ("oracle_count sl", lambda: _oracle(Family.SL, True, 3)),
+    ("oracle_count sl q", lambda: _oracle(Family.SL, 2, True)),
+    ("oracle_count u", lambda: _oracle(Family.U, True, 3)),
+    ("oracle_count sp", lambda: _oracle(Family.SP, True, 3)),
     ("oracle_constant_histogram", lambda: oracle_constant_histogram(True, 3)),
     ("oracle_unitary_histogram", lambda: oracle_unitary_histogram(True, 3)),
     ("oracle_count", lambda: oracle_count(GroupSpec(Family.GL, True, 3))),
     ("iter_orthogonal_data", lambda: list(iter_orthogonal_data(True, 3))),
     ("iter_orthogonal_data q", lambda: list(iter_orthogonal_data(3, True))),
-    ("oracle_orthogonal", lambda: oracle_orthogonal(True, 3, "odd_dim")),
+    ("oracle_count so-odd", lambda: _oracle(Family.SO_ODD, True, 3)),
     ("rs_count", lambda: rs_count(GroupSpec(Family.GL, True, 3))),
     ("rs_count q", lambda: rs_count(GroupSpec(Family.GL, 2, True))),
     ("rs_symbolic", lambda: rs_symbolic(Family.GL, True)),
@@ -583,13 +568,14 @@ def test_exactness_checks_survive_python_O():
         import rscount.census as census
         import rscount.oracle as oracle
         from rscount.census import CensusKind, census_count
+        from rscount.closedform import Family, GroupSpec
         from rscount.fields import Poly
         out = {"optimize": sys.flags.optimize}
         out["counts"] = [
             census_count(CensusKind.IRREDUCIBLE, 3, 6).count,
             census_count(CensusKind.SELF_RECIPROCAL, 3, 6).count,
             census_count(CensusKind.HERMITIAN_PAIRS, 2, 5).count,
-            oracle.oracle_orthogonal(6, 3, "plus").count,
+            oracle.oracle_count(GroupSpec(Family.SO_PLUS, 3, 3)).count,
         ]
         census.mobius = lambda k: 1  # the necklace sum is then not divisible
         try:
@@ -606,7 +592,7 @@ def test_exactness_checks_survive_python_O():
         # The oracle's counting walk builds no data, so it needs the check
         # too; the cell (4, 3) is not cached yet.
         try:
-            oracle.oracle_orthogonal(4, 3, "plus")
+            oracle.oracle_count(GroupSpec(Family.SO_PLUS, 2, 3))
             out["walk_constant"] = "unchecked"
         except ArithmeticError:
             out["walk_constant"] = "raised"
@@ -646,7 +632,8 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
         import rscount
         import rscount.fields as fields
         from rscount.census import CensusKind, census_count
-        from rscount.oracle import oracle_orthogonal, oracle_unitary
+        from rscount.closedform import Family, GroupSpec
+        from rscount.oracle import oracle_count
         for q in (4, 9):
             fields.ff_from_order(q)
         calls = [0]
@@ -661,11 +648,11 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
         for name in bindings:
             sys.modules[name].is_irreducible = counted
         out = {"bindings": sorted(bindings), "counts": [
-            oracle_orthogonal(12, 5, "plus").count,
-            oracle_orthogonal(8, 4, "minus").count,
+            oracle_count(GroupSpec(Family.SO_PLUS, 6, 5)).count,
+            oracle_count(GroupSpec(Family.SO_MINUS, 4, 4)).count,
             census_count(CensusKind.RECIPROCAL_PAIRS, 4, 6, "enumerate").count,
             census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5, "enumerate").count,
-            oracle_unitary(11, 2).count,
+            oracle_count(GroupSpec(Family.U, 11, 2)).count,
         ]}
         out["calls"] = calls[0]
         # The counter is live: the modulus search of a new field runs it.
@@ -706,16 +693,18 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
         import rscount.fields as fields
         import rscount.oracle as oracle
         from rscount.census import CensusKind, census_count, irreducibles
+        from rscount.closedform import Family, GroupSpec
         calls = {"poly": 0, "datum": 0}
-        def counted(cls, key):
-            init = cls.__init__
-            def wrapped(self, *args, **kwargs):
+        def counted(cls, method, key):
+            original = getattr(cls, method)
+            def wrapped(*args, **kwargs):
                 calls[key] += 1
-                init(self, *args, **kwargs)
-            cls.__init__ = wrapped
-        counted(fields.Poly, "poly")
-        counted(oracle.ConjugacyDatum, "datum")
-        result = oracle.oracle_orthogonal(10, 5, "minus")
+                return original(*args, **kwargs)
+            setattr(cls, method, wrapped)
+        counted(fields.Poly, "__init__", "poly")
+        # A named tuple is built by __new__.
+        counted(oracle.ConjugacyDatum, "__new__", "datum")
+        result = oracle.oracle_count(GroupSpec(Family.SO_MINUS, 5, 5))
         out = {"counts": [
             result.count,
             census_count(CensusKind.IRREDUCIBLE, 7, 5, "enumerate").count,
@@ -763,6 +752,7 @@ def test_unitary_sieve_marks_from_top_halves_and_counts_by_slices():
         import json
         import rscount.oracle as oracle
         from rscount.census import hermitian_pairs, hermitian_self_reciprocal_irreducibles
+        from rscount.closedform import Family, GroupSpec
         calls = {"poly_mul": 0, "yields": 0}
         multiply, iterate = oracle.poly_mul, oracle.iter_hermitian_self_reciprocal_coeffs
         def counted_mul(*args):
@@ -775,7 +765,8 @@ def test_unitary_sieve_marks_from_top_halves_and_counts_by_slices():
         oracle.poly_mul = counted_mul
         oracle.iter_hermitian_self_reciprocal_coeffs = counted_iter
         cells = ((11, 2), (7, 3))
-        out = {"counts": [oracle.oracle_unitary(n, q).count for n, q in cells]}
+        out = {"counts": [oracle.oracle_count(GroupSpec(Family.U, n, q)).count
+                          for n, q in cells]}
         out["calls"] = dict(calls)
         out["roots"] = sum(
             len(hermitian_self_reciprocal_irreducibles(q, e))

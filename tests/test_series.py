@@ -35,6 +35,14 @@ def test_qpoly_construction_and_trim():
     assert Q.degree == 1
 
 
+def test_qpoly_of_a_qpoly_is_an_equal_copy():
+    a = QPoly((1, 2, 0))
+    copy = QPoly(a)
+    assert copy == a and copy is not a
+    assert copy.coeffs == (1, 2) and repr(copy) == repr(a) == "QPoly(2q + 1)"
+    assert QPoly(QPoly()) == 0 and QPoly(QPoly(7)) == 7
+
+
 def test_qpoly_equality_with_ints():
     assert QPoly((5,)) == 5
     assert QPoly() == 0
@@ -328,8 +336,8 @@ def test_evaluation_homomorphism():
         )
         numeric = series_from_rational([1, 0, -q], series_mul([1, 1], [1, -q]), 10)
         for n in range(11):
-            # An entry Q never reached stays a plain int; adding QPoly() lifts it.
-            assert (symbolic[n] + QPoly()).evaluate(q) == numeric[n]
+            # An entry Q never reached stays a plain int; QPoly lifts either kind.
+            assert QPoly(symbolic[n]).evaluate(q) == numeric[n]
 
 
 def test_series_mul_entry_types():
