@@ -274,6 +274,7 @@ def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
 def norm_one_circle(base_q: int) -> tuple[int, ...]:
     """Codes of the order-(base_q + 1) subgroup of GF(base_q^2)*, sorted: the
     x with x * x^base_q = 1 (the 16 most recent circles are kept)."""
+    ff_from_order(base_q)  # a q that is not a prime power is named as q, not q^2
     ext = ff_from_order(base_q * base_q)
     frob, mul = frobenius_map(ext, base_q), ext.mul
     return tuple(c for c in range(ext.q) if mul(c, frob(c)) == 1)
@@ -302,9 +303,9 @@ def iter_hermitian_self_reciprocal_coeffs(
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    circle = norm_one_circle(base_q)  # checks base_q first
     ext = ff_from_order(base_q * base_q)
     qq = ext.q
-    circle = norm_one_circle(base_q)
     if constant is not None:
         if constant not in circle:
             raise ValueError(
@@ -335,6 +336,18 @@ def iter_hermitian_self_reciprocal_coeffs(
                 yield tuple(coeffs)
 
 
+def cayley_frame(base_q: int) -> tuple[int, list[int]]:
+    """``(w, embed)`` for the Cayley map x -> (x - w)/(x - w^q) over
+    GF(q^2), q = base_q: w is the least code of GF(q^2) outside GF(q), and
+    ``embed[c]`` is the GF(q^2) code of the GF(q) code c, through a root of
+    GF(q)'s modulus (the identity for prime q)."""
+    field, ext = ff_from_order(base_q), ff_from_order(base_q * base_q)
+    frob = frobenius_map(ext, base_q)
+    w = next(c for c in range(ext.q) if frob(c) != c)
+    root = next(c for c in range(ext.q) if poly_eval(ext, field.modulus_codes, c) == 0)
+    return w, [poly_eval(ext, field._decode(c), root) for c in range(base_q)]
+
+
 def _hermitian_bound(base_q: int, degree: int):
     ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
     return (
@@ -359,9 +372,9 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     which is irreducible over GF(q^2), since GF(q^2)(b) = GF(q^(2d)).  Its
     leading coefficient g(w^q) is nonzero, as g has no root in GF(q^2).  The
     g come from the sieve over GF(q), whose q^d candidates are the cap
-    checked here; their codes enter GF(q^2) through a root of GF(q)'s
-    modulus (the identity for prime q).  Any root gives the same set, since
-    the set is closed under the Frobenius of GF(q).
+    checked here; their codes enter GF(q^2) through :func:`cayley_frame`.
+    Any root of GF(q)'s modulus gives the same set, since the set is closed
+    under the Frobenius of GF(q).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -370,12 +383,9 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
         return _monic_polys(ext, [(c, 1) for c in norm_one_circle(base_q)])
     if degree % 2 == 0:
         return ()
-    field = ff_from_order(base_q)
     add, mul, neg = ext.add, ext.mul, ext.neg
+    w, embed = cayley_frame(base_q)
     frob = frobenius_map(ext, base_q)
-    w = next(c for c in range(ext.q) if frob(c) != c)
-    root = next(c for c in range(ext.q) if poly_eval(ext, field.modulus_codes, c) == 0)
-    embed = [poly_eval(ext, field._decode(c), root) for c in range(base_q)]
     # basis[i]: (w^q z - w)^i (z - 1)^(d - i), low to high.
     cayley, shift = [[1]], [[1]]
     for _ in range(degree):
@@ -383,7 +393,7 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
         shift.append(poly_mul(ext, shift[-1], [neg(1), 1]))
     basis = [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
     out = []
-    for g in _irreducible_raw(field, degree):
+    for g in _irreducible_raw(ff_from_order(base_q), degree):
         f = [0] * (degree + 1)
         for g_i, terms in zip(g, basis):
             if g_i:

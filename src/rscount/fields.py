@@ -30,10 +30,10 @@ Fields of order up to :data:`TABLE_LIMIT` carry dense add/mul/inv/neg tables
 (plain nested lists, the products and inverses filled from a generator's
 logarithms); larger fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit
 arithmetic.  Only this module reads the tables.  Other modules get the choice
-made for them through the kernels here: :func:`frobenius_map`,
-:func:`scale_map` and :func:`axpy_kernel` return functions that read the
-tables inline where they exist, and :func:`mark_multiples` sieves a batch of
-divisors over one set of addition rows.
+made for them through the kernels here: :func:`frobenius_map` and
+:func:`scale_map` return functions that read the tables inline where they
+exist, and :func:`mark_multiples` sieves a batch of divisors over one set of
+addition rows.
 """
 
 from __future__ import annotations
@@ -344,24 +344,6 @@ def scale_map(field: GF, c: int) -> Callable[[int], int]:
     if field.mul_table is not None:
         return field.mul_table[c].__getitem__
     return partial(field.mul, c)
-
-
-def axpy_kernel(field: GF) -> Callable[[list[int], int, Sequence[int]], list[int]]:
-    """Return ``axpy(acc, c, column)``, the list ``acc[i] + c * column[i]``
-    elementwise: inline reads of the dense tables, or one :meth:`GF.add` and
-    one :meth:`GF.mul` per entry above :data:`TABLE_LIMIT`."""
-    if field.mul_table is not None:
-        add_rows, mul_rows = field.add_table, field.mul_table
-
-        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
-            row = mul_rows[c]
-            return [add_rows[a][row[x]] for a, x in zip(acc, column)]
-    else:
-        add, mul = field.add, field.mul
-
-        def axpy(acc: list[int], c: int, column: Sequence[int]) -> list[int]:
-            return [add(a, mul(c, x)) for a, x in zip(acc, column)]
-    return axpy
 
 
 # -- raw polynomial kernels -----------------------------------------------------

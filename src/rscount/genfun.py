@@ -324,17 +324,13 @@ def _family_rational(family: Family, q: Coeff, q_odd: bool):
     raise ValueError(f"unsupported family {family!r}")
 
 
-def gf_count(spec: GroupSpec, terms: Optional[int] = None) -> int:
-    """Class count for the group via series-coefficient extraction at rank n."""
+def gf_count(spec: GroupSpec) -> int:
+    """Class count for the group via series-coefficient extraction at rank n:
+    each expansion is truncated at u^n, the coefficient it is read at."""
     family, n, q = spec
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
-    T = n if terms is None else terms
-    check_int(T, "truncation order terms", 0)
-    if T < n:
-        raise ValueError(f"truncation order {T} is below the requested rank {n}")
     rational_terms, divisor = _family_rational(family, q, q % 2 == 1)
-    # Coefficient n of a truncated expansion does not depend on the order T >= n.
     value = sum(series_from_rational(num, den, n)[n] for num, den in rational_terms)
     return exact_div(value, divisor, "series coefficient")
 

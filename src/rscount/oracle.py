@@ -22,17 +22,19 @@ The symplectic scan reuses those marks through the correspondence
 f(z) = z^n g(z + 1/z) between monic g of degree n and the palindromic f of
 degree 2n with constant term 1 (Carlitz 1967; Meyn, AAECC 1 (1990)): f is
 squarefree with no root at ±1 iff g is squarefree with no root at ±2.  The
-unitary scan marks the products of squares of hermitian-self-reciprocal
-irreducibles and hermitian pairs with smaller members of its own family; it
-computes only the coefficients of a product that index its mark (the constant
-and the top half), and counts the unmarked members by strided slices of the
-marks, as the linear scan does.
+unitary scan reuses them through the Cayley map x -> (x - w)/(x - w^q)
+for a w in GF(q^2) outside GF(q), the map with which the census builds the
+hermitian-self-reciprocal irreducibles.  The monic squarefree f of degree n
+over GF(q^2) that equal their hermitian reciprocal (the polynomials that
+count U(n, q) classes, arXiv 1209.3345) correspond one-to-one to the monic
+squarefree g over GF(q) of degree n, or of degree n - 1 when f(1) = 0, with
+g(w) != 0; and f(0) = (-1)^n g(w)^(1 - q).  So one sieve over GF(q) serves
+all three families.
 The irreducibles come from the census ``enumerate`` route only.  The
 orthogonal data are built from the census's reciprocal pairs and its
 self-reciprocal irreducibles, which the same z + 1/z correspondence
-constructs from the irreducibles of half the degree; the unitary scan's
-hermitian-self-reciprocal irreducibles are built by a Cayley map from the
-irreducibles over GF(q).  So no scan runs an irreducibility test.
+constructs from the irreducibles of half the degree.  So no scan runs an
+irreducibility test.
 
 The orthogonal oracle counts its data without building them: one plain
 recursion reaches every datum once per ±1-eigenvalue option, with no counting
@@ -45,21 +47,20 @@ than run past the configured candidate cap.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress
+from operator import not_
 from typing import Iterator, NamedTuple, Optional
 
 from .census import (
-    _hermitian_middles,
     capped_cache,
-    hermitian_pairs,
-    hermitian_self_reciprocal_irreducibles,
+    cayley_frame,
     irreducibles,
-    iter_hermitian_self_reciprocal_coeffs,
-    norm_one_circle,
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
 from .closedform import Family, GroupSpec
-from .fields import GF, Poly, axpy_kernel, ff_from_order, mark_multiples, poly_mul
+from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul
 from .numbertheory import check_int, exact_div
 
 __all__ = [
@@ -144,82 +145,60 @@ def _linear_histogram(n: int, q: int) -> dict[int, int]:
 
 def _unitary_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    # One mark per constant and top half: (q^2)^(floor(n/2) + 1) of them.
-    return (q * q) ** (n // 2 + 1), f"unitary sieve over the marks of degree {n} over GF({q}^2)"
+    # One mark per monic g of degree n or n - 1 over GF(q).
+    return (q**n + q ** (n - 1),
+            f"unitary scan over the monic g of degree {n} and {n - 1} over GF({q})")
 
 
 @capped_cache(_unitary_bound)
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
     polys over GF(q^2); only the constants (on the norm-one circle) with a
-    nonzero count are keys.
+    nonzero count are keys, in ascending order.
 
-    The hermitian reciprocal is multiplicative, so a member f of the family
-    with a square factor g^2 is also divisible by the square of the partner
-    of g.  Hence f = s h with h in the family of degree n - deg s and s either
-    g^2 for a self-dual irreducible g, or (g g')^2 for a hermitian pair
-    (g, g').  Those products are marked; the unmarked members are counted.
+    Fix w in GF(q^2) outside GF(q).  The Cayley map phi(x) = (x - w)/(x - w^q)
+    is a bijection of the projective line with phi(x^q) = phi(x)^(-q),
+    phi(inf) = 1 and phi(w) = 0.  The roots of a monic g over GF(q) are
+    closed under x -> x^q, those of a monic conjugate-self-reciprocal f over
+    GF(q^2) under y -> y^(-q), so phi carries the one root sets onto the
+    others, as in :func:`~rscount.census.hermitian_self_reciprocal_irreducibles`.
+    A squarefree f of degree n corresponds to one squarefree g of degree n,
+    or of degree n - 1 when f(1) = 0, with g(w) != 0 (f(0) != 0), and
 
-    A member is fixed by f_0 and its top coefficients f_t..f_(n-1),
-    t = ceil(n/2), since f_i = (f_(n-i) / f_0)^q; they index its mark, so only
-    they are computed: f_0 = s_0 h_0 and, for k = 1..floor(n/2),
-    f_(n-k) = sum_j s_(d-k+j) h_(r-j) with d = deg s, r = deg h.  Each
-    cofactor degree is listed once, one constant h_0 at a time, as columns
-    over those cofactors, and every square of that degree is multiplied into
-    the columns a whole column at a time.  A mark lands only on a member of the family, and the members with
-    constant c_0 fill whole strided slices of the marks (every top when n is
-    odd; every top whose middle coefficient f_t solves the middle equation
-    for c_0 when n is even), so the unmarked members are counted by slices.
+        f(0) = (-1)^n prod_b phi(b) = (-1)^n g(w) / g(w^q) = (-1)^n g(w)^(1 - q).
+
+    So the scan reads the linear sieve's marks of degrees n and n - 1, as the
+    symplectic scan does through z + 1/z, and tallies g(w) over the unmarked
+    g, one block per top coefficient: the low coefficients' part of g(w) is
+    listed once, and each block adds its top terms to the tallied values.
     """
-    ext = ff_from_order(q * q)
-    qq = ext.q
-    half = n // 2  # the top coefficients f_(n-1)..f_(n-half)
-    axpy = axpy_kernel(ext)
-    squares_by_rest: dict[int, list] = {}
-    roots = [g.coeffs for e in range(1, half + 1)
-             for g in hermitian_self_reciprocal_irreducibles(q, e)]
-    roots += [poly_mul(ext, g.coeffs, h.coeffs) for e in range(1, n // 4 + 1)
-              for g, h in hermitian_pairs(q, e)]
-    for root in roots:
-        square = poly_mul(ext, root, root)
-        squares_by_rest.setdefault(n - (len(square) - 1), []).append(square)
-
-    marks = bytearray(qq ** (half + 1))
-    for r, squares in squares_by_rest.items():
-        d = n - r
-        # One constant h_0 at a time, so that only a (q+1)-th of the degree-r
-        # cofactors is held: columns[i][m] is coefficient i of cofactor m.
-        for h0 in norm_one_circle(q) if r else (1,):
-            cofactors = iter_hermitian_self_reciprocal_coeffs(q, r, h0) if r else [(1,)]
-            columns = list(zip(*cofactors))
-            size = len(columns[0])
-            for s in squares:
-                # index = f_0 + qq f_t + ... + qq^half f_(n-1), built from the top.
-                index = [0] * size
-                for k in range(1, half + 1):
-                    # j = 0 gives s_(d-k), as h_r = 1; j runs while both exist.
-                    f = [s[d - k] if k <= d else 0] * size
-                    for j in range(max(1, k - d), min(k, r) + 1):
-                        if s[d - k + j]:
-                            f = axpy(f, s[d - k + j], columns[r - j])
-                    index = [i * qq + c for i, c in zip(index, f)]
-                f0 = ext.mul(s[0], h0)
-                for i in index:
-                    marks[i * qq + f0] = 1
-            del columns  # before the next constant's columns are built
-    # The index of a member is c_0 + qq (f_t + qq (upper)).  For odd n every
-    # index with c_0 on the circle is a member; for even n its middle f_t
-    # must be one of the middles for c_0.
-    hist: dict[int, int] = {}
-    for c0 in norm_one_circle(q):
-        if n % 2:
-            count = marks[c0::qq].count(0)
-        else:
-            count = sum(marks[mid * qq + c0::qq * qq].count(0)
-                        for mid in _hermitian_middles(q, c0))
-        if count:
-            hist[c0] = count
-    return hist
+    field, ext = ff_from_order(q), ff_from_order(q * q)
+    add, mul = ext.add, ext.mul
+    w, embed = cayley_frame(q)
+    values: Counter = Counter()  # g(w) -> unmarked g
+    for m in (n - 1, n):
+        if m == 0:
+            values[1] += 1  # g = 1, for f = z - 1
+            continue
+        marks = _squarefree_marks(field, m)
+        # low[i]: the part of g(w) from the m - 1 low coefficients, i their code.
+        low, power = [0], 1
+        for _ in range(m - 1):
+            steps = [mul(embed[c], power) for c in range(q)]
+            low = [add(a, s) for s in steps for a in low]
+            power = mul(power, w)
+        size, lead = len(low), mul(power, w)
+        for h in range(q):
+            block = marks[h * size:(h + 1) * size]
+            top = add(lead, mul(embed[h], power))  # w^m + h w^(m-1)
+            for v, count in Counter(compress(low, map(not_, block))).items():
+                values[add(v, top)] += count
+    del values[0]  # the multiples of w's minimal polynomial: no f has a root 0
+    sign = ext.neg(1) if n % 2 else 1
+    hist: Counter = Counter()
+    for v, count in values.items():
+        hist[mul(sign, ext.pow(v, q * q - q))] += count
+    return {c: hist[c] for c in sorted(hist)}
 
 
 def _symplectic_bound(n: int, q: int):

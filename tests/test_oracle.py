@@ -87,9 +87,11 @@ def _reference_unitary_histogram(n: int, q: int) -> dict[int, int]:
 
 
 def _reference_unitary_sieve(n: int, q: int) -> dict[int, int]:
-    """The unitary sieve with a full product per mark and one pass over the
-    degree-n family to count: the oracle marks from the top half of each
-    product and counts by slices."""
+    """A unitary sieve of its own over GF(q^2): each product of a square
+    (of a hermitian-self-reciprocal irreducible or of a hermitian pair's
+    product) with a member of the family is marked in full, by its constant
+    and top half, and one pass over the degree-n family counts the unmarked
+    members.  The oracle reads the GF(q) sieve through a Cayley map instead."""
     ext = ff_from_order(q * q)
     qq = ext.q
     top = (n + 1) // 2
@@ -216,17 +218,17 @@ def test_symplectic_cap_counts_the_monic_g(monkeypatch):
     assert _oracle(Family.SP, 6, 5).count == rs_count(GroupSpec(Family.SP, 6, 5)) == 8677
 
 
-def test_unitary_cap_counts_the_marks(monkeypatch):
-    """The U(n, q) sieve holds one mark per constant and top half of a
-    member, (q^2)^(floor(n/2) + 1) of them, so its cap counts those, not the
-    q^(2n) coefficient vectors over GF(q^2)."""
-    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(9**3 - 1))
+def test_unitary_cap_counts_the_monic_g(monkeypatch):
+    """The U(n, q) scan reads the marks of the q^n + q^(n-1) monic g of
+    degree n and n - 1 over GF(q) behind the f over GF(q^2), so its cap
+    counts those, not the q^(2n) coefficient vectors over GF(q^2)."""
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(3**5 + 3**4 - 1))
     with pytest.raises(
         EnumerationBoundError,
-        match=r"^unitary sieve over the marks of degree 5 over GF\(3\^2\) needs 729 candidates",
+        match=r"^unitary scan over the monic g of degree 5 and 4 over GF\(3\) needs 324 candidates",
     ):
         _oracle(Family.U, 5, 3)
-    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(9**3))
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", str(3**5 + 3**4))
     assert _oracle(Family.U, 5, 3).count == rs_count(GroupSpec(Family.U, 5, 3))
 
 
@@ -328,6 +330,16 @@ def test_unitary_top_half_marks_match_full_products():
         assert 0 not in hist.values()
 
 
+def test_unitary_histogram_keys_ascend():
+    # The keys come out in ascending code order, as the norm-one circle is.
+    cells = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 17) for n in (1, 2, 3)]
+    cells += [(8, 2), (6, 3)]
+    for n, q in cells:
+        keys = list(oracle_unitary_histogram(n, q))
+        assert keys == sorted(keys), (n, q)
+        assert set(keys) <= set(norm_one_circle(q)), (n, q)
+
+
 def test_unitary_constant_off_the_circle_counts_zero():
     circle = set(norm_one_circle(3))
     off = [c for c in range(9) if c not in circle]
@@ -350,13 +362,15 @@ def test_unitary_constant_off_the_circle_counts_zero():
         lambda: hermitian_pairs(6, 20),
         lambda: hermitian_self_reciprocal_irreducibles(6, 3),
         lambda: hermitian_self_reciprocal_irreducibles(6, 20),
+        lambda: norm_one_circle(6),
+        lambda: list(iter_hermitian_self_reciprocal_coeffs(6, 3)),
         lambda: _oracle(Family.SO_PLUS, 30, 6),
         lambda: _oracle(Family.SO_MINUS, 30, 6),
         lambda: _oracle(Family.SO_ODD, 30, 15),
         lambda: _oracle(Family.SO_PLUS, 1, 6),
     ],
     ids=["unitary-past-cap", "unitary", "su-odd-rank", "su-even-rank", "histogram", "pairs",
-         "pairs-past-cap", "self-reciprocal", "self-reciprocal-past-cap",
+         "pairs-past-cap", "self-reciprocal", "self-reciprocal-past-cap", "circle", "coeffs",
          "so+-past-cap", "so--past-cap", "so-odd-past-cap", "so+"],
 )
 def test_scans_name_a_q_that_is_not_a_prime_power(call):
@@ -541,8 +555,6 @@ _BOOL_CALLS = [
     ("census_count q", lambda: census_count(CensusKind.IRREDUCIBLE, True, 3)),
     ("census_count d float", lambda: census_count(CensusKind.IRREDUCIBLE, 3, 2.0)),
     ("census_count q float", lambda: census_count(CensusKind.IRREDUCIBLE, 2.0, 3)),
-    ("gf_count terms", lambda: gf_count(GroupSpec(Family.GL, 1, 3), terms=True)),
-    ("gf_count terms float", lambda: gf_count(GroupSpec(Family.GL, 1, 3), terms=2.5)),
     ("verify_identity terms", lambda: verify_identity(Identity.GL_PRODUCT, 3, True)),
     ("verify_identity terms float", lambda: verify_identity(Identity.GL_PRODUCT, 3, 2.0)),
     ("product_side terms", lambda: product_side(Identity.GL_PRODUCT, 3, True)),
@@ -742,42 +754,52 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     assert out["control_calls"] == {"poly": 1, "datum": 1}
 
 
-def test_unitary_sieve_marks_from_top_halves_and_counts_by_slices():
-    """The unitary sieve multiplies polynomials only to build its squares,
-    not per mark, and lists the cofactors once per degree instead of once
-    per square, with no pass over the degree-n family.  Counted in a fresh
+def test_unitary_scan_reads_the_linear_marks():
+    """The unitary scan lists no member of the hermitian family and runs no
+    product over GF(q^2): it reads the linear sieve over GF(q), once for
+    degree n and once for n - 1.  Every binding of ``poly_mul`` and of
+    ``iter_hermitian_self_reciprocal_coeffs`` is counted in a fresh
     interpreter, so that no cache is warm."""
     script = textwrap.dedent(
         """
         import json
+        import sys
+        import rscount.census as census
+        import rscount.fields as fields
         import rscount.oracle as oracle
-        from rscount.census import hermitian_pairs, hermitian_self_reciprocal_irreducibles
         from rscount.closedform import Family, GroupSpec
-        calls = {"poly_mul": 0, "yields": 0}
-        multiply, iterate = oracle.poly_mul, oracle.iter_hermitian_self_reciprocal_coeffs
-        def counted_mul(*args):
-            calls["poly_mul"] += 1
-            return multiply(*args)
-        def counted_iter(*args, **kwargs):
-            for coeffs in iterate(*args, **kwargs):
+        cells = ((11, 2), (7, 3))
+        calls = {"ext_mul": 0, "yields": 0, "marks": []}
+        multiply = fields.poly_mul
+        iterate = census.iter_hermitian_self_reciprocal_coeffs
+        sieve = oracle._squarefree_marks
+        def counted_mul(field, a, b):
+            calls["ext_mul"] += field.q in [q * q for _, q in cells]
+            return multiply(field, a, b)
+        def counted_iter(*args):
+            for coeffs in iterate(*args):
                 calls["yields"] += 1
                 yield coeffs
-        oracle.poly_mul = counted_mul
-        oracle.iter_hermitian_self_reciprocal_coeffs = counted_iter
-        cells = ((11, 2), (7, 3))
+        def counted_sieve(field, n):
+            calls["marks"].append([field.q, n])
+            return sieve(field, n)
+        bindings = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "rscount":
+                continue
+            for attr, counted in (("poly_mul", counted_mul),
+                                  ("iter_hermitian_self_reciprocal_coeffs", counted_iter)):
+                if getattr(module, attr, None) in (multiply, iterate):
+                    setattr(module, attr, counted)
+                    bindings.append(f"{name}.{attr}")
+        oracle._squarefree_marks = counted_sieve
         out = {"counts": [oracle.oracle_count(GroupSpec(Family.U, n, q)).count
                           for n, q in cells]}
-        out["calls"] = dict(calls)
-        out["roots"] = sum(
-            len(hermitian_self_reciprocal_irreducibles(q, e))
-            for n, q in cells for e in range(1, n // 2 + 1)
-        )
-        out["pairs"] = sum(
-            len(hermitian_pairs(q, e)) for n, q in cells for e in range(1, n // 4 + 1)
-        )
+        out["calls"] = json.loads(json.dumps(calls))
+        out["bindings"] = sorted(bindings)
         # The counters are live.
-        oracle.poly_mul(oracle.ff_from_order(4), (1, 1), (1, 1))
-        next(oracle.iter_hermitian_self_reciprocal_coeffs(2, 3))
+        census.hermitian_self_reciprocal_irreducibles(2, 3)
+        next(census.iter_hermitian_self_reciprocal_coeffs(2, 3))
         out["control_calls"] = calls
         print(json.dumps(out))
         """
@@ -796,13 +818,12 @@ def test_unitary_sieve_marks_from_top_halves_and_counts_by_slices():
         rs_count(GroupSpec(Family.U, 7, 3)),
     ]
     assert out["counts"] == [1227, 1748]
-    # One square per root (self-dual irreducible or pair product) and one
-    # product per pair; a product per mark made 3,887 calls here.
-    squares = out["roots"] + out["pairs"]
-    assert 0 < out["calls"]["poly_mul"] <= squares + out["pairs"]
-    # A cofactor list per square and a pass over the family made 9,842.
-    assert 0 < out["calls"]["yields"] < 2_000
-    assert out["control_calls"] == {
-        "poly_mul": out["calls"]["poly_mul"] + 1,
-        "yields": out["calls"]["yields"] + 1,
-    }
+    assert "rscount.census.iter_hermitian_self_reciprocal_coeffs" in out["bindings"]
+    assert "rscount.oracle.poly_mul" in out["bindings"]
+    # The sieve over GF(q^2) that this scan replaced made 69 products over
+    # GF(q^2) and listed 1,195 members of the family here.
+    assert out["calls"] == {"ext_mul": 0, "yields": 0,
+                            "marks": [[2, 10], [2, 11], [3, 6], [3, 7]]}
+    assert out["control_calls"]["ext_mul"] > 0
+    assert out["control_calls"]["yields"] == 1
+    assert out["control_calls"]["marks"] == out["calls"]["marks"]
