@@ -118,6 +118,8 @@ def _series_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _warn_composite_q(q: int) -> None:
+    """Warn, once a command has succeeded, that the formula values it prints
+    at a q that is not a prime power count no group."""
     if q >= 2 and as_prime_power(q) is None:
         print(
             f"warning: q={q} is not a prime power; formula values are polynomial "
@@ -129,13 +131,13 @@ def _warn_composite_q(q: int) -> None:
 def _cmd_count(args) -> tuple[int, str]:
     family = Family.from_token(args.group)
     spec = GroupSpec(family, args.n, args.q)
-    _warn_composite_q(args.q)
     base = {"schema": SCHEMA, "group": family.token, "n": args.n, "q": args.q}
     if args.method == "all":
         formula = rs_count(spec)
         genfun = gf_count(spec)
         oracle = oracle_count(spec)
         agree = formula == genfun == oracle.count
+        _warn_composite_q(args.q)
         payload = dict(
             base,
             method="all",
@@ -156,6 +158,7 @@ def _cmd_count(args) -> tuple[int, str]:
         payload = dict(
             base, method="oracle", count=result.count, enumerated=result.witness_count
         )
+    _warn_composite_q(args.q)
     return _EXIT_OK, json.dumps(payload) + "\n"
 
 
@@ -163,7 +166,6 @@ def _cmd_table(args) -> tuple[int, str]:
     family = Family.from_token(args.group)
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
-    _warn_composite_q(args.q)
     rows = []
     for n in range(1, args.n_max + 1):
         spec = GroupSpec(family, n, args.q)
@@ -177,6 +179,7 @@ def _cmd_table(args) -> tuple[int, str]:
                 row["oracle"] = None
                 row["agree"] = None
         rows.append(row)
+    _warn_composite_q(args.q)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -200,7 +203,6 @@ def _cmd_table(args) -> tuple[int, str]:
 def _cmd_verify(args) -> tuple[int, str]:
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
-    _warn_composite_q(args.q)
     if args.identity != "all":
         report = verify_identity(Identity.from_token(args.identity), args.q, args.terms)
         payload = {"schema": SCHEMA, **report.to_json()}

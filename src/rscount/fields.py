@@ -278,9 +278,12 @@ def ff_from_order(q: int) -> GF:
 
 
 def multiplicative_order(field: GF, code: int) -> int:
-    """Return the multiplicative order of the nonzero code ``code`` in ``field``."""
-    if code == 0:
-        raise ValueError("0 has no multiplicative order")
+    """Return the multiplicative order of the nonzero code ``code`` in ``field``.
+
+    Raises ValueError unless ``code`` is in ``1..q-1``.
+    """
+    if not 0 < code < field.q:
+        raise ValueError(f"code {code} has no multiplicative order in {field!r}")
     order = field.q - 1
     for prime, _ in prime_factorization(order):
         while order % prime == 0 and field.pow(code, order // prime) == 1:
@@ -324,8 +327,12 @@ def frobenius(field: GF, q0: int, x: int) -> int:
 
     ``q0`` must equal p**j for some j >= 1 dividing k, i.e. GF(q0) must be a
     subfield of ``field``; the map is then the generator of Gal(GF(q)/GF(q0)).
+    Raises ValueError unless ``x`` is in ``range(q)``.
     """
-    return frobenius_map(field, q0)(x)
+    frob = frobenius_map(field, q0)
+    if not 0 <= x < field.q:
+        raise ValueError(f"code {x} out of range for {field!r}")
+    return frob(x)
 
 
 def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
@@ -708,86 +715,13 @@ def is_squarefree(f: Poly) -> bool:
     return squarefree_codes(f.field, f.coeffs)
 
 
-@lru_cache(maxsize=16)
-def _irreducible_quadratics(field: GF) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducible quadratics over a field of order <= 128 (the
-    lists of the 16 most recent fields are kept)."""
-    q = field.q
-    out = []
-    for c1 in range(q):
-        for c0 in range(q):
-            coeffs = (c0, c1, 1)
-            if all(poly_eval(field, coeffs, x) for x in range(q)):
-                out.append(coeffs)
-    return tuple(out)
-
-
-def _powmod_x_q(field: GF, f: Sequence[int]) -> list[int]:
-    """Compute x**q mod f as a fixed-length residue list (len = deg f)."""
-    d = len(f) - 1
-    result = [0] * d
-    result[1 % d] = 1  # the residue "x" (d >= 2 in all uses)
-    # Square-and-multiply on the exponent q with base x.
-    e = field.q
-    bits = bin(e)[3:]  # skip the leading 1: start from "x"
-    for bit in bits:
-        result = _mulmod(field, result, result, f)
-        if bit == "1":
-            result = _shift_mod(field, result, f)
-    return result
-
-
-def _mulmod(field: GF, a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list[int]:
-    """(a * b) mod f for residues of length deg f; f monic."""
-    d = len(f) - 1
-    prod = poly_mul(field, a, b)
-    prod += [0] * (2 * d - 1 - len(prod))
-    sub, mul = field.sub, field.mul
-    for i in range(2 * d - 2, d - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            base = i - d
-            for j in range(d):
-                fj = f[j]
-                if fj:
-                    prod[base + j] = sub(prod[base + j], mul(c, fj))
-    return prod[:d]
-
-
-def _shift_mod(field: GF, a: Sequence[int], f: Sequence[int]) -> list[int]:
-    """(x * a) mod f for a residue of length deg f; f monic."""
-    d = len(f) - 1
-    out = [0] + list(a)
-    c = out[d]
-    if c:
-        sub, mul = field.sub, field.mul
-        out[d] = 0
-        for j in range(d):
-            fj = f[j]
-            if fj:
-                out[j] = sub(out[j], mul(c, fj))
-    return out[:d]
-
-
-def _compose_mod(field: GF, g: Sequence[int], h: Sequence[int], f: Sequence[int]) -> list[int]:
-    """g(h) mod f by Horner, for residues of length deg f; f monic."""
-    d = len(f) - 1
-    acc = [0] * d
-    add = field.add
-    for c in reversed(list(g)):
-        acc = _mulmod(field, acc, h, f)
-        acc[0] = add(acc[0], c)
-    return acc
-
-
 def is_irreducible(f: Poly) -> bool:
     """True iff the monic polynomial f of degree >= 1 is irreducible.
 
-    Strategy: scan for roots (kills any linear factor), finish degrees <= 3;
-    trial-divide by the cached irreducible quadratics, finishing degrees <= 5;
-    then run distinct-degree factor detection, taking gcds of x**(q**i) - x
-    with f for the remaining candidate factor degrees i up to deg(f) / 2.
+    The distinct-degree test (Rabin 1980): f of degree d is irreducible iff
+    gcd(x**(q**i) - x, f) = 1 for every i <= d / 2.  Each residue
+    x**(q**i) mod f is the previous one raised to the q-th power by
+    square-and-multiply, reducing every product mod f.
 
     No census or oracle scan calls it: they sieve or construct their
     irreducibles.  It stays public because :func:`ff_make`'s modulus search
@@ -799,40 +733,16 @@ def is_irreducible(f: Poly) -> bool:
     if not f.is_monic:
         raise ValueError("irreducibility is classified for monic polynomials")
     field, coeffs = f.field, f.coeffs
-    d = f.degree
-    if d == 1:
-        return True
-    q = field.q
-    scanned_roots = False
-    if q <= 1024:
-        if any(poly_eval(field, coeffs, x) == 0 for x in range(q)):
+    residue = [0, 1]  # x mod f, for d >= 2 (d = 1 runs no step)
+    for _ in range(f.degree // 2):
+        power = residue
+        for bit in bin(field.q)[3:]:  # the leading bit 1 gives residue itself
+            power = poly_divmod(field, poly_mul(field, power, power), coeffs)[1]
+            if bit == "1":
+                power = poly_divmod(field, poly_mul(field, power, residue), coeffs)[1]
+        residue = power
+        shifted = residue + [0] * (2 - len(residue))
+        shifted[1] = field.sub(shifted[1], 1)  # x**(q**i) - x
+        if len(poly_gcd(field, shifted, coeffs)) != 1:
             return False
-        scanned_roots = True
-        if d <= 3:
-            return True
-    quad_checked = False
-    if q <= 128 and scanned_roots:
-        for g in _irreducible_quadratics(field):
-            if not poly_divmod(field, coeffs, g)[1]:
-                return False
-        quad_checked = True
-        if d <= 5:
-            return True
-    start = 3 if quad_checked else (2 if scanned_roots else 1)
-    h1 = _powmod_x_q(field, coeffs)
-    h = list(h1)
-    i = 1
-    while i < start:
-        h = _compose_mod(field, h, h1, coeffs)
-        i += 1
-    sub = field.sub
-    while i <= d // 2:
-        shifted = list(h)
-        shifted[1] = sub(shifted[1], 1)  # h - x
-        g = poly_gcd(field, shifted, coeffs)
-        if len(g) != 1:
-            return False
-        i += 1
-        if i <= d // 2:
-            h = _compose_mod(field, h, h1, coeffs)
     return True

@@ -44,7 +44,6 @@ from rscount.fields import (
     frobenius_map,
     is_irreducible,
     poly_eval,
-    _irreducible_quadratics,
 )
 
 
@@ -421,9 +420,7 @@ def test_hermitian_involution_accounting():
 
 
 def test_field_keyed_caches_are_bounded():
-    for cache in (
-        frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles, _irreducible_quadratics
-    ):
+    for cache in (frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles):
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 

@@ -98,7 +98,7 @@ def test_count_oracle_names_a_q_that_is_not_a_prime_power(capsys, n):
     )
     assert code == 2
     assert out == ""
-    assert err.splitlines()[-1] == "error: q=6 is not a prime power"
+    assert err == "error: q=6 is not a prime power\n"
 
 
 def test_count_oracle_refuses_beyond_bound(capsys, monkeypatch):
@@ -261,6 +261,14 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["first_mismatch"] == 1
+
+
+def test_verify_names_a_q_that_is_not_a_prime_power(capsys):
+    # verify never succeeds at a composite q, so it prints no warning.
+    code, out, err = run_cli(capsys, "verify", "--identity", "gl-product", "--q", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: q=6 is not a prime power\n"
 
 
 def test_verify_rejects_bad_terms(capsys):

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rscount
+from rscount.census import _irreducible_raw
 from rscount.fields import (
     MAX_FIELD_SIZE,
+    TABLE_LIMIT,
     GF,
     Poly,
     ff_from_order,
@@ -32,7 +34,7 @@ from rscount.fields import (
     _monic_polys,
     _RowsOnDemand,
 )
-from rscount.numbertheory import as_prime_power
+from rscount.numbertheory import as_prime_power, is_prime
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -61,6 +63,21 @@ def test_ff_make_gf9_modulus_is_lex_least():
     assert f9.q == 9
     # z^2 + 1 is the lexicographically least monic irreducible quadratic over GF(3).
     assert f9.modulus_codes == (1, 0, 1)
+
+
+def test_ff_make_modulus_is_the_least_sieved_irreducible():
+    """Every extension field up to order 2^14 takes as modulus the first
+    irreducible of the census sieve, which runs no irreducibility test."""
+    fields = [
+        (p, k)
+        for p in range(2, 128)
+        if is_prime(p)
+        for k in range(2, 15)
+        if p**k <= 1 << 14
+    ]
+    assert len(fields) == 61
+    for p, k in fields:
+        assert ff_make(p, k).modulus_codes == _irreducible_raw(ff_make(p), k)[0], (p, k)
 
 
 def test_ff_make_is_cached_singleton():
@@ -105,6 +122,21 @@ def test_multiplicative_order_examples():
     assert [multiplicative_order(f7, a) for a in range(1, 7)] == [1, 3, 6, 3, 6, 2]
     with pytest.raises(ValueError):
         multiplicative_order(f7, 0)
+
+
+def test_order_and_frobenius_reject_non_codes():
+    # GF(7) has dense tables, GF(257) is above TABLE_LIMIT.
+    for field in (ff_make(7), ff_make(257)):
+        q = field.q
+        assert (field.mul_table is None) == (q > TABLE_LIMIT)
+        for code in (-1, 0, q, q + 43):
+            with pytest.raises(ValueError):
+                multiplicative_order(field, code)
+        for code in (-1, q, q + 43):
+            with pytest.raises(ValueError):
+                frobenius(field, q, code)
+        assert multiplicative_order(field, q - 1) == 2
+        assert frobenius(field, q, q - 1) == q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +456,9 @@ def test_irreducible_count_matches_necklace_formula():
 
 
 def test_is_irreducible_above_the_trial_division_limits():
-    """Above q = 128 ``is_irreducible`` skips the trial division by the
-    irreducible quadratics, above q = 1024 the root scan too.  Over GF(257)
-    and GF(1031) it agrees with polynomials whose factorization is known by
-    construction, among them reducible ones with no root."""
+    """Over GF(257) and GF(1031) ``is_irreducible`` agrees with polynomials
+    whose factorization is known by construction, among them reducible ones
+    with no root."""
     rng = random.Random(1031)
     for p in (257, 1031):
         field = ff_make(p)
