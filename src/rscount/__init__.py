@@ -26,9 +26,6 @@ from .conjugation import (
     is_hermitian_self_reciprocal,
     is_self_reciprocal,
     reciprocal,
-    type_sign,
-    unitary_circle_generator,
-    unitary_det_discrete_log,
 )
 from .fields import (
     GF,
@@ -40,7 +37,6 @@ from .fields import (
     is_irreducible,
     is_squarefree,
     multiplicative_order,
-    subfield_codes,
 )
 from .genfun import (
     Identity,
@@ -96,10 +92,6 @@ __all__ = [
     "rs_count",
     "rs_symbolic",
     "self_reciprocal_irreducibles",
-    "subfield_codes",
-    "type_sign",
-    "unitary_circle_generator",
-    "unitary_det_discrete_log",
     "verify_identity",
 ]
 

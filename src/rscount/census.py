@@ -166,25 +166,32 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t[::-1] + (1,) for t in survivors)
 
 
-def _irreducible_bound(field: GF, degree: int, nonzero_constant: bool = False):
+def _irreducible_bound(field: GF, degree: int):
+    check_int(degree, "degree")
     return field.q**degree, f"irreducible scan over GF({field.q}) degree {degree}"
 
 
 @capped_cache(_irreducible_bound)
-def irreducibles(field: GF, degree: int, nonzero_constant: bool = False) -> tuple[Poly, ...]:
-    """All monic irreducible polynomials of the given degree, sorted by code."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    raw = _irreducible_raw(field, degree)
-    if nonzero_constant:
-        raw = itertools.compress(raw, map(operator.itemgetter(0), raw))
-    return _monic_polys(field, raw)
+def irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
+    """All monic irreducible polynomials of the given degree, sorted by code.
+
+    In degree 1 the first is z, the only one with constant term 0."""
+    return _monic_polys(field, _irreducible_raw(field, degree))
 
 
-@capped_cache(lambda field, degree: (
-    field.q ** (degree // 2) if degree % 2 == 0 else 0,
-    f"self-reciprocal scan over GF({field.q}) degree {degree}",
-))
+def _unit_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
+    """:func:`irreducibles` without z: those with a nonzero constant term."""
+    polys = irreducibles(field, degree)
+    return polys[1:] if degree == 1 else polys
+
+
+def _self_reciprocal_bound(field: GF, degree: int):
+    check_int(degree, "degree")
+    candidates = field.q ** (degree // 2) if degree % 2 == 0 else 0
+    return candidates, f"self-reciprocal scan over GF({field.q}) degree {degree}"
+
+
+@capped_cache(_self_reciprocal_bound)
 def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     """Monic self-reciprocal irreducibles of the given degree, sorted by code.
 
@@ -202,8 +209,6 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     In degree 2 the g are z + c for every c, including c = 0.  The g come
     from :func:`irreducibles`, whose q^m candidates are the cap checked here.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     if degree == 1:
         return _monic_polys(field, sorted({(1, 1), (field.neg(1), 1)}))
     if degree % 2:
@@ -262,7 +267,7 @@ def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     each reported as (f, f*) with f of smaller code, sorted by f's code."""
     return _partner_pairs(
         field,
-        irreducibles(field, degree, nonzero_constant=True),
+        _unit_irreducibles(field, degree),
         lambda f: reciprocal_codes(field, f.coeffs),
     )
 
@@ -301,8 +306,7 @@ def iter_hermitian_self_reciprocal_coeffs(
     (in even degree) a middle-coefficient consistency equation.  Optionally
     restrict to a fixed ``constant`` code (must lie on the circle).
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    check_int(degree, "degree")
     circle = norm_one_circle(base_q)  # checks base_q first
     ext = ff_from_order(base_q * base_q)
     qq = ext.q
@@ -350,6 +354,7 @@ def cayley_frame(base_q: int) -> tuple[int, list[int]]:
 
 def _hermitian_bound(base_q: int, degree: int):
     ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
+    check_int(degree, "degree")
     return (
         base_q**degree if degree % 2 else 0,
         f"hermitian-self-reciprocal construction from GF({base_q}) degree {degree}",
@@ -376,8 +381,6 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     Any root of GF(q)'s modulus gives the same set, since the set is closed
     under the Frobenius of GF(q).
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     ext = ff_from_order(base_q * base_q)
     if degree == 1:
         return _monic_polys(ext, [(c, 1) for c in norm_one_circle(base_q)])
@@ -406,6 +409,7 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
 
 def _hermitian_pairs_bound(base_q: int, degree: int):
     ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
+    check_int(degree, "degree")
     return base_q ** (2 * degree), f"irreducible scan over GF({base_q * base_q}) degree {degree}"
 
 
@@ -416,7 +420,7 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     ext = ff_from_order(base_q * base_q)
     return _partner_pairs(
         ext,
-        irreducibles(ext, degree, nonzero_constant=True),
+        _unit_irreducibles(ext, degree),
         lambda f: hermitian_reciprocal_codes(ext, f.coeffs, base_q),
     )
 
@@ -424,7 +428,6 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
 # -- closed-form census counts --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _necklace(q: int, d: int) -> int:
     total = sum(mobius(d // e) * q**e for e in divisors(d))
     return exact_div(total, d, "census count")
@@ -474,7 +477,7 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
 
 def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
     if kind is CensusKind.IRREDUCIBLE:
-        return irreducibles(ff_from_order(q), d, nonzero_constant=True)
+        return _unit_irreducibles(ff_from_order(q), d)
     if kind is CensusKind.SELF_RECIPROCAL:
         return self_reciprocal_irreducibles(ff_from_order(q), d)
     if kind is CensusKind.RECIPROCAL_PAIRS:

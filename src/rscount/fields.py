@@ -8,7 +8,7 @@ representative of degree < k of the element in GF(p)[z] / (modulus).  The prime
 subfield therefore occupies codes 0..p-1, code 0 is the additive and code 1 the
 multiplicative identity, and the encoding is compatible across the subfield
 chain GF(p) <= GF(p^j) <= GF(p^k) for j | k in the sense that subfield elements
-are exactly the Frobenius-fixed codes (see :func:`subfield_codes`).
+are exactly the Frobenius-fixed codes (the fixed points of :func:`frobenius_map`).
 
 The modulus is the lexicographically least monic irreducible polynomial of
 degree k over GF(p), where polynomials are ordered by the integer code of their
@@ -20,7 +20,7 @@ Polynomials
 -----------
 :class:`Poly` stores a coefficient tuple in low-to-high order with no trailing
 zeros (the zero polynomial has an empty tuple).  Coefficients are int codes.
-The text form is ``"q=<q>: c0,c1,...,cd"``, again low-to-high.
+Its repr is ``Poly(q=<q>: c0,c1,...,cd)``, again low-to-high.
 
 Int codes are the only element type: every function takes and returns codes,
 and :func:`multiplicative_order`, :func:`ff_generator` and :func:`frobenius`
@@ -43,7 +43,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .numbertheory import as_prime_power, is_prime, prime_factorization
+from .numbertheory import as_prime_power, check_int, is_prime, prime_factorization
 
 #: Largest field order for which dense arithmetic tables are precomputed.
 TABLE_LIMIT = 256
@@ -240,9 +240,11 @@ class GF:
 def ff_make(p: int, k: int = 1) -> GF:
     """Construct (and cache) GF(p**k) with the canonical lex-least modulus.
 
-    Raises ValueError if p is not prime, k < 1, or p**k exceeds
-    :data:`MAX_FIELD_SIZE`.
+    Raises ValueError if p is not prime, k is not a positive int, or p**k
+    exceeds :data:`MAX_FIELD_SIZE`.
     """
+    check_int(p, "characteristic p", 2)
+    check_int(k, "extension degree k")
     # Route through a helper cached on the full (p, k) pair so that
     # ff_make(3) and ff_make(3, 1) return the same singleton.
     return _ff_make(p, k)
@@ -254,8 +256,6 @@ def ff_make(p: int, k: int = 1) -> GF:
 def _ff_make(p: int, k: int) -> GF:
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
     if p**k > MAX_FIELD_SIZE:
         raise ValueError(f"field order {p}**{k} exceeds the size bound {MAX_FIELD_SIZE}")
     if k == 1:
@@ -271,6 +271,7 @@ def _ff_make(p: int, k: int) -> GF:
 
 def ff_from_order(q: int) -> GF:
     """Construct GF(q) from a prime-power order q."""
+    check_int(q, "field size q", 2)
     pk = as_prime_power(q)
     if pk is None:
         raise ValueError(f"q={q} is not a prime power")
@@ -333,15 +334,6 @@ def frobenius(field: GF, q0: int, x: int) -> int:
     if not 0 <= x < field.q:
         raise ValueError(f"code {x} out of range for {field!r}")
     return frob(x)
-
-
-def subfield_codes(field: GF, q0: int) -> tuple[int, ...]:
-    """Return the sorted codes of the subfield GF(q0) inside ``field``.
-
-    These are exactly the fixed points of the Frobenius power map x -> x**q0.
-    """
-    frob = frobenius_map(field, q0)
-    return tuple(c for c in range(field.q) if frob(c) == c)
 
 
 def scale_map(field: GF, c: int) -> Callable[[int], int]:
@@ -558,6 +550,8 @@ class Poly:
     def __init__(self, field: GF, coeffs: Sequence[int]):
         codes = []
         for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"coefficient code {c!r} is not an int")
             if not 0 <= c < field.q:
                 raise ValueError(f"coefficient code {c} out of range for {field!r}")
             codes.append(c)
@@ -620,17 +614,10 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def gcd(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return Poly(self.field, poly_gcd(self.field, self.coeffs, other.coeffs))
-
-    def derivative(self) -> "Poly":
-        return Poly(self.field, poly_derivative(self.field, self.coeffs))
-
     def __call__(self, x: int) -> int:
         return poly_eval(self.field, self.coeffs, x)
 
-    # -- comparison / hashing / text
+    # -- comparison / hashing / repr
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -642,29 +629,9 @@ class Poly:
     def __hash__(self) -> int:
         return hash((id(self.field), self.coeffs))
 
-    def to_text(self) -> str:
-        """Serialize as ``"q=<q>: c0,c1,...,cd"`` (low-to-high codes)."""
-        body = ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
-        return f"q={self.field.q}: {body}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Poly":
-        """Parse the :meth:`to_text` format, constructing the canonical field."""
-        try:
-            head, _, body = text.partition(":")
-            head = head.strip()
-            if not head.startswith("q="):
-                raise ValueError
-            field = ff_from_order(int(head[2:]))
-            codes = [int(t) for t in body.strip().split(",")] if body.strip() else []
-        except ValueError as exc:
-            raise ValueError(f"malformed polynomial text {text!r}") from exc
-        if codes == [0]:
-            codes = []
-        return cls(field, codes)
-
     def __repr__(self) -> str:
-        return f"Poly({self.to_text()})"
+        body = ",".join(map(str, self.coeffs)) or "0"
+        return f"Poly(q={self.field.q}: {body})"
 
 
 _LAST_COEFF = itemgetter(slice(-1, None))

@@ -99,12 +99,14 @@ _PARITY = {
 
 def admissible_parity(identity: Identity) -> str:
     """Required parity of q for this identity: "odd", "even", or "both"."""
+    if not isinstance(identity, Identity):
+        raise ValueError(f"unsupported identity {identity!r}")
     return _PARITY[identity]
 
 
 def check_admissible(identity: Identity, q: int) -> None:
     """Raise ValueError unless the identity is stated for the parity of q."""
-    parity = _PARITY[identity]
+    parity = admissible_parity(identity)
     if parity not in ("both", "odd" if q % 2 else "even"):
         raise ValueError(f"identity {identity.token} requires {parity} field size, got q={q}")
 

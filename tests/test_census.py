@@ -177,13 +177,18 @@ def test_kind_tokens_round_trip():
 # ---------------------------------------------------------------------------
 
 
+def _witnesses(kind, q, d):
+    return census_count(kind, q, d, method="enumerate", with_witnesses=True).witnesses
+
+
 def test_irreducibles_examples():
     f2 = ff_make(2)
-    assert irreducibles(f2, 2, nonzero_constant=True) == (Poly(f2, [1, 1, 1]),)
-    assert irreducibles(f2, 1, nonzero_constant=True) == (Poly(f2, [1, 1]),)
+    assert irreducibles(f2, 2) == (Poly(f2, [1, 1, 1]),)
     assert irreducibles(f2, 1) == (Poly(f2, [0, 1]), Poly(f2, [1, 1]))
+    # The census cell leaves out z, the one irreducible with constant term 0.
+    assert _witnesses(CensusKind.IRREDUCIBLE, 2, 1) == (Poly(f2, [1, 1]),)
     f3 = ff_make(3)
-    assert irreducibles(f3, 1, nonzero_constant=True) == (
+    assert _witnesses(CensusKind.IRREDUCIBLE, 3, 1) == (
         Poly(f3, [1, 1]),
         Poly(f3, [2, 1]),
     )
@@ -279,9 +284,9 @@ def test_census_polys_equal_validated_polys():
         field = ff_from_order(q)
         for d in range(1, 6 if q < 5 else 4):
             raw = _irreducible_raw(field, d)
-            for nonzero_constant in (False, True):
-                polys = irreducibles(field, d, nonzero_constant)
-                expected = tuple(Poly(field, t) for t in raw if t[0] or not nonzero_constant)
+            units = _witnesses(CensusKind.IRREDUCIBLE, q, d)
+            for polys, with_z in ((irreducibles(field, d), True), (units, False)):
+                expected = tuple(Poly(field, t) for t in raw if t[0] or with_z)
                 assert tuple(map(_validated, polys)) == expected, (q, d)
                 # The polynomials share the cached tuples instead of copying them.
                 assert {id(f.coeffs) for f in polys} <= set(map(id, raw))
@@ -447,7 +452,7 @@ def test_hermitian_censuses_run_no_power_per_coefficient():
             ]
         out["calls"] = calls[0]
         out["irreducibles"] = sum(
-            len(irreducibles(ff_from_order(q * q), d, nonzero_constant=True))
+            sum(1 for f in irreducibles(ff_from_order(q * q), d) if f.constant)
             for q, d_max in ((3, 5), (2, 6)) for d in range(1, d_max + 1)
         )
         # The counter is live.

@@ -1,6 +1,8 @@
 """Unit tests for the closed-form class-count formulas."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,54 @@ def test_only_fields_knows_the_field_tables():
         assert "FieldElement" not in names, path.name
         if path.stem != "fields":
             assert not names & _TABLE_NAMES, (path.name, names & _TABLE_NAMES)
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module imports is used in it or listed in its
+    ``__all__``; ``__init__`` is exempt, since it only re-exports."""
+    package = Path(rscount.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used - _exported(tree)
+        assert not unused, (path.name, sorted(unused))
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """``perfbench/spans.py`` wraps rscount functions by name, so each name
+    it lists must resolve, and each cached one must keep ``cache_info``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    def resolve(name):
+        module, _, attr = name.partition(".")
+        return getattr(importlib.import_module(f"rscount.{module}"), attr, None)
+
+    for name in spans.SPANNED + spans.GENERATORS + spans.CACHED + spans.PREDICATES:
+        assert callable(resolve(name)), name
+    for name in spans.CACHED:
+        assert callable(getattr(resolve(name), "cache_info", None)), name
 
 
 # ---------------------------------------------------------------------------

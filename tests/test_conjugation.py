@@ -1,4 +1,4 @@
-"""Unit tests for the reciprocal involutions and determinant labels."""
+"""Unit tests for the reciprocal involutions and the determinant label."""
 
 import itertools
 import random
@@ -14,9 +14,6 @@ from rscount.conjugation import (
     is_self_reciprocal,
     reciprocal,
     reciprocal_codes,
-    type_sign,
-    unitary_circle_generator,
-    unitary_det_discrete_log,
 )
 from rscount.fields import (
     TABLE_LIMIT,
@@ -24,7 +21,6 @@ from rscount.fields import (
     ff_from_order,
     ff_generator,
     ff_make,
-    multiplicative_order,
     poly_from_roots,
 )
 
@@ -164,28 +160,6 @@ def test_hermitian_fixed_iff_roots_closed_under_inverse_frobenius():
 
 
 # ---------------------------------------------------------------------------
-# type signs
-# ---------------------------------------------------------------------------
-
-
-def test_type_sign_examples():
-    f3 = ff_make(3)
-    assert type_sign(Poly(f3, [1, 0, 1])) == -1  # self-reciprocal irreducible
-    f5 = ff_make(5)
-    assert type_sign(Poly(f5, [3, 1])) == +1  # pairs with z - 3
-    # Any non-self-reciprocal quadratic is a pair member.
-    assert type_sign(Poly(f5, [2, 1, 1])) == +1
-
-
-def test_type_sign_rejects_z_plus_minus_one():
-    f5 = ff_make(5)
-    with pytest.raises(ValueError):
-        type_sign(Poly(f5, [4, 1]))  # z - 1
-    with pytest.raises(ValueError):
-        type_sign(Poly(f5, [1, 1]))  # z + 1
-
-
-# ---------------------------------------------------------------------------
 # determinant labels
 # ---------------------------------------------------------------------------
 
@@ -222,61 +196,3 @@ def test_det_discrete_log_is_additive():
                 rg = det_discrete_log(g, zeta)
                 rfg = det_discrete_log(f * g, zeta)
                 assert rfg.value == (rf.value + rg.value) % (q - 1)
-
-
-def test_unitary_circle_generator_orders():
-    for base_q in (2, 3, 4):
-        zeta = unitary_circle_generator(base_q)
-        assert multiplicative_order(ff_from_order(base_q * base_q), zeta) == base_q + 1
-
-
-def test_unitary_det_discrete_log_examples():
-    f4 = ff_make(2, 2)
-    zeta2 = unitary_circle_generator(2)
-    omega = ff_generator(f4)
-    t_minus_omega = poly_from_roots(f4, [omega])
-    label = unitary_det_discrete_log(t_minus_omega, 2, zeta2)
-    assert label.modulus == 3
-    # (-1)^1 * f(0) = omega, and zeta^label = omega.
-    assert f4.pow(zeta2, label.value) == omega
-
-    t_minus_one = poly_from_roots(f4, [1])
-    assert unitary_det_discrete_log(t_minus_one, 2, zeta2) == CharacterIndex(3, 0)
-
-    f9 = ff_make(3, 2)
-    zeta3 = unitary_circle_generator(3)
-    t_minus_one_9 = poly_from_roots(f9, [1])
-    assert unitary_det_discrete_log(t_minus_one_9, 3, zeta3) == CharacterIndex(4, 0)
-
-
-def test_unitary_det_discrete_log_pair_member():
-    # For a non-self-conjugate f the labelled value is f(0) * ftilde(0) = f(0)^(1-q).
-    f9 = ff_make(3, 2)
-    zeta = unitary_circle_generator(3)
-    g = ff_generator(f9)
-    f = poly_from_roots(f9, [g])
-    assert not is_hermitian_self_reciprocal(f, 3)
-    label = unitary_det_discrete_log(f, 3, zeta)
-    assert f9.pow(zeta, label.value) == f9.pow(f.constant, 1 - 3)
-
-
-def test_unitary_det_discrete_log_requires_circle_generator():
-    f9 = ff_make(3, 2)
-    with pytest.raises(ValueError):
-        unitary_det_discrete_log(Poly(f9, [1, 1]), 3, ff_generator(f9))  # order 8
-    for code in (0, -1, 9):  # no order, or not a code of GF(9)
-        with pytest.raises(ValueError):
-            unitary_det_discrete_log(Poly(f9, [1, 1]), 3, code)
-
-
-def test_unitary_labels_cover_all_small_polynomials():
-    # Every monic polynomial with unit constant over GF(q^2) gets a label in
-    # range; self-conjugate inputs land on the circle (no ArithmeticError).
-    for base_q in (2, 3):
-        zeta = unitary_circle_generator(base_q)
-        ext = ff_from_order(base_q * base_q)
-        for degree in (1, 2):
-            for f in _monic_unit_constant(ext, degree):
-                label = unitary_det_discrete_log(f, base_q, zeta)
-                assert label.modulus == base_q + 1
-                assert 0 <= label.value < base_q + 1

@@ -29,8 +29,9 @@ from rscount.fields import (
     is_squarefree,
     mark_multiples,
     multiplicative_order,
+    poly_derivative,
     poly_from_roots,
-    subfield_codes,
+    poly_gcd,
     _monic_polys,
     _RowsOnDemand,
 )
@@ -245,10 +246,12 @@ def test_frobenius_map_matches_pow():
 
 
 def test_subfield_codes():
-    f9 = ff_make(3, 2)
-    assert subfield_codes(f9, 3) == (0, 1, 2)
+    # GF(q0) inside a field is the fixed set of the Frobenius map x -> x^q0.
+    frob = frobenius_map(ff_make(3, 2), 3)
+    assert [c for c in range(9) if frob(c) == c] == [0, 1, 2]
     f16 = ff_make(2, 4)
-    sub = subfield_codes(f16, 4)
+    frob = frobenius_map(f16, 4)
+    sub = [c for c in range(16) if frob(c) == c]
     assert len(sub) == 4
     # The fixed set of x -> x^4 is closed under the field operations.
     sub_set = set(sub)
@@ -304,15 +307,15 @@ def test_poly_gcd_of_multiples():
     g = Poly(f7, [3, 1])  # z + 3
     a = g * Poly(f7, [1, 1])
     b = g * Poly(f7, [2, 1])
-    assert a.gcd(b) == g  # gcd is returned monic
+    assert poly_gcd(f7, a.coeffs, b.coeffs) == g.coeffs  # gcd is returned monic
 
 
 def test_poly_derivative_vanishes_on_pth_powers():
     f3 = ff_make(3)
     cube = Poly(f3, [0, 0, 0, 1])  # z^3
-    assert cube.derivative().is_zero
+    assert poly_derivative(f3, cube.coeffs) == ()
     f = Poly(f3, [1, 2, 0, 1])
-    assert f.derivative() == Poly(f3, [2, 0, 0])
+    assert poly_derivative(f3, f.coeffs) == (2,)
 
 
 def test_poly_evaluation():
@@ -333,14 +336,9 @@ def test_poly_from_roots():
 
 def test_poly_text_round_trip():
     f3 = ff_make(3)
-    f = Poly(f3, [1, 0, 1])
-    assert f.to_text() == "q=3: 1,0,1"
-    assert Poly.from_text("q=3: 1,0,1") == f
-    assert Poly.from_text(f.to_text()) == f
-    with pytest.raises(ValueError):
-        Poly.from_text("3: 1,0,1")
-    with pytest.raises(ValueError):
-        Poly.from_text("q=3: 1,x")
+    assert repr(Poly(f3, [1, 0, 1])) == "Poly(q=3: 1,0,1)"
+    assert repr(Poly(f3, [])) == "Poly(q=3: 0)"
+    assert repr(Poly(ff_make(2, 2), [3, 1])) == "Poly(q=4: 3,1)"
 
 
 def test_monic_polys_checks_the_batch_and_keeps_the_tuples():

@@ -25,9 +25,11 @@ from rscount.census import (
     self_reciprocal_irreducibles,
 )
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
-from rscount.fields import ff_from_order, poly_eval, poly_mul, squarefree_codes
+from rscount.fields import Poly, ff_from_order, ff_make, poly_eval, poly_mul, squarefree_codes
 from rscount.genfun import (
     Identity,
+    admissible_parity,
+    check_admissible,
     closed_side,
     gf_count,
     product_side,
@@ -561,12 +563,44 @@ _BOOL_CALLS = [
     ("product_side terms float", lambda: product_side(Identity.GL_PRODUCT, 3, 2.0)),
     ("closed_side terms", lambda: closed_side(Identity.GL_PRODUCT, 3, True)),
     ("closed_side terms float", lambda: closed_side(Identity.GL_PRODUCT, 3, 2.0)),
+    # The census caches compare 2.0 == 2 and True == 1: each bound checks the
+    # degree before the cache, so a warm cache answers no float or bool.
+    ("irreducibles degree float", lambda: irreducibles(ff_from_order(3), 2.0)),
+    ("irreducibles degree float warm", lambda: _warm_then(
+        irreducibles, (ff_from_order(3), 2), (ff_from_order(3), 2.0))),
+    ("irreducibles degree bool", lambda: irreducibles(ff_from_order(3), True)),
+    ("reciprocal_pairs degree float warm", lambda: _warm_then(
+        reciprocal_pairs, (ff_from_order(3), 2), (ff_from_order(3), 2.0))),
+    ("self_reciprocal_irreducibles degree bool warm", lambda: _warm_then(
+        self_reciprocal_irreducibles, (ff_from_order(3), 1), (ff_from_order(3), True))),
+    ("hermitian_self_reciprocal_irreducibles q float warm", lambda: _warm_then(
+        hermitian_self_reciprocal_irreducibles, (3, 3), (3.0, 3))),
+    ("hermitian_pairs degree bool warm", lambda: _warm_then(
+        hermitian_pairs, (3, 1), (3, True))),
+    ("norm_one_circle q float warm", lambda: _warm_then(norm_one_circle, (3,), (3.0,))),
+    ("ff_from_order float", lambda: ff_from_order(9.0)),
+    ("ff_make p float", lambda: ff_make(3.0)),
+    ("ff_make k bool", lambda: ff_make(3, True)),
+    ("Poly code float", lambda: Poly(ff_from_order(3), [1.5, 1])),
+    ("Poly code bool", lambda: Poly(ff_from_order(3), [True, 1])),
+    # A value that is not an Identity names itself, not a KeyError.
+    ("product_side identity str", lambda: product_side("gl-product", 3, 3)),
+    ("closed_side identity str", lambda: closed_side("gl-product", 3, 3)),
+    ("verify_identity identity str", lambda: verify_identity("gl-product", 3, 3)),
+    ("admissible_parity identity str", lambda: admissible_parity("gl-product")),
+    ("check_admissible identity str", lambda: check_admissible("gl-product", 3)),
 ]
+
+
+def _warm_then(function, warm_args, bad_args):
+    function(*warm_args)
+    return function(*bad_args)
 
 
 @pytest.mark.parametrize("call", [c for _, c in _BOOL_CALLS], ids=[i for i, _ in _BOOL_CALLS])
 def test_bool_rank_or_field_size_rejected(call):
-    # bool is an int subclass: True would otherwise pass as 1.
+    # bool is an int subclass: True would otherwise pass as 1.  A float or a
+    # value of the wrong type is rejected the same way, with ValueError.
     with pytest.raises(ValueError):
         call()
 
