@@ -20,6 +20,18 @@ The self-reciprocal kinds are enumerated by construction rather than by a
 search: ``SELF_RECIPROCAL`` from the irreducibles of half the degree (z + 1/z),
 ``HERMITIAN_SELF_RECIPROCAL`` from the q^d monic polynomials over GF(q) (a
 Cayley map).  No scan here runs an irreducibility test.
+
+The scans run on coefficient tuples of int codes.  Each family has a private
+path that returns them sorted by code (``_irreducible_raw``,
+``_self_reciprocal_raw``, ``_hermitian_self_reciprocal_raw``, and for the
+pair kinds ``_reciprocal_pairs_raw`` and ``_hermitian_pairs_raw``, which keep
+only the smaller-code member f of each pair, as the irreducibles' own tuple).
+The oracle and ``census_count(..., "enumerate")`` count those tuples.  Only
+the public :func:`irreducibles`, :func:`self_reciprocal_irreducibles`,
+:func:`reciprocal_pairs`, :func:`hermitian_self_reciprocal_irreducibles` and
+:func:`hermitian_pairs`, and so the witnesses of :func:`census_count`, wrap
+them in :class:`~rscount.fields.Poly`; the pair functions build the partners
+there.
 The two routes agree on the overlap grid by construction of the test suite;
 the formula route exists so that truncated products can reach degrees slightly
 beyond what raw enumeration affords.
@@ -32,19 +44,23 @@ import itertools
 import math
 import operator
 import os
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from typing import Iterator, NamedTuple, Optional
 
 from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from .fields import (
     GF,
     Poly,
+    _check_int_code,
     _monic_polys,
+    combination_map,
+    evaluation_map,
     ff_from_order,
     frobenius_map,
     mark_multiples,
     poly_eval,
     poly_mul,
+    scale_map,
 )
 from .numbertheory import as_prime_power, check_int, divisors, exact_div, mobius
 
@@ -149,8 +165,9 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     monic multiples of those g leaves exactly the irreducibles.  They come out
     in index order, which is code order: the code of a monic polynomial of
     degree d is q^d plus the index of its d low coefficients.  The callers
-    have checked the cap: :func:`irreducibles` on the q^degree candidates,
-    the recursion on a larger degree.
+    have checked the cap: on the q^degree candidates (:func:`irreducibles`,
+    :func:`_unit_irreducible_raw`), or on a larger scan that reads this one
+    (the recursion, the constructions, the oracle's sieve).
     """
     q = field.q
     if degree == 1:
@@ -185,6 +202,20 @@ def _unit_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     return polys[1:] if degree == 1 else polys
 
 
+def _unit_irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`_irreducible_raw` without z, after the cap check of
+    :func:`irreducibles`."""
+    check_enumeration_bound(*_irreducible_bound(field, degree))
+    raw = _irreducible_raw(field, degree)
+    return raw[1:] if degree == 1 else raw
+
+
+def _code_key(degree: int):
+    """Sort key of monic degree-``degree`` coefficient tuples in code order:
+    the tuple read highest coefficient first."""
+    return operator.itemgetter(*range(degree, -1, -1))
+
+
 def _self_reciprocal_bound(field: GF, degree: int):
     check_int(degree, "degree")
     candidates = field.q ** (degree // 2) if degree % 2 == 0 else 0
@@ -192,8 +223,9 @@ def _self_reciprocal_bound(field: GF, degree: int):
 
 
 @capped_cache(_self_reciprocal_bound)
-def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
-    """Monic self-reciprocal irreducibles of the given degree, sorted by code.
+def _self_reciprocal_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient tuples of the monic self-reciprocal irreducibles of the
+    given degree, sorted by code.
 
     Above degree 1 they have even degree 2m, and they are built, not searched
     for.  Each is f(z) = z^m g(z + 1/z) = sum_i g_i z^(m-i) (z^2 + 1)^i for
@@ -207,68 +239,91 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
       absolute trace of g_1/g_0 (the sum of its 2^i-th powers, 2^i < q) is 1.
 
     In degree 2 the g are z + c for every c, including c = 0.  The g come
-    from :func:`irreducibles`, whose q^m candidates are the cap checked here.
+    from the sieve :func:`_irreducible_raw`, whose q^m candidates are the cap
+    checked here; the expansion and the evaluations run on the kernels of
+    :func:`~rscount.fields.combination_map` and
+    :func:`~rscount.fields.evaluation_map`.
     """
     if degree == 1:
-        return _monic_polys(field, sorted({(1, 1), (field.neg(1), 1)}))
+        return tuple(sorted({(1, 1), (field.neg(1), 1)}))
     if degree % 2:
         return ()
     m = degree // 2
     q, add, mul = field.q, field.add, field.mul
-    two, minus_two = field.scalar(2), field.scalar(-2)
-    # basis[i]: the nonzero (exponent, coefficient) terms of z^(m-i) (z^2 + 1)^i.
-    basis = [
-        [(m - i + 2 * j, c) for j in range(i + 1) if (c := field.scalar(math.comb(i, j)))]
-        for i in range(m + 1)
-    ]
-    out = []
-    for g in irreducibles(field, m):
-        coeffs = g.coeffs
-        if q % 2:
-            x = mul(poly_eval(field, coeffs, two), poly_eval(field, coeffs, minus_two))
-            if x == 0 or field.pow(x, (q - 1) // 2) == 1:
-                continue
-        else:
-            if coeffs[0] == 0:
-                continue
-            trace = power = mul(coeffs[1], field.inv(coeffs[0]))
+    # basis[i]: the low m + 1 coefficients of z^(m-i) (z^2 + 1)^i.  f is
+    # palindromic, so its high half mirrors them.
+    basis = [[0] * (m + 1) for _ in range(m + 1)]
+    for i, row in enumerate(basis):
+        for j in range(i // 2 + 1):
+            row[m - i + 2 * j] = field.scalar(math.comb(i, j))
+    expand = combination_map(field, basis)
+    irreducibles_m = _irreducible_raw(field, m)
+    if q % 2:
+        nonsquare = bytearray(b"\1") * q  # nonsquare[x]: x is a nonzero nonsquare
+        nonsquare[0] = 0
+        for a in range(1, q):
+            nonsquare[mul(a, a)] = 0
+        at_two = evaluation_map(field, field.scalar(2), m)
+        at_minus_two = evaluation_map(field, field.scalar(-2), m)
+        kept = (g for g in irreducibles_m if nonsquare[mul(at_two(g), at_minus_two(g))])
+    else:
+
+        def trace_one(g) -> bool:
+            if g[0] == 0:
+                return False
+            trace = power = mul(g[1], field.inv(g[0]))
             for _ in range(field.k - 1):
                 power = mul(power, power)
                 trace = add(trace, power)
-            if trace != 1:
-                continue
-        f = [0] * (degree + 1)
-        for g_i, terms in zip(coeffs, basis):
-            for e, c in terms:
-                f[e] = add(f[e], mul(g_i, c))
-        out.append(tuple(f))
-    return tuple(sorted(_monic_polys(field, out), key=Poly.code))
+            return trace == 1
+
+        kept = filter(trace_one, irreducibles_m)
+    out = []
+    for g in kept:
+        low = expand(g)
+        out.append(tuple(low + low[-2::-1]))
+    out.sort(key=_code_key(degree))
+    return tuple(out)
 
 
-def _partner_pairs(field: GF, polys, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
-    """The pairs (f, partner) among ``polys`` with f of smaller code, where
-    ``partner_codes(f)`` is the partner's coefficient tuple, in ``polys`` order.
+@capped_cache(_self_reciprocal_bound)
+def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
+    """Monic self-reciprocal irreducibles of the given degree, sorted by code:
+    z - 1 and z + 1 in degree 1, and above it the z + 1/z construction of
+    :func:`_self_reciprocal_raw`, wrapped in :class:`Poly`."""
+    return _monic_polys(field, _self_reciprocal_raw(field, degree))
+
+
+def _kept_of_pairs(candidates, partner_codes) -> tuple[tuple[int, ...], ...]:
+    """The f among ``candidates`` whose partner, ``partner_codes(f)``, has a
+    larger code, in ``candidates`` order: one f per pair of distinct partners.
 
     f and its partner are monic of one degree, so comparing the tuples
-    reversed (highest coefficient first) orders them as :meth:`Poly.code`
-    does; the partners' :class:`Poly` are built only for the pairs kept."""
-    kept, partners = [], []
-    for f in polys:
-        g = partner_codes(f)
-        if f.coeffs[::-1] < g[::-1]:
-            kept.append(f)
-            partners.append(g)
-    return tuple(zip(kept, _monic_polys(field, partners)))
+    reversed (highest coefficient first) orders them by code.  The kept
+    tuples are the candidates' own, not copies, and no partner is kept."""
+    return tuple(f for f in candidates if f[::-1] < partner_codes(f)[::-1])
+
+
+def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
+    """The pairs (f, partner) of the kept f, wrapped in :class:`Poly`."""
+    return tuple(zip(_monic_polys(field, kept), _monic_polys(field, map(partner_codes, kept))))
+
+
+@capped_cache(_irreducible_bound)
+def _reciprocal_pairs_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The smaller-code member f of each pair {f, f*} of distinct reciprocal
+    irreducible partners, sorted by code, as :func:`_irreducible_raw`'s tuples."""
+    return _kept_of_pairs(
+        _unit_irreducible_raw(field, degree), partial(reciprocal_codes, field)
+    )
 
 
 @capped_cache(_irreducible_bound)
 def reciprocal_pairs(field: GF, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs {f, f*} of distinct reciprocal irreducible partners,
     each reported as (f, f*) with f of smaller code, sorted by f's code."""
-    return _partner_pairs(
-        field,
-        _unit_irreducibles(field, degree),
-        lambda f: reciprocal_codes(field, f.coeffs),
+    return _with_partners(
+        field, _reciprocal_pairs_raw(field, degree), partial(reciprocal_codes, field)
     )
 
 
@@ -311,6 +366,7 @@ def iter_hermitian_self_reciprocal_coeffs(
     ext = ff_from_order(base_q * base_q)
     qq = ext.q
     if constant is not None:
+        _check_int_code(constant, "constant code")
         if constant not in circle:
             raise ValueError(
                 f"constant code {constant} is not on the norm-one circle of GF({qq})"
@@ -362,9 +418,9 @@ def _hermitian_bound(base_q: int, degree: int):
 
 
 @capped_cache(_hermitian_bound)
-def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Poly, ...]:
-    """Monic hermitian-self-reciprocal irreducibles of the given degree over
-    GF(base_q^2), sorted by code.
+def _hermitian_self_reciprocal_raw(base_q: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient tuples of the monic hermitian-self-reciprocal irreducibles
+    of the given degree over GF(base_q^2), sorted by code.
 
     They have odd degree, and they are built, not searched for.  In degree 1
     they are the z + c for c on the norm-one circle.  Above it, fix w in
@@ -377,16 +433,17 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     which is irreducible over GF(q^2), since GF(q^2)(b) = GF(q^(2d)).  Its
     leading coefficient g(w^q) is nonzero, as g has no root in GF(q^2).  The
     g come from the sieve over GF(q), whose q^d candidates are the cap
-    checked here; their codes enter GF(q^2) through :func:`cayley_frame`.
+    checked here; their codes enter GF(q^2) through :func:`cayley_frame`,
+    and the expansion runs on :func:`~rscount.fields.combination_map`.
     Any root of GF(q)'s modulus gives the same set, since the set is closed
     under the Frobenius of GF(q).
     """
-    ext = ff_from_order(base_q * base_q)
     if degree == 1:
-        return _monic_polys(ext, [(c, 1) for c in norm_one_circle(base_q)])
+        return tuple((c, 1) for c in norm_one_circle(base_q))
     if degree % 2 == 0:
         return ()
-    add, mul, neg = ext.add, ext.mul, ext.neg
+    ext = ff_from_order(base_q * base_q)
+    neg = ext.neg
     w, embed = cayley_frame(base_q)
     frob = frobenius_map(ext, base_q)
     # basis[i]: (w^q z - w)^i (z - 1)^(d - i), low to high.
@@ -394,17 +451,24 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
     for _ in range(degree):
         cayley.append(poly_mul(ext, cayley[-1], [neg(w), frob(w)]))
         shift.append(poly_mul(ext, shift[-1], [neg(1), 1]))
-    basis = [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
+    expand = combination_map(
+        ext, [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
+    )
     out = []
     for g in _irreducible_raw(ff_from_order(base_q), degree):
-        f = [0] * (degree + 1)
-        for g_i, terms in zip(g, basis):
-            if g_i:
-                c = embed[g_i]
-                f = [add(a, mul(c, t)) for a, t in zip(f, terms)]
-        lead_inv = ext.inv(f[-1])
-        out.append(tuple(mul(a, lead_inv) for a in f))
-    return tuple(sorted(_monic_polys(ext, out), key=Poly.code))
+        f = expand([embed[c] for c in g])
+        out.append(tuple(map(scale_map(ext, ext.inv(f[-1])), f)))
+    out.sort(key=_code_key(degree))
+    return tuple(out)
+
+
+@capped_cache(_hermitian_bound)
+def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Poly, ...]:
+    """Monic hermitian-self-reciprocal irreducibles of the given degree over
+    GF(base_q^2), sorted by code: the Cayley construction of
+    :func:`_hermitian_self_reciprocal_raw`, wrapped in :class:`Poly`."""
+    ext = ff_from_order(base_q * base_q)
+    return _monic_polys(ext, _hermitian_self_reciprocal_raw(base_q, degree))
 
 
 def _hermitian_pairs_bound(base_q: int, degree: int):
@@ -414,14 +478,25 @@ def _hermitian_pairs_bound(base_q: int, degree: int):
 
 
 @capped_cache(_hermitian_pairs_bound)
+def _hermitian_pairs_raw(base_q: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The smaller-code member f of each pair of distinct hermitian-reciprocal
+    irreducible partners over GF(base_q^2), sorted by code."""
+    ext = ff_from_order(base_q * base_q)
+    return _kept_of_pairs(
+        _unit_irreducible_raw(ext, degree),
+        partial(hermitian_reciprocal_codes, ext, base_q=base_q),
+    )
+
+
+@capped_cache(_hermitian_pairs_bound)
 def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
     """Unordered pairs of distinct hermitian-reciprocal irreducible partners
     over GF(base_q^2), as (f, partner) with f of smaller code."""
     ext = ff_from_order(base_q * base_q)
-    return _partner_pairs(
+    return _with_partners(
         ext,
-        _unit_irreducibles(ext, degree),
-        lambda f: hermitian_reciprocal_codes(ext, f.coeffs, base_q),
+        _hermitian_pairs_raw(base_q, degree),
+        partial(hermitian_reciprocal_codes, ext, base_q=base_q),
     )
 
 
@@ -475,17 +550,27 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
     raise ValueError(f"unknown census kind {kind!r}")
 
 
-def _enumerate_cell(kind: CensusKind, q: int, d: int) -> tuple:
+def _enumerate_cell(kind: CensusKind, q: int, d: int, with_witnesses: bool) -> tuple:
+    """The enumerated members of one census cell: with witnesses, the public
+    functions' :class:`Poly` (pairs (f, partner) for the pair kinds);
+    without, the raw coefficient tuples (the kept f for the pair kinds)."""
     if kind is CensusKind.IRREDUCIBLE:
-        return _unit_irreducibles(ff_from_order(q), d)
+        field = ff_from_order(q)
+        if with_witnesses:
+            return _unit_irreducibles(field, d)
+        return _unit_irreducible_raw(field, d)
     if kind is CensusKind.SELF_RECIPROCAL:
-        return self_reciprocal_irreducibles(ff_from_order(q), d)
+        scan = self_reciprocal_irreducibles if with_witnesses else _self_reciprocal_raw
+        return scan(ff_from_order(q), d)
     if kind is CensusKind.RECIPROCAL_PAIRS:
-        return reciprocal_pairs(ff_from_order(q), d)
+        scan = reciprocal_pairs if with_witnesses else _reciprocal_pairs_raw
+        return scan(ff_from_order(q), d)
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
-        return hermitian_self_reciprocal_irreducibles(q, d)
+        scan = (hermitian_self_reciprocal_irreducibles if with_witnesses
+                else _hermitian_self_reciprocal_raw)
+        return scan(q, d)
     if kind is CensusKind.HERMITIAN_PAIRS:
-        return hermitian_pairs(q, d)
+        return (hermitian_pairs if with_witnesses else _hermitian_pairs_raw)(q, d)
     raise ValueError(f"unknown census kind {kind!r}")
 
 
@@ -500,10 +585,12 @@ def census_count(
 
     ``method="enumerate"`` scans the full candidate space (q^d monic
     polynomials, or q^(2d) for the hermitian pairs, subject to the
-    enumeration cap) and can attach the witnesses; the self-reciprocal
+    enumeration cap) and counts the coefficient tuples; the self-reciprocal
     members are built from the q^(d/2) monic polynomials of half the degree,
     the hermitian self-reciprocal ones from the q^d monic polynomials over
-    GF(q).  ``method="formula"`` uses the closed necklace/recursion counts.
+    GF(q).  Only ``with_witnesses=True`` wraps them in :class:`Poly`: the
+    public census function's tuple, (f, partner) pairs for the pair kinds.
+    ``method="formula"`` uses the closed necklace/recursion counts.
     """
     check_int(q, "field size q", 2)
     check_int(d, "degree d")
@@ -518,5 +605,5 @@ def census_count(
         return CensusCount(kind, q, d, count)
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    items = _enumerate_cell(kind, q, d)
+    items = _enumerate_cell(kind, q, d, with_witnesses)
     return CensusCount(kind, q, d, len(items), items if with_witnesses else None)

@@ -30,17 +30,27 @@ Fields of order up to :data:`TABLE_LIMIT` carry dense add/mul/inv/neg tables
 (plain nested lists, the products and inverses filled from a generator's
 logarithms); larger fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit
 arithmetic.  Only this module reads the tables.  Other modules get the choice
-made for them through the kernels here: :func:`frobenius_map` and
-:func:`scale_map` return functions that read the tables inline where they
-exist, and :func:`mark_multiples` sieves a batch of divisors over one set of
-addition rows.
+made for them through the kernels here: :func:`frobenius_map`,
+:func:`scale_map` and :func:`translate_map` return functions of one code that
+read the tables inline where they exist; :func:`combination_map` and
+:func:`evaluation_map` return the linear-combination and evaluation kernels
+that the census constructions run once per polynomial; and
+:func:`mark_multiples` sieves a batch of divisors over one set of addition
+rows.  The two polynomial kernels have three branches: plain ints with one
+``% p`` per output coefficient at a prime q, inline table reads where the
+dense tables exist, and one :class:`GF` call per operation above
+:data:`TABLE_LIMIT`.
+
+The kernels take and return coefficient sequences, not :class:`Poly`: the
+census and oracle scans run on code tuples, and only the public census
+functions wrap them, through :func:`_monic_polys`.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, partial
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .numbertheory import as_prime_power, check_int, is_prime, prime_factorization
@@ -281,8 +291,9 @@ def ff_from_order(q: int) -> GF:
 def multiplicative_order(field: GF, code: int) -> int:
     """Return the multiplicative order of the nonzero code ``code`` in ``field``.
 
-    Raises ValueError unless ``code`` is in ``1..q-1``.
+    Raises ValueError unless ``code`` is an int in ``1..q-1``.
     """
+    _check_int_code(code, "code")
     if not 0 < code < field.q:
         raise ValueError(f"code {code} has no multiplicative order in {field!r}")
     order = field.q - 1
@@ -301,7 +312,13 @@ def ff_generator(field: GF) -> int:
     raise AssertionError("unreachable: GF(q)* is cyclic")
 
 
-@lru_cache(maxsize=16)
+def _check_int_code(code, what: str) -> None:
+    """Raise ValueError unless ``code`` is an int; a bool is rejected,
+    although it subclasses int, and so is a float equal to an int."""
+    if isinstance(code, bool) or not isinstance(code, int):
+        raise ValueError(f"{what} {code!r} is not an int")
+
+
 def frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     """Return the Frobenius power map x -> x**q0 of ``field`` as a function
     of one code.
@@ -310,9 +327,16 @@ def frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     subfield of ``field``.  A field with dense tables (order up to
     :data:`TABLE_LIMIT`) gets a table of the map, read per call; a larger
     field computes each power, as its other arithmetic does, since one call
-    should not build a table of up to 2^20 entries.  The cache keeps the maps
-    of the 16 most recent (field, q0) pairs.
+    should not build a table of up to 2^20 entries.  A cache keeps the maps
+    of the 16 most recent (field, q0) pairs; q0 is checked before it is
+    consulted, since the cache takes 3.0 or True for the int it equals.
     """
+    check_int(q0, "subfield order q0", 2)
+    return _frobenius_map(field, q0)
+
+
+@lru_cache(maxsize=16)
+def _frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     pk = as_prime_power(q0)
     if pk is None or pk[0] != field.p or field.k % pk[1] != 0:
         raise ValueError(f"q0={q0} does not define a subfield of {field!r}")
@@ -328,9 +352,10 @@ def frobenius(field: GF, q0: int, x: int) -> int:
 
     ``q0`` must equal p**j for some j >= 1 dividing k, i.e. GF(q0) must be a
     subfield of ``field``; the map is then the generator of Gal(GF(q)/GF(q0)).
-    Raises ValueError unless ``x`` is in ``range(q)``.
+    Raises ValueError unless ``x`` is an int in ``range(q)``.
     """
     frob = frobenius_map(field, q0)
+    _check_int_code(x, "code")
     if not 0 <= x < field.q:
         raise ValueError(f"code {x} out of range for {field!r}")
     return frob(x)
@@ -343,6 +368,79 @@ def scale_map(field: GF, c: int) -> Callable[[int], int]:
     if field.mul_table is not None:
         return field.mul_table[c].__getitem__
     return partial(field.mul, c)
+
+
+def translate_map(field: GF, c: int) -> Callable[[int], int]:
+    """Return addition of the code c as a function of one code: a read of
+    row c of the dense table, or one :meth:`GF.add` per call above
+    :data:`TABLE_LIMIT`."""
+    if field.add_table is not None:
+        return field.add_table[c].__getitem__
+    return partial(field.add, c)
+
+
+def combination_map(
+    field: GF, basis: Sequence[Sequence[int]]
+) -> Callable[[Sequence[int]], list[int]]:
+    """Return the kernel g -> sum_i g[i] * basis[i] of a coefficient
+    sequence g, where the basis rows are coefficient lists of one length.
+
+    At a prime q the codes are the residues mod p, so each output
+    coefficient is one int dot product and one ``% p``.  A field with dense
+    tables scales and adds whole rows through table reads; a larger field
+    makes one :meth:`GF.mul` and :meth:`GF.add` per nonzero term.
+    """
+    if field.k == 1:
+        p, columns = field.p, list(zip(*basis))
+        return lambda g: [sum(map(operator.mul, g, column)) % p for column in columns]
+    width = len(basis[0])
+    if field.mul_table is not None:
+        add_rows, mul_rows = field.add_table, field.mul_table
+
+        def combine(g: Sequence[int]) -> list[int]:
+            out = [0] * width
+            for c, row in zip(g, basis):
+                if c:
+                    scaled = map(mul_rows[c].__getitem__, row)
+                    out = [add_rows[a][b] for a, b in zip(out, scaled)]
+            return out
+
+        return combine
+    add, scale = field.add, field.mul
+
+    def combine_digits(g: Sequence[int]) -> list[int]:
+        out = [0] * width
+        for c, row in zip(g, basis):
+            if c:
+                out = [add(a, scale(c, b)) if b else a for a, b in zip(out, row)]
+        return out
+
+    return combine_digits
+
+
+def evaluation_map(field: GF, x: int, degree: int) -> Callable[[Sequence[int]], int]:
+    """Return the kernel g -> g(x) of a coefficient sequence g of degree at
+    most ``degree``.
+
+    At a prime q it is one int dot product with the powers of x and one
+    ``% p``; a field with dense tables runs Horner's rule through table
+    reads; a larger field calls :func:`poly_eval`.
+    """
+    if field.k == 1:
+        p = field.p
+        powers = [pow(x, i, p) for i in range(degree + 1)]
+        return lambda g: sum(map(operator.mul, g, powers)) % p
+    if field.mul_table is not None:
+        add_rows, times_x = field.add_table, field.mul_table[x]
+
+        def evaluate(g: Sequence[int]) -> int:
+            acc = 0
+            for c in reversed(g):
+                acc = add_rows[times_x[acc]][c]
+            return acc
+
+        return evaluate
+    return lambda g: poly_eval(field, g, x)
 
 
 # -- raw polynomial kernels -----------------------------------------------------
@@ -550,8 +648,7 @@ class Poly:
     def __init__(self, field: GF, coeffs: Sequence[int]):
         codes = []
         for c in coeffs:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"coefficient code {c!r} is not an int")
+            _check_int_code(c, "coefficient code")
             if not 0 <= c < field.q:
                 raise ValueError(f"coefficient code {c} out of range for {field!r}")
             codes.append(c)
@@ -634,7 +731,7 @@ class Poly:
         return f"Poly(q={self.field.q}: {body})"
 
 
-_LAST_COEFF = itemgetter(slice(-1, None))
+_LAST_COEFF = operator.itemgetter(slice(-1, None))
 
 
 def _monic_polys(field: GF, rows: Iterable[tuple[int, ...]]) -> tuple[Poly, ...]:

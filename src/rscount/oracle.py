@@ -36,10 +36,15 @@ self-reciprocal irreducibles, which the same z + 1/z correspondence
 constructs from the irreducibles of half the degree.  So no scan runs an
 irreducibility test.
 
-The orthogonal oracle counts its data without building them: one plain
-recursion reaches every datum once per ±1-eigenvalue option, with no counting
-formula, so it stays an enumeration.  :func:`iter_orthogonal_data` builds the
-same data, one :class:`ConjugacyDatum` each.
+Every scan reads the census's private paths, which return coefficient
+tuples, and builds no :class:`~rscount.fields.Poly`: the sieve reads
+``_irreducible_raw``, and the orthogonal walk reads ``_self_reciprocal_raw``
+and ``_reciprocal_pairs_raw``, which keep one member f of each pair {f, f*}
+and no partner.  The orthogonal oracle counts its data without building them:
+one plain recursion reaches every datum once per ±1-eigenvalue option, with
+no counting formula, so it stays an enumeration.  :func:`iter_orthogonal_data`
+builds the same data, one :class:`ConjugacyDatum` each, and is the one place
+here that wraps the blocks and pairs (partners included) in ``Poly``.
 
 Scans refuse (raising :class:`~rscount.census.EnumerationBoundError`) rather
 than run past the configured candidate cap.
@@ -48,19 +53,30 @@ than run past the configured candidate cap.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import compress
 from operator import not_
 from typing import Iterator, NamedTuple, Optional
 
 from .census import (
+    _irreducible_raw,
+    _reciprocal_pairs_raw,
+    _self_reciprocal_raw,
+    _with_partners,
     capped_cache,
     cayley_frame,
-    irreducibles,
-    reciprocal_pairs,
-    self_reciprocal_irreducibles,
 )
 from .closedform import Family, GroupSpec
-from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul
+from .conjugation import reciprocal_codes
+from .fields import (
+    GF,
+    Poly,
+    _monic_polys,
+    ff_from_order,
+    mark_multiples,
+    poly_mul,
+    translate_map,
+)
 from .numbertheory import check_int, exact_div
 
 __all__ = [
@@ -124,8 +140,8 @@ def _squarefree_marks(field: GF, n: int) -> bytearray:
     enumerated monic irreducible g suffices.
     """
     marks = bytearray(field.q**n)
-    squares = (poly_mul(field, g.coeffs, g.coeffs)
-               for e in range(1, n // 2 + 1) for g in irreducibles(field, e))
+    squares = (poly_mul(field, g, g)
+               for e in range(1, n // 2 + 1) for g in _irreducible_raw(field, e))
     mark_multiples(marks, field, squares, n)
     return marks
 
@@ -184,15 +200,15 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
         # low[i]: the part of g(w) from the m - 1 low coefficients, i their code.
         low, power = [0], 1
         for _ in range(m - 1):
-            steps = [mul(embed[c], power) for c in range(q)]
-            low = [add(a, s) for s in steps for a in low]
+            low = [v for c in range(q)
+                   for v in map(translate_map(ext, mul(embed[c], power)), low)]
             power = mul(power, w)
         size, lead = len(low), mul(power, w)
         for h in range(q):
             block = marks[h * size:(h + 1) * size]
-            top = add(lead, mul(embed[h], power))  # w^m + h w^(m-1)
+            plus_top = translate_map(ext, add(lead, mul(embed[h], power)))  # w^m + h w^(m-1)
             for v, count in Counter(compress(low, map(not_, block))).items():
-                values[add(v, top)] += count
+                values[plus_top(v)] += count
     del values[0]  # the multiples of w's minimal polynomial: no f has a root 0
     sign = ext.neg(1) if n % 2 else 1
     hist: Counter = Counter()
@@ -265,12 +281,15 @@ def _z_part_options(m: int, q_odd: bool):
 def _orthogonal_parts(m: int, q: int):
     """The checked ingredients of the orthogonal data of total dimension m
     over GF(q): the ±1-eigenvalue options of :func:`_z_part_options` and the
-    degree-sorted block/pair list [(degree, sign, payload), ...], sign -1 for
-    a self-reciprocal block and +1 for a reciprocal pair (f, f*).
+    block/pair groups [(degree, sign, members), ...] in ascending degree,
+    sign -1 for the self-reciprocal blocks and +1 for the reciprocal pairs
+    (f, f*) of that degree.  The members are the census's coefficient
+    tuples, not copies: a block's own, and for a pair only its f.
 
     Every block and pair must have constant term 1 (ArithmeticError
     otherwise), so the data built from them are exactly the admissible class
-    labels.
+    labels: a block's f_0 = 1, and a pair's f_0 f*_0 = 1, with f*_0 = f_n / f_0
+    computed from the codes of f.  The checks run once per distinct constant.
     """
     check_int(m, "total dimension m")
     check_int(q, "field size q", 2)
@@ -281,19 +300,25 @@ def _orthogonal_parts(m: int, q: int):
             f"count them with oracle_count(GroupSpec(Family.SP, {(m - 1) // 2}, {q}))"
         )
     field = ff_from_order(q)
-    universe = [(d, -1, f) for d in range(2, m + 1, 2)
-                for f in self_reciprocal_irreducibles(field, d)]
-    universe += [(2 * d, 1, pair) for d in range(1, m // 2 + 1)
-                 for pair in reciprocal_pairs(field, d)]
-    universe.sort(key=lambda item: item[0])
-    for d, sign, payload in universe:
+    groups = []
+    for d in range(2, m + 1, 2):
+        groups.append((d, -1, _self_reciprocal_raw(field, d)))
+        groups.append((d, 1, _reciprocal_pairs_raw(field, d // 2)))
+    mul, inv = field.mul, field.inv
+    for d, sign, members in groups:
         if sign == -1:
-            constant = payload.coeffs[0]
+            what, bad = "block with f_0", {f[0] for f in members} - {1}
         else:
-            constant = field.mul(payload[0].coeffs[0], payload[1].coeffs[0])
-        if constant != 1:
-            raise ArithmeticError(f"block/pair {payload!r} has constant term other than 1")
-    return _z_part_options(m, q_odd), universe
+            what, bad = "pair (f, f*) with (f_0, f_n)", {
+                (f0, fn) for f0, fn in {(f[0], f[-1]) for f in members}
+                if f0 == 0 or mul(f0, mul(fn, inv(f0))) != 1
+            }
+        if bad:
+            raise ArithmeticError(
+                f"a degree-{d} {what} in {sorted(bad)} over GF({q}) "
+                "has constant term other than 1"
+            )
+    return _z_part_options(m, q_odd), groups
 
 
 def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
@@ -301,9 +326,18 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
 
     Every datum's non-eigenvalue part has characteristic-polynomial constant
     term 1 (checked: ArithmeticError otherwise), so the data are exactly the
-    admissible class labels.
+    admissible class labels.  The blocks and pairs are :class:`Poly`, built
+    here from the census's coefficient tuples.
     """
-    options, universe = _orthogonal_parts(m, q)
+    options, groups = _orthogonal_parts(m, q)
+    field = ff_from_order(q)
+    universe = []
+    for d, sign, members in groups:
+        if sign == -1:
+            payloads = _monic_polys(field, members)
+        else:
+            payloads = _with_partners(field, members, partial(reciprocal_codes, field))
+        universe += [(d, sign, payload) for payload in payloads]
     degrees = [item[0] for item in universe]
     chosen: list = []
 
@@ -344,10 +378,10 @@ def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     of the block/pair list of degree sum m - a - b; the walk reaches each
     once, as :func:`iter_orthogonal_data` does, but only counts it.
     """
-    options, universe = _orthogonal_parts(m, q)
-    degrees = [item[0] for item in universe]
-    signs = [item[1] for item in universe]
-    size = len(universe)
+    options, groups = _orthogonal_parts(m, q)
+    degrees = [d for d, _, members in groups for _ in members]
+    signs = [sign for _, sign, members in groups for _ in members]
+    size = len(degrees)
 
     def walk(start: int, remaining: int) -> tuple[int, int]:
         """(data, signed data) among the subsets of universe[start:] of

@@ -20,6 +20,8 @@ from rscount.fields import (
     TABLE_LIMIT,
     GF,
     Poly,
+    combination_map,
+    evaluation_map,
     ff_from_order,
     ff_generator,
     ff_make,
@@ -32,6 +34,7 @@ from rscount.fields import (
     poly_derivative,
     poly_from_roots,
     poly_gcd,
+    translate_map,
     _monic_polys,
     _RowsOnDemand,
 )
@@ -324,6 +327,60 @@ def test_poly_evaluation():
     assert f(2) == 0  # 4 + 1 = 5 = 0
     assert f(1) == 2
     assert f(3) == 0
+
+
+# The kernels' three branches: plain ints at a prime q (with or without
+# tables), table reads for an extension field with tables, GF calls above
+# TABLE_LIMIT.  The references are the digit arithmetic, which reads no table.
+_KERNEL_FIELDS = {
+    "prime": (11, 13, 257),
+    "tables": (4, 8, 9, 16),
+    "digits": (289, 343),
+}
+
+
+def _digit_combination(field, basis, g):
+    add, mul = field._add_digits, field._mul_digits
+    out = [0] * len(basis[0])
+    for c, row in zip(g, basis):
+        out = [add(a, mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
+def _digit_evaluation(field, g, x):
+    acc = 0
+    for c in reversed(g):
+        acc = field._add_digits(field._mul_digits(acc, x), c)
+    return acc
+
+
+@pytest.mark.parametrize("branch", sorted(_KERNEL_FIELDS))
+def test_polynomial_kernels_match_digit_arithmetic(branch):
+    rng = random.Random(20)
+    for q in _KERNEL_FIELDS[branch]:
+        field = ff_from_order(q)
+        assert branch == ("prime" if field.k == 1 else
+                          "tables" if field.mul_table is not None else "digits"), q
+        assert (q > TABLE_LIMIT) == (field.mul_table is None), q
+        for degree in (1, 2, 5):
+            width = 2 * degree + 1
+            # Sparse rows (as the z + 1/z basis), dense rows (as the Cayley one).
+            basis = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(width)]
+                     for _ in range(degree + 1)]
+            combine = combination_map(field, basis)
+            xs = [0, 1, q - 1, rng.randrange(q)]
+            evaluations = [evaluation_map(field, x, degree) for x in xs]
+            for _ in range(20):
+                g = [rng.randrange(q) for _ in range(degree)] + [1]
+                g[rng.randrange(degree + 1)] = 0
+                assert combine(g) == _digit_combination(field, basis, g), (q, basis, g)
+                assert [e(g) for e in evaluations] == [
+                    _digit_evaluation(field, g, x) for x in xs
+                ], (q, g)
+        for c in (0, 1, q - 1, rng.randrange(q)):
+            add_c = translate_map(field, c)
+            xs = [rng.randrange(q) for _ in range(30)]
+            assert list(map(add_c, xs)) == [field._add_digits(c, x) for x in xs], (q, c)
 
 
 def test_poly_from_roots():

@@ -25,7 +25,17 @@ from rscount.census import (
     self_reciprocal_irreducibles,
 )
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
-from rscount.fields import Poly, ff_from_order, ff_make, poly_eval, poly_mul, squarefree_codes
+from rscount.fields import (
+    Poly,
+    ff_from_order,
+    ff_make,
+    frobenius,
+    frobenius_map,
+    multiplicative_order,
+    poly_eval,
+    poly_mul,
+    squarefree_codes,
+)
 from rscount.genfun import (
     Identity,
     admissible_parity,
@@ -583,6 +593,14 @@ _BOOL_CALLS = [
     ("ff_make k bool", lambda: ff_make(3, True)),
     ("Poly code float", lambda: Poly(ff_from_order(3), [1.5, 1])),
     ("Poly code bool", lambda: Poly(ff_from_order(3), [True, 1])),
+    # frobenius_map's cache compares 3.0 == 3: q0 is checked before it.
+    ("frobenius q0 float warm", lambda: _warm_then(
+        frobenius_map, (ff_from_order(9), 3), (ff_from_order(9), 3.0, 2),
+        then=frobenius)),
+    ("frobenius code float", lambda: frobenius(ff_from_order(9), 3, 2.0)),
+    ("multiplicative_order code bool", lambda: multiplicative_order(ff_from_order(9), True)),
+    ("iter_hermitian_self_reciprocal_coeffs constant float", lambda: list(
+        iter_hermitian_self_reciprocal_coeffs(3, 1, constant=1.0))),
     # A value that is not an Identity names itself, not a KeyError.
     ("product_side identity str", lambda: product_side("gl-product", 3, 3)),
     ("closed_side identity str", lambda: closed_side("gl-product", 3, 3)),
@@ -592,9 +610,9 @@ _BOOL_CALLS = [
 ]
 
 
-def _warm_then(function, warm_args, bad_args):
+def _warm_then(function, warm_args, bad_args, then=None):
     function(*warm_args)
-    return function(*bad_args)
+    return (then or function)(*bad_args)
 
 
 @pytest.mark.parametrize("call", [c for _, c in _BOOL_CALLS], ids=[i for i, _ in _BOOL_CALLS])
@@ -615,7 +633,6 @@ def test_exactness_checks_survive_python_O():
         import rscount.oracle as oracle
         from rscount.census import CensusKind, census_count
         from rscount.closedform import Family, GroupSpec
-        from rscount.fields import Poly
         out = {"optimize": sys.flags.optimize}
         out["counts"] = [
             census_count(CensusKind.IRREDUCIBLE, 3, 6).count,
@@ -629,19 +646,26 @@ def test_exactness_checks_survive_python_O():
             out["necklace"] = "unchecked"
         except ArithmeticError:
             out["necklace"] = "raised"
-        oracle.self_reciprocal_irreducibles = lambda field, d: (Poly(field, (2, 0, 1)),)
-        try:
-            list(oracle.iter_orthogonal_data(4, 3))
-            out["constant"] = "unchecked"
-        except ArithmeticError:
-            out["constant"] = "raised"
+        # The oracle reads the census's coefficient tuples, so a bad one is
+        # injected there: a block with constant 2, then a pair member f with
+        # f_0 f*_0 = f_n = 2 (f* = (f_n / f_0) + ..., so f_0 f*_0 = f_n).
         # The oracle's counting walk builds no data, so it needs the check
-        # too; the cell (4, 3) is not cached yet.
-        try:
-            oracle.oracle_count(GroupSpec(Family.SO_PLUS, 2, 3))
-            out["walk_constant"] = "unchecked"
-        except ArithmeticError:
-            out["walk_constant"] = "raised"
+        # too; the cells (4, 3) and (4, 5) are not cached yet.
+        seams = {"block": ("_self_reciprocal_raw", 3, lambda field, d: ((2, 0, 1),)),
+                 "pair": ("_reciprocal_pairs_raw", 5, lambda field, d: ((1, 2),))}
+        for key, (name, q, bad) in seams.items():
+            good = getattr(oracle, name)
+            setattr(oracle, name, bad)
+            for route, call in (
+                ("data", lambda: list(oracle.iter_orthogonal_data(4, q))),
+                ("walk", lambda: oracle.oracle_count(GroupSpec(Family.SO_PLUS, 2, q))),
+            ):
+                try:
+                    call()
+                    out[f"{key} {route}"] = "unchecked"
+                except ArithmeticError:
+                    out[f"{key} {route}"] = "raised"
+            setattr(oracle, name, good)
         print(json.dumps(out))
         """
     )
@@ -661,8 +685,9 @@ def test_exactness_checks_survive_python_O():
         rs_count(GroupSpec(Family.SO_PLUS, 3, 3)),
     ]
     assert out["counts"][:3] == [116, 4, 99]
-    assert (out["necklace"], out["constant"]) == ("raised", "raised")
-    assert out["walk_constant"] == "raised"
+    assert out["necklace"] == "raised"
+    assert [out[f"{key} {route}"] for key in ("block", "pair") for route in ("data", "walk")] \
+        == ["raised"] * 4
 
 
 def test_orthogonal_oracle_runs_no_irreducibility_test():
@@ -730,17 +755,27 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
 
 def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     """The orthogonal oracle counts its data without building a
-    ConjugacyDatum each, and the census wraps its sieved tuples without
-    Poly's per-coefficient checks.  Counted in a fresh interpreter, so that
-    no cache is warm."""
+    ConjugacyDatum each, and neither it nor a census count without
+    witnesses builds a Poly at all: they count the census's coefficient
+    tuples.  The witnesses are still the public census functions' Poly
+    tuples, wrapped in one batch each without Poly's per-coefficient
+    checks.  Counted in a fresh interpreter, so that no cache is warm."""
     script = textwrap.dedent(
         """
         import json
+        import sys
         import rscount.fields as fields
         import rscount.oracle as oracle
-        from rscount.census import CensusKind, census_count, irreducibles
+        from rscount.census import (
+            CensusKind, census_count, hermitian_pairs,
+            hermitian_self_reciprocal_irreducibles, irreducibles,
+            reciprocal_pairs, self_reciprocal_irreducibles,
+        )
         from rscount.closedform import Family, GroupSpec
-        calls = {"poly": 0, "datum": 0}
+        # The fields first: their modulus search builds a Poly per candidate.
+        for q in (4, 9):
+            fields.ff_from_order(q)
+        calls = {"poly": 0, "datum": 0, "batch": 0}
         def counted(cls, method, key):
             original = getattr(cls, method)
             def wrapped(*args, **kwargs):
@@ -750,18 +785,49 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
         counted(fields.Poly, "__init__", "poly")
         # A named tuple is built by __new__.
         counted(oracle.ConjugacyDatum, "__new__", "datum")
+        # Every Poly of a census or oracle scan comes from the batch wrapper.
+        batch = fields._monic_polys
+        def counted_batch(field, rows):
+            calls["batch"] += 1
+            return batch(field, rows)
+        bindings = sorted(
+            name for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "rscount" and getattr(module, "_monic_polys", None) is batch
+        )
+        for name in bindings:
+            sys.modules[name]._monic_polys = counted_batch
+        f = fields.ff_from_order
+        cells = [
+            ("irreducible", 7, 5, lambda: irreducibles(f(7), 5)),
+            ("self-reciprocal", 5, 8, lambda: self_reciprocal_irreducibles(f(5), 8)),
+            ("reciprocal-pairs", 4, 5, lambda: reciprocal_pairs(f(4), 5)),
+            ("hermitian-self-reciprocal", 3, 5,
+             lambda: hermitian_self_reciprocal_irreducibles(3, 5)),
+            ("hermitian-pairs", 2, 4, lambda: hermitian_pairs(2, 4)),
+        ]
         result = oracle.oracle_count(GroupSpec(Family.SO_MINUS, 5, 5))
-        out = {"counts": [
-            result.count,
-            census_count(CensusKind.IRREDUCIBLE, 7, 5, "enumerate").count,
-        ], "witnesses": result.witness_count}
+        out = {"counts": [result.count] + [
+            census_count(CensusKind(kind), q, d, "enumerate").count
+            for kind, q, d, _ in cells
+        ], "witnesses": result.witness_count, "bindings": bindings}
         out["calls"] = dict(calls)
         out["irreducibles"] = sum(
-            len(irreducibles(fields.ff_from_order(q), d)) for q, d_max in ((5, 5), (7, 5))
+            len(irreducibles(f(q), d)) for q, d_max in ((5, 5), (7, 5))
             for d in range(1, d_max + 1)
         )
+        # With witnesses, the members are the public functions' Poly tuples.
+        out["witness_checks"] = []
+        for kind, q, d, public in cells:
+            members = census_count(CensusKind(kind), q, d, "enumerate", True).witnesses
+            polys = [x for m in members for x in (m if isinstance(m, tuple) else (m,))]
+            out["witness_checks"].append([
+                members == public(),
+                len(members),
+                all(isinstance(x, fields.Poly) for x in polys),
+                len(polys) == len(members) * (2 if kind.endswith("pairs") else 1),
+            ])
         # The counters are live.
-        fields.Poly(fields.ff_from_order(5), (1, 1))
+        fields.Poly(f(5), (1, 1))
         next(oracle.iter_orthogonal_data(10, 5))
         out["control_calls"] = calls
         print(json.dumps(out))
@@ -776,16 +842,25 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     )
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
-    assert out["counts"] == [
-        rs_count(GroupSpec(Family.SO_MINUS, 5, 5)),
-        census_count(CensusKind.IRREDUCIBLE, 7, 5).count,
+    cells = [
+        (CensusKind.IRREDUCIBLE, 7, 5),
+        (CensusKind.SELF_RECIPROCAL, 5, 8),
+        (CensusKind.RECIPROCAL_PAIRS, 4, 5),
+        (CensusKind.HERMITIAN_SELF_RECIPROCAL, 3, 5),
+        (CensusKind.HERMITIAN_PAIRS, 2, 4),
     ]
+    formula = [census_count(kind, q, d).count for kind, q, d in cells]
+    assert out["counts"] == [rs_count(GroupSpec(Family.SO_MINUS, 5, 5))] + formula
+    assert out["bindings"] == ["rscount.census", "rscount.fields", "rscount.oracle"]
     assert out["witnesses"] > 3_000
     # One validated Poly per irreducible would be over 4,000 here (a
     # per-polynomial constructor made 5,845, and a per-datum walk 3,403 data).
     assert out["irreducibles"] > 4_000
-    assert out["calls"] == {"poly": 0, "datum": 0}
-    assert out["control_calls"] == {"poly": 1, "datum": 1}
+    assert out["calls"] == {"poly": 0, "datum": 0, "batch": 0}
+    assert out["witness_checks"] == [[True, count, True, True] for count in formula]
+    control = out["control_calls"]
+    assert (control["poly"], control["datum"]) == (1, 1)
+    assert control["batch"] > 0
 
 
 def test_unitary_scan_reads_the_linear_marks():
