@@ -29,9 +29,9 @@ only the smaller-code member f of each pair, as the irreducibles' own tuple).
 The oracle and ``census_count(..., "enumerate")`` count those tuples.  Only
 the public :func:`irreducibles`, :func:`self_reciprocal_irreducibles`,
 :func:`reciprocal_pairs`, :func:`hermitian_self_reciprocal_irreducibles` and
-:func:`hermitian_pairs`, and so the witnesses of :func:`census_count`, wrap
-them in :class:`~rscount.fields.Poly`; the pair functions build the partners
-there.
+:func:`hermitian_pairs`, and the witnesses of :func:`census_count` (the same
+tuples, z left out of the irreducibles), wrap them in
+:class:`~rscount.fields.Poly`; the pair functions build the partners there.
 The two routes agree on the overlap grid by construction of the test suite;
 the formula route exists so that truncated products can reach degrees slightly
 beyond what raw enumeration affords.
@@ -166,8 +166,9 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     in index order, which is code order: the code of a monic polynomial of
     degree d is q^d plus the index of its d low coefficients.  The callers
     have checked the cap: on the q^degree candidates (:func:`irreducibles`,
-    :func:`_unit_irreducible_raw`), or on a larger scan that reads this one
-    (the recursion, the constructions, the oracle's sieve).
+    :func:`_unit_irreducible_raw` and the pair paths), or on a larger scan
+    that reads this one (the recursion, the constructions, the oracle's
+    sieve).
     """
     q = field.q
     if degree == 1:
@@ -196,15 +197,10 @@ def irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     return _monic_polys(field, _irreducible_raw(field, degree))
 
 
-def _unit_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
-    """:func:`irreducibles` without z: those with a nonzero constant term."""
-    polys = irreducibles(field, degree)
-    return polys[1:] if degree == 1 else polys
-
-
 def _unit_irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`_irreducible_raw` without z, after the cap check of
-    :func:`irreducibles`."""
+    """The members of the irreducible census: :func:`_irreducible_raw`
+    without z, the one irreducible with constant term 0, after the cap check
+    of :func:`irreducibles`."""
     check_enumeration_bound(*_irreducible_bound(field, degree))
     raw = _irreducible_raw(field, degree)
     return raw[1:] if degree == 1 else raw
@@ -297,11 +293,13 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
 def _kept_of_pairs(candidates, partner_codes) -> tuple[tuple[int, ...], ...]:
     """The f among ``candidates`` whose partner, ``partner_codes(f)``, has a
     larger code, in ``candidates`` order: one f per pair of distinct partners.
+    z, the one irreducible with constant term 0, has no partner and is left
+    out.
 
     f and its partner are monic of one degree, so comparing the tuples
     reversed (highest coefficient first) orders them by code.  The kept
     tuples are the candidates' own, not copies, and no partner is kept."""
-    return tuple(f for f in candidates if f[::-1] < partner_codes(f)[::-1])
+    return tuple(f for f in candidates if f[0] and f[::-1] < partner_codes(f)[::-1])
 
 
 def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
@@ -313,9 +311,7 @@ def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], .
 def _reciprocal_pairs_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     """The smaller-code member f of each pair {f, f*} of distinct reciprocal
     irreducible partners, sorted by code, as :func:`_irreducible_raw`'s tuples."""
-    return _kept_of_pairs(
-        _unit_irreducible_raw(field, degree), partial(reciprocal_codes, field)
-    )
+    return _kept_of_pairs(_irreducible_raw(field, degree), partial(reciprocal_codes, field))
 
 
 @capped_cache(_irreducible_bound)
@@ -483,8 +479,7 @@ def _hermitian_pairs_raw(base_q: int, degree: int) -> tuple[tuple[int, ...], ...
     irreducible partners over GF(base_q^2), sorted by code."""
     ext = ff_from_order(base_q * base_q)
     return _kept_of_pairs(
-        _unit_irreducible_raw(ext, degree),
-        partial(hermitian_reciprocal_codes, ext, base_q=base_q),
+        _irreducible_raw(ext, degree), partial(hermitian_reciprocal_codes, ext, base_q=base_q)
     )
 
 
@@ -551,27 +546,30 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
 
 
 def _enumerate_cell(kind: CensusKind, q: int, d: int, with_witnesses: bool) -> tuple:
-    """The enumerated members of one census cell: with witnesses, the public
-    functions' :class:`Poly` (pairs (f, partner) for the pair kinds);
-    without, the raw coefficient tuples (the kept f for the pair kinds)."""
-    if kind is CensusKind.IRREDUCIBLE:
-        field = ff_from_order(q)
-        if with_witnesses:
-            return _unit_irreducibles(field, d)
-        return _unit_irreducible_raw(field, d)
-    if kind is CensusKind.SELF_RECIPROCAL:
-        scan = self_reciprocal_irreducibles if with_witnesses else _self_reciprocal_raw
-        return scan(ff_from_order(q), d)
-    if kind is CensusKind.RECIPROCAL_PAIRS:
-        scan = reciprocal_pairs if with_witnesses else _reciprocal_pairs_raw
-        return scan(ff_from_order(q), d)
-    if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
-        scan = (hermitian_self_reciprocal_irreducibles if with_witnesses
-                else _hermitian_self_reciprocal_raw)
-        return scan(q, d)
-    if kind is CensusKind.HERMITIAN_PAIRS:
-        return (hermitian_pairs if with_witnesses else _hermitian_pairs_raw)(q, d)
-    raise ValueError(f"unknown census kind {kind!r}")
+    """The enumerated members of one census cell: the raw path's coefficient
+    tuples (the kept f for the pair kinds), or with witnesses :class:`Poly`
+    (pairs (f, partner) for the pair kinds).  The hermitian scans take q,
+    the others the field GF(q)."""
+    # Built per call, so that each scan is looked up by name when it runs,
+    # as the benchmark's tracer (perfbench/spans.py), which rebinds them,
+    # expects.
+    scans = {
+        CensusKind.IRREDUCIBLE: (
+            _unit_irreducible_raw,
+            lambda field, d: _monic_polys(field, _unit_irreducible_raw(field, d)),
+        ),
+        CensusKind.SELF_RECIPROCAL: (_self_reciprocal_raw, self_reciprocal_irreducibles),
+        CensusKind.RECIPROCAL_PAIRS: (_reciprocal_pairs_raw, reciprocal_pairs),
+        CensusKind.HERMITIAN_SELF_RECIPROCAL: (
+            _hermitian_self_reciprocal_raw, hermitian_self_reciprocal_irreducibles
+        ),
+        CensusKind.HERMITIAN_PAIRS: (_hermitian_pairs_raw, hermitian_pairs),
+    }
+    if kind not in scans:
+        raise ValueError(f"unknown census kind {kind!r}")
+    raw, witnesses = scans[kind]
+    hermitian = kind in (CensusKind.HERMITIAN_SELF_RECIPROCAL, CensusKind.HERMITIAN_PAIRS)
+    return (witnesses if with_witnesses else raw)(q if hermitian else ff_from_order(q), d)
 
 
 def census_count(

@@ -36,10 +36,10 @@ read the tables inline where they exist; :func:`combination_map` and
 :func:`evaluation_map` return the linear-combination and evaluation kernels
 that the census constructions run once per polynomial; and
 :func:`mark_multiples` sieves a batch of divisors over one set of addition
-rows.  The two polynomial kernels have three branches: plain ints with one
-``% p`` per output coefficient at a prime q, inline table reads where the
-dense tables exist, and one :class:`GF` call per operation above
-:data:`TABLE_LIMIT`.
+rows.  The two polynomial kernels have two branches: plain ints with one
+``% p`` per output coefficient at a prime q, and one :class:`GF` call per
+operation in an extension field, where :meth:`GF.add` and :meth:`GF.mul`
+read the tables themselves if the field has them.
 
 The kernels take and return coefficient sequences, not :class:`Poly`: the
 census and oracle scans run on code tuples, and only the public census
@@ -386,36 +386,23 @@ def combination_map(
     sequence g, where the basis rows are coefficient lists of one length.
 
     At a prime q the codes are the residues mod p, so each output
-    coefficient is one int dot product and one ``% p``.  A field with dense
-    tables scales and adds whole rows through table reads; a larger field
+    coefficient is one int dot product and one ``% p``.  An extension field
     makes one :meth:`GF.mul` and :meth:`GF.add` per nonzero term.
     """
     if field.k == 1:
         p, columns = field.p, list(zip(*basis))
         return lambda g: [sum(map(operator.mul, g, column)) % p for column in columns]
     width = len(basis[0])
-    if field.mul_table is not None:
-        add_rows, mul_rows = field.add_table, field.mul_table
-
-        def combine(g: Sequence[int]) -> list[int]:
-            out = [0] * width
-            for c, row in zip(g, basis):
-                if c:
-                    scaled = map(mul_rows[c].__getitem__, row)
-                    out = [add_rows[a][b] for a, b in zip(out, scaled)]
-            return out
-
-        return combine
     add, scale = field.add, field.mul
 
-    def combine_digits(g: Sequence[int]) -> list[int]:
+    def combine(g: Sequence[int]) -> list[int]:
         out = [0] * width
         for c, row in zip(g, basis):
             if c:
                 out = [add(a, scale(c, b)) if b else a for a, b in zip(out, row)]
         return out
 
-    return combine_digits
+    return combine
 
 
 def evaluation_map(field: GF, x: int, degree: int) -> Callable[[Sequence[int]], int]:
@@ -423,23 +410,12 @@ def evaluation_map(field: GF, x: int, degree: int) -> Callable[[Sequence[int]], 
     most ``degree``.
 
     At a prime q it is one int dot product with the powers of x and one
-    ``% p``; a field with dense tables runs Horner's rule through table
-    reads; a larger field calls :func:`poly_eval`.
+    ``% p``; an extension field calls :func:`poly_eval`.
     """
     if field.k == 1:
         p = field.p
         powers = [pow(x, i, p) for i in range(degree + 1)]
         return lambda g: sum(map(operator.mul, g, powers)) % p
-    if field.mul_table is not None:
-        add_rows, times_x = field.add_table, field.mul_table[x]
-
-        def evaluate(g: Sequence[int]) -> int:
-            acc = 0
-            for c in reversed(g):
-                acc = add_rows[times_x[acc]][c]
-            return acc
-
-        return evaluate
     return lambda g: poly_eval(field, g, x)
 
 

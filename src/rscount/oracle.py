@@ -44,7 +44,9 @@ and no partner.  The orthogonal oracle counts its data without building them:
 one plain recursion reaches every datum once per ±1-eigenvalue option, with
 no counting formula, so it stays an enumeration.  :func:`iter_orthogonal_data`
 builds the same data, one :class:`ConjugacyDatum` each, and is the one place
-here that wraps the blocks and pairs (partners included) in ``Poly``.
+here that reads ``Poly``: the blocks and pairs (partners included) of the
+public :func:`~rscount.census.self_reciprocal_irreducibles` and
+:func:`~rscount.census.reciprocal_pairs`.
 
 Scans refuse (raising :class:`~rscount.census.EnumerationBoundError`) rather
 than run past the configured candidate cap.
@@ -53,7 +55,6 @@ than run past the configured candidate cap.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import compress
 from operator import not_
 from typing import Iterator, NamedTuple, Optional
@@ -62,21 +63,13 @@ from .census import (
     _irreducible_raw,
     _reciprocal_pairs_raw,
     _self_reciprocal_raw,
-    _with_partners,
     capped_cache,
     cayley_frame,
+    reciprocal_pairs,
+    self_reciprocal_irreducibles,
 )
 from .closedform import Family, GroupSpec
-from .conjugation import reciprocal_codes
-from .fields import (
-    GF,
-    Poly,
-    _monic_polys,
-    ff_from_order,
-    mark_multiples,
-    poly_mul,
-    translate_map,
-)
+from .fields import GF, Poly, ff_from_order, mark_multiples, poly_mul, translate_map
 from .numbertheory import check_int, exact_div
 
 __all__ = [
@@ -326,17 +319,18 @@ def iter_orthogonal_data(m: int, q: int) -> Iterator[ConjugacyDatum]:
 
     Every datum's non-eigenvalue part has characteristic-polynomial constant
     term 1 (checked: ArithmeticError otherwise), so the data are exactly the
-    admissible class labels.  The blocks and pairs are :class:`Poly`, built
-    here from the census's coefficient tuples.
+    admissible class labels.  The blocks and pairs are the :class:`Poly` of
+    the public :func:`~rscount.census.self_reciprocal_irreducibles` and
+    :func:`~rscount.census.reciprocal_pairs`, which wrap the tuples checked.
     """
     options, groups = _orthogonal_parts(m, q)
     field = ff_from_order(q)
     universe = []
-    for d, sign, members in groups:
+    for d, sign, _ in groups:
         if sign == -1:
-            payloads = _monic_polys(field, members)
+            payloads = self_reciprocal_irreducibles(field, d)
         else:
-            payloads = _with_partners(field, members, partial(reciprocal_codes, field))
+            payloads = reciprocal_pairs(field, d // 2)
         universe += [(d, sign, payload) for payload in payloads]
     degrees = [item[0] for item in universe]
     chosen: list = []

@@ -329,9 +329,10 @@ def test_poly_evaluation():
     assert f(3) == 0
 
 
-# The kernels' three branches: plain ints at a prime q (with or without
-# tables), table reads for an extension field with tables, GF calls above
-# TABLE_LIMIT.  The references are the digit arithmetic, which reads no table.
+# The kernels' two branches, plain ints at a prime q (with or without tables)
+# and GF calls in an extension field, the latter on fields with tables and
+# above TABLE_LIMIT.  The references are the digit arithmetic, which reads no
+# table.
 _KERNEL_FIELDS = {
     "prime": (11, 13, 257),
     "tables": (4, 8, 9, 16),

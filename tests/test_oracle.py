@@ -851,7 +851,7 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     ]
     formula = [census_count(kind, q, d).count for kind, q, d in cells]
     assert out["counts"] == [rs_count(GroupSpec(Family.SO_MINUS, 5, 5))] + formula
-    assert out["bindings"] == ["rscount.census", "rscount.fields", "rscount.oracle"]
+    assert out["bindings"] == ["rscount.census", "rscount.fields"]
     assert out["witnesses"] > 3_000
     # One validated Poly per irreducible would be over 4,000 here (a
     # per-polynomial constructor made 5,845, and a per-datum walk 3,403 data).
