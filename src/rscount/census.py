@@ -503,7 +503,7 @@ def _necklace(q: int, d: int) -> int:
     return exact_div(total, d, "census count")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _formula_count(kind: CensusKind, q: int, d: int) -> int:
     if kind is CensusKind.IRREDUCIBLE:
         return q - 1 if d == 1 else _necklace(q, d)

@@ -7,7 +7,10 @@ One table, ``_COMMANDS``, gives each subcommand's help string, argument adder
 and handler.  A run whose first argument names a subcommand builds that
 subcommand's parser alone; ``-h``, a missing, unknown or abbreviated command,
 an option before the command and any argument left over go through the full
-parser, so usage, help and error texts are the same either way.
+parser, so usage, help and error texts are the same either way.  Each parser
+is built once per process, when a run first needs it, and reused by later
+in-process ``main`` calls; a one-shot run still builds only its own command's
+parser.
 
 Exit codes: 0 success/agreement, 2 invalid arguments, 3 count or identity
 disagreement, 4 enumeration-bound refusal.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .census import CensusKind, EnumerationBoundError, census_count
@@ -275,6 +279,10 @@ _COMMANDS = {
     ),
 }
 
+# One built parser per command name, plus the full parser.  ``build_parser``
+# itself returns a new parser on every call, so no caller can reach these.
+_parser = lru_cache(maxsize=len(_COMMANDS) + 1)(build_parser)
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -282,9 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Anything left over is parsed again by the full parser, so that the
     # "unrecognized arguments" error shows the usage with every command.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extras = build_parser(command).parse_known_args(argv)
+    args, extras = _parser(command).parse_known_args(argv)
     if extras:
-        args = build_parser().parse_args(argv)
+        args = _parser(None).parse_args(argv)
     try:
         code, text = _COMMANDS[args.command][2](args)
     except EnumerationBoundError as exc:

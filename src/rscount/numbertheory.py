@@ -49,7 +49,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Return the prime factorization of ``n >= 1`` as ((p1, e1), (p2, e2), ...).
 

@@ -489,6 +489,11 @@ def _outcome(capsys, run, argv):
 @pytest.mark.parametrize("columns", ["50", "120"])
 @pytest.mark.parametrize("argv", _PINNED_ARGVS, ids=" ".join)
 def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv, columns):
+    """Also after ``main``'s cached parsers were used for a rejected argv and
+    for ``-h`` at another help width: reuse leaves no state behind."""
+    monkeypatch.setenv("COLUMNS", "200")
+    _outcome(capsys, main, argv[:1] + ["--bogus"])
+    _outcome(capsys, main, ["-h"])
     monkeypatch.setenv("COLUMNS", columns)
     expected = _outcome(capsys, _main_with_full_parser, list(argv))
     assert _outcome(capsys, main, list(argv)) == expected
@@ -506,7 +511,11 @@ def test_import_and_parse_do_only_the_needed_work():
     """``import rscount.cli`` loads neither dataclasses nor inspect, and a run
     builds the parser of its own command alone.  Counted in a fresh isolated
     interpreter, by wrapping argparse's ``add_parser``; ``-h`` builds all five,
-    which shows that the counter is live."""
+    which shows that the counter is live.  A second run of a command, or of
+    ``-h``, builds nothing: ``main`` keeps one parser per command and the full
+    one, while ``build_parser`` returns a new parser on every call."""
+    assert cli.build_parser("count") is not cli.build_parser("count")
+    assert cli._parser.cache_info().maxsize == len(cli._COMMANDS) + 1
     script = textwrap.dedent(
         """
         import argparse, contextlib, io, json, sys
@@ -540,6 +549,8 @@ def test_import_and_parse_do_only_the_needed_work():
         ["census", "--kind", "irreducible", "--q", "2", "--d-max", "2"],
         ["series", "--family", "gl", "--terms", "2"],
         ["-h"],
+        _COUNT,
+        ["-h"],
     ]
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -551,7 +562,7 @@ def test_import_and_parse_do_only_the_needed_work():
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["loaded"] == []
-    assert out["runs"] == [[0, 1]] * 5 + [[0, 5]]
+    assert out["runs"] == [[0, 1]] * 5 + [[0, 5]] + [[0, 0]] * 2
 
 
 def test_console_script_smoke():

@@ -144,6 +144,38 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert not unused, (path.name, sorted(unused))
 
 
+#: The only unbounded caches: the table of field singletons, the irreducible
+#: sieve that every census construction reads, and the scans' cache, which
+#: ``capped_cache`` guards by the enumeration cap.
+_UNBOUNDED_CACHES = {
+    ("fields", "_ff_make"), ("census", "_irreducible_raw"), ("census", "capped_cache"),
+}
+
+
+def _unbounded_caches(tree: ast.Module):
+    """(top-level definition, line) of every ``lru_cache(maxsize=None)`` in a module."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) != "lru_cache":
+                continue
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                yield getattr(stmt, "name", "<module>"), node.lineno
+
+
+def test_every_unbounded_cache_is_on_the_allow_list():
+    """Caches are bounded: an ``lru_cache(maxsize=None)`` in ``src/rscount``
+    is one of the three listed in ``_UNBOUNDED_CACHES``, and each of those is found."""
+    package = Path(rscount.__file__).parent
+    found = {
+        (path.stem, name): line
+        for path in sorted(package.glob("*.py"))
+        for name, line in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(found) == _UNBOUNDED_CACHES, found
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     """``perfbench/spans.py`` wraps rscount functions by name, so each name
     it lists must resolve, and each cached one must keep ``cache_info``."""
