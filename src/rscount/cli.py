@@ -4,13 +4,13 @@ All subcommands build their entire output in memory and write it in one call,
 so output is deterministic byte-for-byte and never partial on error.
 
 One table, ``_COMMANDS``, gives each subcommand's help string, argument adder
-and handler.  A run whose first argument names a subcommand builds that
-subcommand's parser alone; ``-h``, a missing, unknown or abbreviated command,
-an option before the command and any argument left over go through the full
-parser, so usage, help and error texts are the same either way.  Each parser
-is built once per process, when a run first needs it, and reused by later
-in-process ``main`` calls; a one-shot run still builds only its own command's
-parser.
+and handler.  A run whose first argument names a subcommand parses the rest
+in one pass with that subcommand's own parser, ``rscount <command>``; ``-h``,
+a missing, unknown or abbreviated command, an option before the command and
+any argument left over go through the full parser, so usage, help and error
+texts are the same either way.  Each parser is built once per process, when a
+run first needs it, and reused by later in-process ``main`` calls; a one-shot
+run builds only its own command's parser.
 
 Exit codes: 0 success/agreement, 2 invalid arguments, 3 count or identity
 disagreement, 4 enumeration-bound refusal.
@@ -47,11 +47,16 @@ _EXIT_BOUND = 4
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``rscount`` parser with every subcommand, or with ``command``'s alone.
+    """The ``rscount`` parser with every subcommand, or ``command``'s own parser.
 
-    A subcommand's usage, help and error texts do not depend on its siblings,
-    so the narrow parser prints them as the full one does.
+    ``command``'s parser is the one the full parser builds for it, with the
+    same ``prog``, ``rscount <command>``, and the same arguments, so it prints
+    that subcommand's usage, help and error texts as the full one does.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"rscount {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="rscount",
         description=(
@@ -61,9 +66,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = _COMMANDS if command is None else [command]
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -286,12 +289,14 @@ _parser = lru_cache(maxsize=len(_COMMANDS) + 1)(build_parser)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A run that names its command first builds that command's parser alone.
-    # Anything left over is parsed again by the full parser, so that the
-    # "unrecognized arguments" error shows the usage with every command.
+    # A run that names its command first parses the rest with that command's
+    # own parser.  Any other run, and any run with an argument left over, is
+    # parsed by the full parser, so that its usage and errors name every command.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extras = _parser(command).parse_known_args(argv)
-    if extras:
+    if command is not None:
+        args, extras = _parser(command).parse_known_args(argv[1:])
+        args.command = command
+    if command is None or extras:
         args = _parser(None).parse_args(argv)
     try:
         code, text = _COMMANDS[args.command][2](args)

@@ -29,7 +29,9 @@ over GF(q^2) that equal their hermitian reciprocal (the polynomials that
 count U(n, q) classes, arXiv 1209.3345) correspond one-to-one to the monic
 squarefree g over GF(q) of degree n, or of degree n - 1 when f(1) = 0, with
 g(w) != 0; and f(0) = (-1)^n g(w)^(1 - q).  So one sieve over GF(q) serves
-all three families.
+all three families.  The unitary scan keeps a bounded tally per degree of the
+values g(w)^(1 - q), which U(n, q) and U(n + 1, q) share, so a ladder of
+ranks sieves each degree once.
 The irreducibles come from the census ``enumerate`` route only.  The
 orthogonal data are built from the census's reciprocal pairs and its
 self-reciprocal irreducibles, which the same z + 1/z correspondence
@@ -55,6 +57,7 @@ than run past the configured candidate cap.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import compress
 from operator import not_
 from typing import Iterator, NamedTuple, Optional
@@ -159,6 +162,44 @@ def _unitary_bound(n: int, q: int):
             f"unitary scan over the monic g of degree {n} and {n - 1} over GF({q})")
 
 
+@lru_cache(maxsize=64)
+def _unitary_tally(m: int, q: int) -> dict[int, int]:
+    """norm-one value u -> number of unmarked monic g of degree m over GF(q)
+    with g(w) != 0 and g(w)^(q^2 - q) = u, for the w of
+    :func:`~rscount.census.cayley_frame`.
+
+    :func:`_unitary_histogram` reads the tallies of degrees n - 1 and n, so a
+    ladder of ranks sieves each degree once.  An entry has at most q + 1 keys.
+    The sieve's marks are tallied one block per top coefficient: the low
+    coefficients' part of g(w) is listed once, and each block adds its top
+    terms to the tallied values.
+    """
+    if m == 0:
+        return {1: 1}  # g = 1, for f = z - 1
+    field, ext = ff_from_order(q), ff_from_order(q * q)
+    add, mul = ext.add, ext.mul
+    w, embed = cayley_frame(q)
+    marks = _squarefree_marks(field, m)
+    # low[i]: the part of g(w) from the m - 1 low coefficients, i their code.
+    low, power = [0], 1
+    for _ in range(m - 1):
+        low = [v for c in range(q)
+               for v in map(translate_map(ext, mul(embed[c], power)), low)]
+        power = mul(power, w)
+    size, lead = len(low), mul(power, w)
+    values: Counter = Counter()  # g(w) -> unmarked g
+    for h in range(q):
+        block = marks[h * size:(h + 1) * size]
+        plus_top = translate_map(ext, add(lead, mul(embed[h], power)))  # w^m + h w^(m-1)
+        for v, count in Counter(compress(low, map(not_, block))).items():
+            values[plus_top(v)] += count
+    del values[0]  # the multiples of w's minimal polynomial: no f has a root 0
+    tally: Counter = Counter()
+    for v, count in values.items():
+        tally[ext.pow(v, q * q - q)] += count
+    return tally
+
+
 @capped_cache(_unitary_bound)
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
@@ -177,36 +218,16 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
         f(0) = (-1)^n prod_b phi(b) = (-1)^n g(w) / g(w^q) = (-1)^n g(w)^(1 - q).
 
     So the scan reads the linear sieve's marks of degrees n and n - 1, as the
-    symplectic scan does through z + 1/z, and tallies g(w) over the unmarked
-    g, one block per top coefficient: the low coefficients' part of g(w) is
-    listed once, and each block adds its top terms to the tallied values.
+    symplectic scan does through z + 1/z: it adds the per-degree tallies of
+    g(w)^(q^2 - q) = g(w)^(1 - q) from :func:`_unitary_tally` and applies the
+    sign (-1)^n.
     """
-    field, ext = ff_from_order(q), ff_from_order(q * q)
-    add, mul = ext.add, ext.mul
-    w, embed = cayley_frame(q)
-    values: Counter = Counter()  # g(w) -> unmarked g
-    for m in (n - 1, n):
-        if m == 0:
-            values[1] += 1  # g = 1, for f = z - 1
-            continue
-        marks = _squarefree_marks(field, m)
-        # low[i]: the part of g(w) from the m - 1 low coefficients, i their code.
-        low, power = [0], 1
-        for _ in range(m - 1):
-            low = [v for c in range(q)
-                   for v in map(translate_map(ext, mul(embed[c], power)), low)]
-            power = mul(power, w)
-        size, lead = len(low), mul(power, w)
-        for h in range(q):
-            block = marks[h * size:(h + 1) * size]
-            plus_top = translate_map(ext, add(lead, mul(embed[h], power)))  # w^m + h w^(m-1)
-            for v, count in Counter(compress(low, map(not_, block))).items():
-                values[plus_top(v)] += count
-    del values[0]  # the multiples of w's minimal polynomial: no f has a root 0
+    ext = ff_from_order(q * q)
     sign = ext.neg(1) if n % 2 else 1
     hist: Counter = Counter()
-    for v, count in values.items():
-        hist[mul(sign, ext.pow(v, q * q - q))] += count
+    for m in (n - 1, n):
+        for u, count in _unitary_tally(m, q).items():
+            hist[ext.mul(sign, u)] += count
     return {c: hist[c] for c in sorted(hist)}
 
 
@@ -230,8 +251,8 @@ def _symplectic_scan(n: int, q: int) -> int:
     field = ff_from_order(q)
     marks = _squarefree_marks(field, n)
     two = field.scalar(2)
-    # The g with a root at -c, for c = ±2.
-    mark_multiples(marks, field, [(c, 1) for c in (two, field.neg(two))], n)
+    # The g with a root at -c, for c = ±2: one c in characteristic 2.
+    mark_multiples(marks, field, [(c, 1) for c in sorted({two, field.neg(two)})], n)
     return marks.count(0)
 
 

@@ -510,11 +510,13 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch, argv):
 def test_import_and_parse_do_only_the_needed_work():
     """``import rscount.cli`` loads neither dataclasses nor inspect, and a run
     builds the parser of its own command alone.  Counted in a fresh isolated
-    interpreter, by wrapping argparse's ``add_parser``; ``-h`` builds all five,
-    which shows that the counter is live.  A second run of a command, or of
-    ``-h``, builds nothing: ``main`` keeps one parser per command and the full
-    one, while ``build_parser`` returns a new parser on every call."""
+    interpreter, by wrapping ``argparse.ArgumentParser.__init__``; ``-h``
+    builds the full parser, one parser plus one per command, which shows that
+    the counter is live.  A second run of a command, or of ``-h``, builds
+    nothing: ``main`` keeps one parser per command and the full one, while
+    ``build_parser`` returns a new parser on every call."""
     assert cli.build_parser("count") is not cli.build_parser("count")
+    assert cli.build_parser("count").prog == "rscount count"
     assert cli._parser.cache_info().maxsize == len(cli._COMMANDS) + 1
     script = textwrap.dedent(
         """
@@ -524,11 +526,11 @@ def test_import_and_parse_do_only_the_needed_work():
         import rscount.cli as cli
         loaded = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
         calls = [0]
-        add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
         def counted(self, *args, **kwargs):
             calls[0] += 1
-            return add_parser(self, *args, **kwargs)
-        argparse._SubParsersAction.add_parser = counted
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
         runs = []
         for argv in json.loads(sys.argv[2]):
             calls[0] = 0
@@ -562,7 +564,7 @@ def test_import_and_parse_do_only_the_needed_work():
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["loaded"] == []
-    assert out["runs"] == [[0, 1]] * 5 + [[0, 5]] + [[0, 0]] * 2
+    assert out["runs"] == [[0, 1]] * 5 + [[0, 1 + len(cli._COMMANDS)]] + [[0, 0]] * 2
 
 
 def test_console_script_smoke():

@@ -188,6 +188,28 @@ def test_symplectic_sieve_matches_gcd_scan():
         assert _oracle(Family.SP, n, q).count == _reference_symplectic_scan(n, q), (n, q)
 
 
+def test_symplectic_scan_marks_each_root_divisor_once(monkeypatch):
+    """The g with a root at 2 or -2 are marked once per distinct divisor:
+    z - 2 and z + 2 at odd q, z alone in characteristic 2, where 2 = -2 = 0."""
+    import rscount.oracle as oracle
+
+    linear = []
+    mark = oracle.mark_multiples
+
+    def counted(marks, field, divisors, n):
+        divisors = list(divisors)
+        linear.extend(d for d in divisors if len(d) == 2)
+        mark(marks, field, divisors, n)
+
+    monkeypatch.setattr(oracle, "mark_multiples", counted)
+    for q, divisors in ((2, 1), (3, 2), (4, 1), (5, 2)):
+        linear.clear()
+        # The uncached scan, so that every q marks again.
+        count = oracle._symplectic_scan.__wrapped__(3, q)
+        assert len(linear) == divisors, q
+        assert count == _reference_symplectic_scan(3, q), q
+
+
 def test_scans_refuse_past_the_cap_before_marking_even_when_cached(monkeypatch):
     import rscount.oracle as oracle
 
@@ -866,7 +888,8 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
 def test_unitary_scan_reads_the_linear_marks():
     """The unitary scan lists no member of the hermitian family and runs no
     product over GF(q^2): it reads the linear sieve over GF(q), once for
-    degree n and once for n - 1.  Every binding of ``poly_mul`` and of
+    degree n and once for n - 1, and U(10, 2) then U(11, 2) sieve degree 10
+    once.  Every binding of ``poly_mul`` and of
     ``iter_hermitian_self_reciprocal_coeffs`` is counted in a fresh
     interpreter, so that no cache is warm."""
     script = textwrap.dedent(
@@ -877,7 +900,7 @@ def test_unitary_scan_reads_the_linear_marks():
         import rscount.fields as fields
         import rscount.oracle as oracle
         from rscount.closedform import Family, GroupSpec
-        cells = ((11, 2), (7, 3))
+        cells = ((10, 2), (11, 2), (7, 3))
         calls = {"ext_mul": 0, "yields": 0, "marks": []}
         multiply = fields.poly_mul
         iterate = census.iter_hermitian_self_reciprocal_coeffs
@@ -923,16 +946,17 @@ def test_unitary_scan_reads_the_linear_marks():
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["counts"] == [
+        rs_count(GroupSpec(Family.U, 10, 2)),
         rs_count(GroupSpec(Family.U, 11, 2)),
         rs_count(GroupSpec(Family.U, 7, 3)),
     ]
-    assert out["counts"] == [1227, 1748]
+    assert out["counts"] == [615, 1227, 1748]
     assert "rscount.census.iter_hermitian_self_reciprocal_coeffs" in out["bindings"]
     assert "rscount.oracle.poly_mul" in out["bindings"]
     # The sieve over GF(q^2) that this scan replaced made 69 products over
-    # GF(q^2) and listed 1,195 members of the family here.
+    # GF(q^2) and listed 1,195 members of the family for U(11, 2) and U(7, 3).
     assert out["calls"] == {"ext_mul": 0, "yields": 0,
-                            "marks": [[2, 10], [2, 11], [3, 6], [3, 7]]}
+                            "marks": [[2, 9], [2, 10], [2, 11], [3, 6], [3, 7]]}
     assert out["control_calls"]["ext_mul"] > 0
     assert out["control_calls"]["yields"] == 1
     assert out["control_calls"]["marks"] == out["calls"]["marks"]
