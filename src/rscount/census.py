@@ -29,9 +29,8 @@ only the smaller-code member f of each pair, as the irreducibles' own tuple).
 The oracle and ``census_count(..., "enumerate")`` count those tuples.  Only
 the public :func:`irreducibles`, :func:`self_reciprocal_irreducibles`,
 :func:`reciprocal_pairs`, :func:`hermitian_self_reciprocal_irreducibles` and
-:func:`hermitian_pairs`, and the witnesses of :func:`census_count` (the same
-tuples, z left out of the irreducibles), wrap them in
-:class:`~rscount.fields.Poly`; the pair functions build the partners there.
+:func:`hermitian_pairs` wrap them in :class:`~rscount.fields.Poly`; the pair
+functions build the partners there.
 The two routes agree on the overlap grid by construction of the test suite;
 the formula route exists so that truncated products can reach degrees slightly
 beyond what raw enumeration affords.
@@ -45,7 +44,7 @@ import math
 import operator
 import os
 from functools import lru_cache, partial, wraps
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from .fields import (
@@ -147,15 +146,17 @@ class CensusCount(NamedTuple):
     q: int
     degree: int
     count: int
-    #: Enumerated objects (slow path with with_witnesses=True only): polynomials
-    #: for the single kinds, (f, partner) tuples for the pair kinds.
-    witnesses: Optional[tuple] = None
 
 
 # -- irreducible enumeration ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _irreducible_bound(field: GF, degree: int):
+    check_int(degree, "degree")
+    return field.q**degree, f"irreducible scan over GF({field.q}) degree {degree}"
+
+
+@capped_cache(_irreducible_bound)
 def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible coefficient tuples of the given degree, sorted by code.
 
@@ -164,11 +165,7 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     product g * h with g irreducible of degree <= degree/2, so marking the
     monic multiples of those g leaves exactly the irreducibles.  They come out
     in index order, which is code order: the code of a monic polynomial of
-    degree d is q^d plus the index of its d low coefficients.  The callers
-    have checked the cap: on the q^degree candidates (:func:`irreducibles`,
-    :func:`_unit_irreducible_raw` and the pair paths), or on a larger scan
-    that reads this one (the recursion, the constructions, the oracle's
-    sieve).
+    degree d is q^d plus the index of its d low coefficients.
     """
     q = field.q
     if degree == 1:
@@ -184,26 +181,12 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t[::-1] + (1,) for t in survivors)
 
 
-def _irreducible_bound(field: GF, degree: int):
-    check_int(degree, "degree")
-    return field.q**degree, f"irreducible scan over GF({field.q}) degree {degree}"
-
-
 @capped_cache(_irreducible_bound)
 def irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree, sorted by code.
 
     In degree 1 the first is z, the only one with constant term 0."""
     return _monic_polys(field, _irreducible_raw(field, degree))
-
-
-def _unit_irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The members of the irreducible census: :func:`_irreducible_raw`
-    without z, the one irreducible with constant term 0, after the cap check
-    of :func:`irreducibles`."""
-    check_enumeration_bound(*_irreducible_bound(field, degree))
-    raw = _irreducible_raw(field, degree)
-    return raw[1:] if degree == 1 else raw
 
 
 def _code_key(degree: int):
@@ -545,40 +528,18 @@ def _formula_count(kind: CensusKind, q: int, d: int) -> int:
     raise ValueError(f"unknown census kind {kind!r}")
 
 
-def _enumerate_cell(kind: CensusKind, q: int, d: int, with_witnesses: bool) -> tuple:
-    """The enumerated members of one census cell: the raw path's coefficient
-    tuples (the kept f for the pair kinds), or with witnesses :class:`Poly`
-    (pairs (f, partner) for the pair kinds).  The hermitian scans take q,
-    the others the field GF(q)."""
-    # Built per call, so that each scan is looked up by name when it runs,
-    # as the benchmark's tracer (perfbench/spans.py), which rebinds them,
-    # expects.
-    scans = {
-        CensusKind.IRREDUCIBLE: (
-            _unit_irreducible_raw,
-            lambda field, d: _monic_polys(field, _unit_irreducible_raw(field, d)),
-        ),
-        CensusKind.SELF_RECIPROCAL: (_self_reciprocal_raw, self_reciprocal_irreducibles),
-        CensusKind.RECIPROCAL_PAIRS: (_reciprocal_pairs_raw, reciprocal_pairs),
-        CensusKind.HERMITIAN_SELF_RECIPROCAL: (
-            _hermitian_self_reciprocal_raw, hermitian_self_reciprocal_irreducibles
-        ),
-        CensusKind.HERMITIAN_PAIRS: (_hermitian_pairs_raw, hermitian_pairs),
-    }
-    if kind not in scans:
-        raise ValueError(f"unknown census kind {kind!r}")
-    raw, witnesses = scans[kind]
-    hermitian = kind in (CensusKind.HERMITIAN_SELF_RECIPROCAL, CensusKind.HERMITIAN_PAIRS)
-    return (witnesses if with_witnesses else raw)(q if hermitian else ff_from_order(q), d)
+#: The tuple scan of each census kind: the hermitian ones take q, the others
+#: the field GF(q).
+_TUPLE_SCANS = {
+    CensusKind.IRREDUCIBLE: _irreducible_raw,
+    CensusKind.SELF_RECIPROCAL: _self_reciprocal_raw,
+    CensusKind.RECIPROCAL_PAIRS: _reciprocal_pairs_raw,
+    CensusKind.HERMITIAN_SELF_RECIPROCAL: _hermitian_self_reciprocal_raw,
+    CensusKind.HERMITIAN_PAIRS: _hermitian_pairs_raw,
+}
 
 
-def census_count(
-    kind: CensusKind,
-    q: int,
-    d: int,
-    method: str = "formula",
-    with_witnesses: bool = False,
-) -> CensusCount:
+def census_count(kind: CensusKind, q: int, d: int, method: str = "formula") -> CensusCount:
     """Count one census cell.
 
     ``method="enumerate"`` scans the full candidate space (q^d monic
@@ -586,8 +547,8 @@ def census_count(
     enumeration cap) and counts the coefficient tuples; the self-reciprocal
     members are built from the q^(d/2) monic polynomials of half the degree,
     the hermitian self-reciprocal ones from the q^d monic polynomials over
-    GF(q).  Only ``with_witnesses=True`` wraps them in :class:`Poly`: the
-    public census function's tuple, (f, partner) pairs for the pair kinds.
+    GF(q).  The members themselves, as :class:`Poly`, are the public census
+    function's tuple, z included in :func:`irreducibles` of degree 1.
     ``method="formula"`` uses the closed necklace/recursion counts.
     """
     check_int(q, "field size q", 2)
@@ -595,13 +556,15 @@ def census_count(
     if as_prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
     if method == "formula":
-        if with_witnesses:
-            raise ValueError("witnesses require method='enumerate'")
         count = _formula_count(kind, q, d)
         if count < 0:
             raise ArithmeticError(f"census count {count} of {kind.value} at q={q}, d={d} < 0")
         return CensusCount(kind, q, d, count)
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    items = _enumerate_cell(kind, q, d, with_witnesses)
-    return CensusCount(kind, q, d, len(items), items if with_witnesses else None)
+    if kind not in _TUPLE_SCANS:
+        raise ValueError(f"unknown census kind {kind!r}")
+    hermitian = kind in (CensusKind.HERMITIAN_SELF_RECIPROCAL, CensusKind.HERMITIAN_PAIRS)
+    members = _TUPLE_SCANS[kind](q if hermitian else ff_from_order(q), d)
+    # The irreducible cell leaves out z, the one irreducible with constant term 0.
+    return CensusCount(kind, q, d, len(members) - (kind is CensusKind.IRREDUCIBLE and d == 1))

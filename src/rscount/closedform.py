@@ -141,7 +141,7 @@ def rs_so_even_dim(sign: int, n: int, q: int) -> int:
     """Regular semisimple class count for SO^±(2n, q); ``sign`` is +1 or -1."""
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"type sign must be +1 or -1, got {sign!r}")
     if q % 2 == 0:
         if n == 1:

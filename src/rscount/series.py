@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
+from .numbertheory import check_int
+
 #: Default truncation order, comfortably beyond every acceptance grid.
 DEFAULT_TRUNCATION = 24
 
@@ -231,10 +233,9 @@ def series_binomial_power(coeffs: list[Coeff], d: int, sign: int, exponent: int)
     generalized binomials C(exponent, j) sign^j at u^(j d), so the product
     costs O(len(coeffs)^2 / d).
     """
-    if d < 1:
-        raise ValueError("binomial degree d must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    check_int(d, "binomial degree d")
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     top = len(coeffs) - 1
     terms = []
     b = 1

@@ -177,8 +177,19 @@ def test_kind_tokens_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def _witnesses(kind, q, d):
-    return census_count(kind, q, d, method="enumerate", with_witnesses=True).witnesses
+#: The public census function of each kind, as a function of (q, d): the
+#: members of the census cell, z left out of the irreducibles of degree 1.
+_MEMBERS = {
+    CensusKind.IRREDUCIBLE: lambda q, d: irreducibles(ff_from_order(q), d)[d == 1:],
+    CensusKind.SELF_RECIPROCAL: lambda q, d: self_reciprocal_irreducibles(ff_from_order(q), d),
+    CensusKind.RECIPROCAL_PAIRS: lambda q, d: reciprocal_pairs(ff_from_order(q), d),
+    CensusKind.HERMITIAN_SELF_RECIPROCAL: hermitian_self_reciprocal_irreducibles,
+    CensusKind.HERMITIAN_PAIRS: hermitian_pairs,
+}
+
+
+def _members(kind, q, d):
+    return _MEMBERS[kind](q, d)
 
 
 def test_irreducibles_examples():
@@ -186,9 +197,9 @@ def test_irreducibles_examples():
     assert irreducibles(f2, 2) == (Poly(f2, [1, 1, 1]),)
     assert irreducibles(f2, 1) == (Poly(f2, [0, 1]), Poly(f2, [1, 1]))
     # The census cell leaves out z, the one irreducible with constant term 0.
-    assert _witnesses(CensusKind.IRREDUCIBLE, 2, 1) == (Poly(f2, [1, 1]),)
+    assert _members(CensusKind.IRREDUCIBLE, 2, 1) == (Poly(f2, [1, 1]),)
     f3 = ff_make(3)
-    assert _witnesses(CensusKind.IRREDUCIBLE, 3, 1) == (
+    assert _members(CensusKind.IRREDUCIBLE, 3, 1) == (
         Poly(f3, [1, 1]),
         Poly(f3, [2, 1]),
     )
@@ -284,7 +295,8 @@ def test_census_polys_equal_validated_polys():
         field = ff_from_order(q)
         for d in range(1, 6 if q < 5 else 4):
             raw = _irreducible_raw(field, d)
-            units = _witnesses(CensusKind.IRREDUCIBLE, q, d)
+            units = _members(CensusKind.IRREDUCIBLE, q, d)
+            assert census_count(CensusKind.IRREDUCIBLE, q, d, "enumerate").count == len(units)
             for polys, with_z in ((irreducibles(field, d), True), (units, False)):
                 expected = tuple(Poly(field, t) for t in raw if t[0] or with_z)
                 assert tuple(map(_validated, polys)) == expected, (q, d)
@@ -334,20 +346,22 @@ def test_census_count_cell_fields():
         2,
         3,
     )
-    assert cell.witnesses is None
+    # A cell is a count: its members come from the public census functions.
+    assert CensusCount._fields == ("kind", "q", "degree", "count")
 
 
 def test_census_witnesses():
-    cell = census_count(
-        CensusKind.SELF_RECIPROCAL, 3, 2, method="enumerate", with_witnesses=True
-    )
+    """The enumerated count of a cell is the number of members its public
+    census function lists."""
     f3 = ff_make(3)
-    assert cell.witnesses == (Poly(f3, [1, 0, 1]),)
-    assert cell.count == len(cell.witnesses)
-    pair_cell = census_count(
-        CensusKind.RECIPROCAL_PAIRS, 5, 1, method="enumerate", with_witnesses=True
-    )
-    assert pair_cell.count == len(pair_cell.witnesses) == 1
+    assert _members(CensusKind.SELF_RECIPROCAL, 3, 2) == (Poly(f3, [1, 0, 1]),)
+    assert len(_members(CensusKind.RECIPROCAL_PAIRS, 5, 1)) == 1
+    for kind in CensusKind:
+        qs = (2, 3) if kind.value.startswith("hermitian") else (2, 3, 4, 5)
+        for q in qs:
+            for d in range(1, 5):
+                enumerated = census_count(kind, q, d, method="enumerate").count
+                assert enumerated == len(_members(kind, q, d)), (kind, q, d)
 
 
 def test_census_formula_equals_enumerate():
@@ -386,8 +400,9 @@ def test_census_count_validation():
         census_count(CensusKind.IRREDUCIBLE, 3, 0)
     with pytest.raises(ValueError):
         census_count(CensusKind.IRREDUCIBLE, 3, 2, method="guess")
-    with pytest.raises(ValueError):
-        census_count(CensusKind.IRREDUCIBLE, 3, 2, with_witnesses=True)
+    # A cell is a count; the members come from the public census functions.
+    with pytest.raises(TypeError):
+        census_count(CensusKind.IRREDUCIBLE, 3, 2, "enumerate", with_witnesses=True)
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -398,6 +413,17 @@ def test_enumeration_cap_env_override(monkeypatch):
         census_count(CensusKind.IRREDUCIBLE, 2, 7, method="enumerate")  # 2^7 > 100
     # The formula path has no candidate space to cap.
     assert census_count(CensusKind.IRREDUCIBLE, 2, 7).count == 18
+
+
+def test_irreducible_sieve_checks_the_cap_even_when_cached(monkeypatch):
+    # The sieve checks its own cap before its cache: a cell cached under the
+    # default cap is refused once the cap drops below its 3^5 candidates.
+    monkeypatch.delenv("RSCOUNT_ENUM_CAP", raising=False)
+    field = ff_from_order(3)
+    assert len(_irreducible_raw(field, 5)) == 48
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", "100")
+    with pytest.raises(EnumerationBoundError):
+        _irreducible_raw(field, 5)
 
 
 def test_star_involution_accounting():

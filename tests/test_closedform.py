@@ -144,12 +144,9 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert not unused, (path.name, sorted(unused))
 
 
-#: The only unbounded caches: the table of field singletons, the irreducible
-#: sieve that every census construction reads, and the scans' cache, which
-#: ``capped_cache`` guards by the enumeration cap.
-_UNBOUNDED_CACHES = {
-    ("fields", "_ff_make"), ("census", "_irreducible_raw"), ("census", "capped_cache"),
-}
+#: The only unbounded caches: the table of field singletons, and the scans'
+#: cache, which ``capped_cache`` guards by the enumeration cap.
+_UNBOUNDED_CACHES = {("fields", "_ff_make"), ("census", "capped_cache")}
 
 
 def _unbounded_caches(tree: ast.Module):
@@ -166,7 +163,7 @@ def _unbounded_caches(tree: ast.Module):
 
 def test_every_unbounded_cache_is_on_the_allow_list():
     """Caches are bounded: an ``lru_cache(maxsize=None)`` in ``src/rscount``
-    is one of the three listed in ``_UNBOUNDED_CACHES``, and each of those is found."""
+    is one of the two listed in ``_UNBOUNDED_CACHES``, and each of those is found."""
     package = Path(rscount.__file__).parent
     found = {
         (path.stem, name): line
@@ -314,13 +311,16 @@ def test_input_validation():
         lambda: rs_sp(0, 3),
         lambda: rs_so_odd_dim(2, 1),
         lambda: rs_so_even_dim(1, 0, 3),
+        # bool subclasses int, but True is not the rank 1 or the sign +1.
+        lambda: rs_gl(True, 3),
+        lambda: rs_sp(2, True),
+        lambda: rs_so_even_dim(1, True, 3),
     ):
         with pytest.raises(ValueError):
             bad_call()
-    with pytest.raises(ValueError):
-        rs_so_even_dim(0, 2, 3)
-    with pytest.raises(ValueError):
-        rs_so_even_dim(2, 2, 3)
+    for sign in (0, 2, True, False):
+        with pytest.raises(ValueError):
+            rs_so_even_dim(sign, 2, 3)
 
 
 def test_dispatcher_matches_direct_functions():

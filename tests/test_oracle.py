@@ -777,11 +777,11 @@ def test_orthogonal_oracle_runs_no_irreducibility_test():
 
 def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     """The orthogonal oracle counts its data without building a
-    ConjugacyDatum each, and neither it nor a census count without
-    witnesses builds a Poly at all: they count the census's coefficient
-    tuples.  The witnesses are still the public census functions' Poly
-    tuples, wrapped in one batch each without Poly's per-coefficient
-    checks.  Counted in a fresh interpreter, so that no cache is warm."""
+    ConjugacyDatum each, and neither it nor an enumerated census count
+    builds a Poly at all: they count the census's coefficient tuples.  The
+    members are the public census functions' Poly tuples, one per counted
+    tuple, wrapped in one batch each without Poly's per-coefficient checks.
+    Counted in a fresh interpreter, so that no cache is warm."""
     script = textwrap.dedent(
         """
         import json
@@ -837,13 +837,12 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
             len(irreducibles(f(q), d)) for q, d_max in ((5, 5), (7, 5))
             for d in range(1, d_max + 1)
         )
-        # With witnesses, the members are the public functions' Poly tuples.
-        out["witness_checks"] = []
+        # The members are the public functions' Poly tuples.
+        out["member_checks"] = []
         for kind, q, d, public in cells:
-            members = census_count(CensusKind(kind), q, d, "enumerate", True).witnesses
+            members = public()
             polys = [x for m in members for x in (m if isinstance(m, tuple) else (m,))]
-            out["witness_checks"].append([
-                members == public(),
+            out["member_checks"].append([
                 len(members),
                 all(isinstance(x, fields.Poly) for x in polys),
                 len(polys) == len(members) * (2 if kind.endswith("pairs") else 1),
@@ -879,7 +878,8 @@ def test_orthogonal_walk_and_census_build_no_data_or_checked_polys():
     # per-polynomial constructor made 5,845, and a per-datum walk 3,403 data).
     assert out["irreducibles"] > 4_000
     assert out["calls"] == {"poly": 0, "datum": 0, "batch": 0}
-    assert out["witness_checks"] == [[True, count, True, True] for count in formula]
+    # Each public tuple lists as many members as the enumerated count.
+    assert out["member_checks"] == [[count, True, True] for count in out["counts"][1:]]
     control = out["control_calls"]
     assert (control["poly"], control["datum"]) == (1, 1)
     assert control["batch"] > 0

@@ -42,8 +42,8 @@ RECORDS = [
     ),
     (
         CensusCount,
-        dict(kind=CensusKind.IRREDUCIBLE, q=3, degree=2, count=3, witnesses=(_BLOCK,)),
-        dict(kind=CensusKind.SELF_RECIPROCAL, q=5, degree=3, count=4, witnesses=None),
+        dict(kind=CensusKind.IRREDUCIBLE, q=3, degree=2, count=3),
+        dict(kind=CensusKind.SELF_RECIPROCAL, q=5, degree=3, count=4),
     ),
 ]
 
@@ -76,8 +76,10 @@ def test_records_are_immutable_values(cls, fields, others):
 def test_record_defaults():
     result = OracleResult(GroupSpec(Family.GL, 2, 3), 4, 6)
     assert result.notes == ""
+    # A census cell has no optional field: it is its count and what it counts.
+    assert CensusCount._field_defaults == {}
     cell = CensusCount(CensusKind.IRREDUCIBLE, 3, 2, 3)
-    assert cell.witnesses is None
+    assert tuple(cell) == (CensusKind.IRREDUCIBLE, 3, 2, 3)
 
 
 def test_conjugacy_datum_properties():

@@ -213,10 +213,19 @@ def test_series_binomial_power():
     assert binomial_power(2, 1, -1, 6) == [1, 0, -1, 0, 1, 0, -1]
     stars_and_bars = binomial_power(1, -1, -3, 4)
     assert stars_and_bars[2] == 6
+
+
+@pytest.mark.parametrize(
+    "d, sign",
+    [(0, 1), (True, 1), (1.0, 1), (1, 0), (1, 2), (1, True)],
+)
+def test_series_binomial_power_rejects_a_bad_degree_or_sign(d, sign):
+    """The degree is a positive int and the sign is +1 or -1, not a bool,
+    which would pass as 1; the series is left as it was."""
+    coeffs = [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        binomial_power(0, 1, 2, 4)
-    with pytest.raises(ValueError):
-        binomial_power(1, 2, 2, 4)
+        series_binomial_power(coeffs, d, sign, 2)
+    assert coeffs == [1, 2, 3, 4]
 
 
 def test_series_binomial_power_matches_repeated_multiplication():
