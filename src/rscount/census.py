@@ -13,9 +13,11 @@ generating-function products in this package:
 * ``HERMITIAN_PAIRS``: unordered pairs of distinct hermitian partners over GF(q^2).
 
 Each census has two routes: ``enumerate`` (exhaustive scan of the candidate
-space, subject to the enumeration cap) and ``formula`` (necklace counting for
-irreducibles; divisor-sum recursions, derived from the orbit structure of the
-norm-one circles in the relevant extension fields, for the symmetric families).
+space, subject to the enumeration cap) and ``formula`` (one Moebius sum per
+family: the necklace count for irreducibles, Carlitz's sum for the
+self-reciprocal ones (Carlitz 1967; Meyn, AAECC 1 (1990)) and the same
+inversion of the norm-one-circle orbit count for the hermitian ones; each pair
+kind is half the irreducibles less the self-reciprocal ones).
 The self-reciprocal kinds are enumerated by construction rather than by a
 search: ``SELF_RECIPROCAL`` from the irreducibles of half the degree (z + 1/z),
 ``HERMITIAN_SELF_RECIPROCAL`` from the q^d monic polynomials over GF(q) (a
@@ -50,7 +52,6 @@ from .conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from .fields import (
     GF,
     Poly,
-    _check_int_code,
     _monic_polys,
     combination_map,
     evaluation_map,
@@ -319,60 +320,30 @@ def norm_one_circle(base_q: int) -> tuple[int, ...]:
     return tuple(c for c in range(ext.q) if mul(c, frob(c)) == 1)
 
 
-@lru_cache(maxsize=256)
-def _hermitian_middles(base_q: int, a0: int) -> tuple[int, ...]:
-    """Solutions c of c == (c * a0^(-1))^base_q in GF(base_q^2) (middle
-    coefficient consistency for even-degree hermitian-self-reciprocal polys;
-    the 256 most recent constants a0 are kept)."""
-    ext = ff_from_order(base_q * base_q)
-    frob, a0_inv, mul = frobenius_map(ext, base_q), ext.inv(a0), ext.mul
-    return tuple(c for c in range(ext.q) if frob(mul(c, a0_inv)) == c)
-
-
-def iter_hermitian_self_reciprocal_coeffs(
-    base_q: int, degree: int, constant: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def iter_hermitian_self_reciprocal_coeffs(base_q: int, degree: int) -> Iterator[tuple[int, ...]]:
     """Yield the coefficient tuples of every monic hermitian-self-reciprocal
     polynomial of the given degree over GF(base_q^2).
 
-    The family is cut out by: constant term on the norm-one circle, lower-half
-    coefficients determined by the upper half through the twisted reversal, and
-    (in even degree) a middle-coefficient consistency equation.  Optionally
-    restrict to a fixed ``constant`` code (must lie on the circle).
+    The family is cut out by: constant term a0 on the norm-one circle,
+    lower-half coefficients determined by the upper half through the twisted
+    reversal, and (in even degree) a middle coefficient c with
+    c == (c * a0^(-1))^base_q.
     """
     check_int(degree, "degree")
     circle = norm_one_circle(base_q)  # checks base_q first
     ext = ff_from_order(base_q * base_q)
-    qq = ext.q
-    if constant is not None:
-        _check_int_code(constant, "constant code")
-        if constant not in circle:
-            raise ValueError(
-                f"constant code {constant} is not on the norm-one circle of GF({qq})"
-            )
-        constants: tuple[int, ...] = (constant,)
-    else:
-        constants = circle
-    n = degree
+    qq, n = ext.q, degree
     frob, mul = frobenius_map(ext, base_q), ext.mul
     half = (n - 1) // 2  # number of freely chosen upper coefficients
-    for a0 in constants:
+    for a0 in circle:
         a0_inv = ext.inv(a0)
-        if n == 1:
-            yield (a0, 1)
-            continue
-        middles = _hermitian_middles(base_q, a0) if n % 2 == 0 else (None,)
+        middles = [[c] for c in range(qq) if frob(mul(c, a0_inv)) == c] if n % 2 == 0 else [[]]
         for upper in itertools.product(range(qq), repeat=half):
             # upper[i] is the coefficient of z^(n-1-i), i = 0..half-1
-            derived = [frob(mul(c, a0_inv)) for c in upper]
+            lower = [a0] + [frob(mul(c, a0_inv)) for c in upper]
+            high = list(upper[::-1]) + [1]
             for mid in middles:
-                coeffs = [a0]
-                coeffs.extend(derived)
-                if mid is not None:
-                    coeffs.append(mid)
-                coeffs.extend(upper[::-1])
-                coeffs.append(1)
-                yield tuple(coeffs)
+                yield tuple(lower + mid + high)
 
 
 def cayley_frame(base_q: int) -> tuple[int, list[int]]:
@@ -481,40 +452,42 @@ def hermitian_pairs(base_q: int, degree: int) -> tuple[tuple[Poly, Poly], ...]:
 # -- closed-form census counts --------------------------------------------------
 
 
-def _necklace(q: int, d: int) -> int:
-    total = sum(mobius(d // e) * q**e for e in divisors(d))
-    return exact_div(total, d, "census count")
+def _mobius_sum(n: int, size: int, points, odd: bool = False) -> int:
+    """(1/size) sum over e | n of mu(n/e) points(e), exactly; with ``odd``,
+    over the e with n/e odd only.  points(e) is read only where mu(n/e) != 0."""
+    total = 0
+    for k in divisors(n):  # k = n/e
+        if odd and k % 2 == 0:
+            continue
+        mu = mobius(k)
+        if mu:
+            total += mu * points(n // k)
+    return exact_div(total, size, "census count")
 
 
 @lru_cache(maxsize=8192)
 def _formula_count(kind: CensusKind, q: int, d: int) -> int:
+    """The closed count of one census cell: one Moebius sum per family over
+    its Galois orbits of full size (Carlitz 1967; Meyn, AAECC 1 (1990)).
+
+    * IRREDUCIBLE, d > 1: (1/d) sum_{e|d} mu(d/e) q^e, the necklace count;
+    * SELF_RECIPROCAL, d = 2m: (1/2m) sum_{e|m, m/e odd} mu(m/e) (q^e - [q odd]),
+      the orbits on the norm-one circle of GF(q^d) less +/-1;
+    * HERMITIAN_SELF_RECIPROCAL, d odd: (1/d) sum_{e|d} mu(d/e) (q^e + 1), the
+      orbits on the norm-one circle of GF(q^(2d)) over GF(q^2).
+
+    Each pair kind is half the irreducibles less the self-reciprocal ones.
+    """
     if kind is CensusKind.IRREDUCIBLE:
-        return q - 1 if d == 1 else _necklace(q, d)
+        return q - 1 if d == 1 else _mobius_sum(d, d, lambda e: q**e)
     if kind is CensusKind.SELF_RECIPROCAL:
         if d == 1:
             return 2 if q % 2 else 1
         if d % 2:
             return 0
-        # Count Galois orbits of size d on the norm-one circle of GF(q^d):
-        # the circle has q^(d/2) + 1 elements; +/-1 and the elements whose
-        # degree is a proper even divisor d' (with (d/d') odd) are removed,
-        # and the remainder falls into orbits of size d.
-        m = d // 2
-        total = q**m + 1 - (2 if q % 2 else 1)
-        for mp in divisors(m):
-            if mp < m and (m // mp) % 2 == 1:
-                total -= 2 * mp * _formula_count(kind, q, 2 * mp)
-        return exact_div(total, d, "census count")
+        return _mobius_sum(d // 2, d, lambda e: q**e - q % 2, odd=True)
     if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
-        if d % 2 == 0:
-            return 0
-        # Same orbit count on the circle of GF(q^(2d)) viewed over GF(q^2):
-        # all q^d + 1 circle elements have odd degree e | d, in orbits of size e.
-        total = q**d + 1
-        for e in divisors(d):
-            if e < d:
-                total -= e * _formula_count(kind, q, e)
-        return exact_div(total, d, "census count")
+        return _mobius_sum(d, d, lambda e: q**e + 1) if d % 2 else 0
     if kind is CensusKind.RECIPROCAL_PAIRS:
         diff = _formula_count(CensusKind.IRREDUCIBLE, q, d) - _formula_count(
             CensusKind.SELF_RECIPROCAL, q, d
@@ -549,7 +522,9 @@ def census_count(kind: CensusKind, q: int, d: int, method: str = "formula") -> C
     the hermitian self-reciprocal ones from the q^d monic polynomials over
     GF(q).  The members themselves, as :class:`Poly`, are the public census
     function's tuple, z included in :func:`irreducibles` of degree 1.
-    ``method="formula"`` uses the closed necklace/recursion counts.
+    ``method="formula"`` uses the closed Moebius sums of :func:`_formula_count`
+    (the necklace count, and Carlitz's for the self-reciprocal irreducibles:
+    Carlitz 1967; Meyn, AAECC 1 (1990)).
     """
     check_int(q, "field size q", 2)
     check_int(d, "degree d")

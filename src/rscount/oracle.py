@@ -68,6 +68,7 @@ from .census import (
     _self_reciprocal_raw,
     capped_cache,
     cayley_frame,
+    check_enumeration_bound,
     reciprocal_pairs,
     self_reciprocal_irreducibles,
 )
@@ -200,7 +201,6 @@ def _unitary_tally(m: int, q: int) -> dict[int, int]:
     return tally
 
 
-@capped_cache(_unitary_bound)
 def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     """constant code -> number of degree-n conjugate-self-reciprocal squarefree
     polys over GF(q^2); only the constants (on the norm-one circle) with a
@@ -220,15 +220,18 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
     So the scan reads the linear sieve's marks of degrees n and n - 1, as the
     symplectic scan does through z + 1/z: it adds the per-degree tallies of
     g(w)^(q^2 - q) = g(w)^(1 - q) from :func:`_unitary_tally` and applies the
-    sign (-1)^n.
+    sign (-1)^n.  The cap is checked before the tallies are read, and the
+    cached tallies are the only cache.
     """
+    check_enumeration_bound(*_unitary_bound(n, q))
     ext = ff_from_order(q * q)
     sign = ext.neg(1) if n % 2 else 1
-    hist: Counter = Counter()
+    hist: dict[int, int] = {}
     for m in (n - 1, n):
         for u, count in _unitary_tally(m, q).items():
-            hist[ext.mul(sign, u)] += count
-    return {c: hist[c] for c in sorted(hist)}
+            c = ext.mul(sign, u)
+            hist[c] = hist.get(c, 0) + count
+    return dict(sorted(hist.items()))
 
 
 def _symplectic_bound(n: int, q: int):
@@ -269,7 +272,7 @@ def oracle_unitary_histogram(n: int, q: int) -> dict[int, int]:
     keyed by norm-one-circle constant codes."""
     check_int(n, "rank n")
     check_int(q, "field size q", 2)
-    return dict(_unitary_histogram(n, q))
+    return _unitary_histogram(n, q)
 
 
 # ---------------------------------------------------------------------------

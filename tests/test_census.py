@@ -1,8 +1,10 @@
 """Unit tests for the five polynomial censuses."""
 
+import functools
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,7 +34,7 @@ from rscount.conjugation import (
     reciprocal,
 )
 from rscount.census import (
-    _hermitian_middles,
+    _formula_count,
     _irreducible_raw,
     iter_hermitian_self_reciprocal_coeffs,
 )
@@ -393,6 +395,68 @@ def test_self_reciprocal_census_enumerates_past_the_irreducible_cap(monkeypatch)
         assert enumerated == census_count(CensusKind.SELF_RECIPROCAL, 3, d).count, d
 
 
+# ---------------------------------------------------------------------------
+# reference counts: the orbit-count recursions the Moebius sums replaced
+# ---------------------------------------------------------------------------
+
+
+def _divisors(n):
+    return [e for e in range(1, n + 1) if n % e == 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_orbit_count(kind, q, d):
+    """The census count of one cell by subtracting the smaller orbits: each
+    self-reciprocal family is the set of Galois orbits of full size on a
+    norm-one circle, whose points of smaller degree lie in smaller orbits."""
+    if kind is CensusKind.IRREDUCIBLE:
+        if d == 1:
+            return q - 1
+        total = q**d - sum(e * _reference_orbit_count(kind, q, e)
+                           for e in _divisors(d) if 1 < e < d) - q
+        assert total % d == 0, (kind, q, d)
+        return total // d
+    if kind is CensusKind.SELF_RECIPROCAL:
+        if d == 1:
+            return 2 if q % 2 else 1
+        if d % 2:
+            return 0
+        # The q^m + 1 points of the circle of GF(q^(2m)), less +/-1 and the
+        # points of each proper degree 2m' with m/m' odd.
+        m = d // 2
+        total = q**m + 1 - (2 if q % 2 else 1)
+        for mp in _divisors(m):
+            if mp < m and (m // mp) % 2 == 1:
+                total -= 2 * mp * _reference_orbit_count(kind, q, 2 * mp)
+        assert total % d == 0, (kind, q, d)
+        return total // d
+    if kind is CensusKind.HERMITIAN_SELF_RECIPROCAL:
+        if d % 2 == 0:
+            return 0
+        # The q^d + 1 points of the circle of GF(q^(2d)), all of odd degree e | d.
+        total = q**d + 1 - sum(e * _reference_orbit_count(kind, q, e)
+                               for e in _divisors(d) if e < d)
+        assert total % d == 0, (kind, q, d)
+        return total // d
+    fixed = (CensusKind.SELF_RECIPROCAL if kind is CensusKind.RECIPROCAL_PAIRS
+             else CensusKind.HERMITIAN_SELF_RECIPROCAL)
+    field_size = q if kind is CensusKind.RECIPROCAL_PAIRS else q * q
+    diff = (_reference_orbit_count(CensusKind.IRREDUCIBLE, field_size, d)
+            - _reference_orbit_count(fixed, q, d))
+    assert diff % 2 == 0, (kind, q, d)
+    return diff // 2
+
+
+def test_moebius_sums_match_the_orbit_count_recursions():
+    """Every kind, every integer q in 2..40 (the sums do not need a prime
+    power) and every d <= 60: the closed sums equal the recursions."""
+    for kind in CensusKind:
+        for q in range(2, 41):
+            for d in range(1, 61):
+                assert _formula_count(kind, q, d) == _reference_orbit_count(kind, q, d), (
+                    kind, q, d)
+
+
 def test_census_count_validation():
     with pytest.raises(ValueError):
         census_count(CensusKind.IRREDUCIBLE, 6, 2)  # composite q
@@ -403,6 +467,25 @@ def test_census_count_validation():
     # A cell is a count; the members come from the public census functions.
     with pytest.raises(TypeError):
         census_count(CensusKind.IRREDUCIBLE, 3, 2, "enumerate", with_witnesses=True)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "RSCOUNT_ENUM_CAP must be an integer, got 'abc'"),
+    ("0", "RSCOUNT_ENUM_CAP must be positive, got 0"),
+    ("-3", "RSCOUNT_ENUM_CAP must be positive, got -3"),
+])
+def test_enumeration_cap_rejects_a_bad_setting(monkeypatch, raw, message):
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumeration_cap()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        census_count(CensusKind.IRREDUCIBLE, 2, 3, method="enumerate")
+
+
+@pytest.mark.parametrize("method", ["formula", "enumerate"])
+def test_census_count_rejects_an_unknown_kind(method):
+    with pytest.raises(ValueError, match="^unknown census kind 'irreducible'$"):
+        census_count("irreducible", 3, 2, method)
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -452,7 +535,7 @@ def test_hermitian_involution_accounting():
 
 def test_field_keyed_caches_are_bounded():
     # frobenius_map checks q0 and then reads the cache _frobenius_map.
-    for cache in (_frobenius_map, _dlog_table, norm_one_circle, _hermitian_middles):
+    for cache in (_frobenius_map, _dlog_table, norm_one_circle):
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 

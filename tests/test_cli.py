@@ -111,6 +111,21 @@ def test_count_oracle_refuses_beyond_bound(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "RSCOUNT_ENUM_CAP must be an integer, got 'abc'"),
+    ("0", "RSCOUNT_ENUM_CAP must be positive, got 0"),
+    ("-3", "RSCOUNT_ENUM_CAP must be positive, got -3"),
+])
+def test_bad_enumeration_cap_is_a_usage_error(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", raw)
+    for argv in (
+        ("count", "--group", "gl", "--n", "2", "--q", "3", "--method", "oracle"),
+        ("census", "--kind", "irreducible", "--q", "2", "--d-max", "3", "--method", "enumerate"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

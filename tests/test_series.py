@@ -87,6 +87,9 @@ def test_qpoly_divexact():
         (Q**2 + 1).divexact(Q - 1)
     with pytest.raises(ArithmeticError):
         QPoly((1,)).divexact(Q)
+    # A leading coefficient that the divisor's does not divide.
+    with pytest.raises(ArithmeticError):
+        QPoly((0, 1)).divexact(QPoly((0, 2)))
     with pytest.raises(ZeroDivisionError):
         Q.divexact(QPoly())
 
