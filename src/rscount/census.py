@@ -28,11 +28,14 @@ path that returns them sorted by code (``_irreducible_raw``,
 ``_self_reciprocal_raw``, ``_hermitian_self_reciprocal_raw``, and for the
 pair kinds ``_reciprocal_pairs_raw`` and ``_hermitian_pairs_raw``, which keep
 only the smaller-code member f of each pair, as the irreducibles' own tuple).
-The oracle and ``census_count(..., "enumerate")`` count those tuples.  Only
-the public :func:`irreducibles`, :func:`self_reciprocal_irreducibles`,
-:func:`reciprocal_pairs`, :func:`hermitian_self_reciprocal_irreducibles` and
-:func:`hermitian_pairs` wrap them in :class:`~rscount.fields.Poly`; the pair
-functions build the partners there.
+The irreducibles come from one product sieve, and each pair path compares
+f with its partner built highest coefficient first, so that only f is
+reversed.  The oracle and ``census_count(..., "enumerate")`` count those
+tuples.  Only the public :func:`irreducibles`,
+:func:`self_reciprocal_irreducibles`, :func:`reciprocal_pairs`,
+:func:`hermitian_self_reciprocal_irreducibles` and :func:`hermitian_pairs`
+wrap them in :class:`~rscount.fields.Poly`; the pair functions build the
+partners there.
 The two routes agree on the overlap grid by construction of the test suite;
 the formula route exists so that truncated products can reach degrees slightly
 beyond what raw enumeration affords.
@@ -89,24 +92,28 @@ def enumeration_cap() -> int:
     return cap
 
 
-def check_enumeration_bound(candidates: int, what: str) -> None:
-    """Raise :class:`EnumerationBoundError` if ``candidates`` exceeds the cap."""
+def check_enumeration_bound(candidates: int, what: str, *args) -> None:
+    """Raise :class:`EnumerationBoundError` if ``candidates`` exceeds the cap.
+
+    The message names the scan as ``what.format(*args)``, built only on a
+    refusal, so that a scan within the cap pays for no formatting.
+    """
     cap = enumeration_cap()
     if candidates > cap:
         raise EnumerationBoundError(
-            f"{what} needs {candidates} candidates, above the enumeration cap {cap} "
-            f"(override with {ENUM_CAP_ENV})"
+            f"{what.format(*args)} needs {candidates} candidates, above the enumeration "
+            f"cap {cap} (override with {ENUM_CAP_ENV})"
         )
 
 
 def capped_cache(bound):
     """Decorator: cache a scan's results, but check the enumeration cap first.
 
-    ``bound`` takes the scan's arguments and returns the ``(candidates,
-    what)`` pair for :func:`check_enumeration_bound`.  The check runs on every
-    call, before the cache is consulted, so a scan past the cap is refused
-    even when an earlier call under a higher cap cached its result.  The
-    wrapper keeps the cache's ``cache_info``.
+    ``bound`` takes the scan's arguments and returns the arguments of
+    :func:`check_enumeration_bound`: ``(candidates, what, *args)``.  The
+    check runs on every call, before the cache is consulted, so a scan past
+    the cap is refused even when an earlier call under a higher cap cached
+    its result.  The wrapper keeps the cache's ``cache_info``.
     """
 
     def decorate(scan):
@@ -154,7 +161,7 @@ class CensusCount(NamedTuple):
 
 def _irreducible_bound(field: GF, degree: int):
     check_int(degree, "degree")
-    return field.q**degree, f"irreducible scan over GF({field.q}) degree {degree}"
+    return field.q**degree, "irreducible scan over GF({}) degree {}", field.q, degree
 
 
 @capped_cache(_irreducible_bound)
@@ -164,9 +171,11 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     Includes z itself in degree 1.  Every higher degree is sieved, with no
     irreducibility test per candidate: a reducible monic polynomial is a
     product g * h with g irreducible of degree <= degree/2, so marking the
-    monic multiples of those g leaves exactly the irreducibles.  They come out
-    in index order, which is code order: the code of a monic polynomial of
-    degree d is q^d plus the index of its d low coefficients.
+    monic multiples of those g, in one :func:`~rscount.fields.mark_multiples`
+    call, leaves exactly the irreducibles.  They come out in index order,
+    which is code order: the code of a monic polynomial of degree d is q^d
+    plus the index of its d low coefficients.  The survivors are read back
+    by C-level calls, with no Python step per tuple.
     """
     q = field.q
     if degree == 1:
@@ -175,11 +184,12 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     factors = (g for e in range(1, degree // 2 + 1) for g in _irreducible_raw(field, e))
     mark_multiples(marked, field, factors, degree)
     # product() runs through the low coefficients in index order, the highest
-    # one first; the unmarked ones are reversed and made monic.
+    # one first, each tuple ending in the leading 1; the unmarked ones are
+    # read back low to high.
     survivors = itertools.compress(
-        itertools.product(range(q), repeat=degree), map(operator.not_, marked)
+        itertools.product(*[range(q)] * degree, (1,)), map(operator.not_, marked)
     )
-    return tuple(t[::-1] + (1,) for t in survivors)
+    return tuple(map(operator.itemgetter(*range(degree - 1, -1, -1), degree), survivors))
 
 
 @capped_cache(_irreducible_bound)
@@ -199,7 +209,7 @@ def _code_key(degree: int):
 def _self_reciprocal_bound(field: GF, degree: int):
     check_int(degree, "degree")
     candidates = field.q ** (degree // 2) if degree % 2 == 0 else 0
-    return candidates, f"self-reciprocal scan over GF({field.q}) degree {degree}"
+    return candidates, "self-reciprocal scan over GF({}) degree {}", field.q, degree
 
 
 @capped_cache(_self_reciprocal_bound)
@@ -274,16 +284,29 @@ def self_reciprocal_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
     return _monic_polys(field, _self_reciprocal_raw(field, degree))
 
 
-def _kept_of_pairs(candidates, partner_codes) -> tuple[tuple[int, ...], ...]:
-    """The f among ``candidates`` whose partner, ``partner_codes(f)``, has a
-    larger code, in ``candidates`` order: one f per pair of distinct partners.
-    z, the one irreducible with constant term 0, has no partner and is left
-    out.
+def _kept_of_pairs(
+    field: GF, candidates, base_q: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The f among ``candidates`` whose partner has a larger code, in
+    ``candidates`` order: one f per pair of distinct partners.  The partner
+    is the reciprocal, or with ``base_q`` the hermitian reciprocal over
+    ``field`` = GF(base_q^2).  z, the one irreducible with constant term 0,
+    has no partner and is left out.
 
-    f and its partner are monic of one degree, so comparing the tuples
-    reversed (highest coefficient first) orders them by code.  The kept
-    tuples are the candidates' own, not copies, and no partner is kept."""
-    return tuple(f for f in candidates if f[0] and f[::-1] < partner_codes(f)[::-1])
+    f and its partner are monic of one degree, so comparing them highest
+    coefficient first orders them by code.  Read that way, the partner of
+    f = sum a_i z^i is (t(a_i / a_0) for i = 0..n), with t the identity or the
+    Frobenius x -> x^base_q, so it is built in that order and only f is
+    reversed.  The kept tuples are the candidates' own, not copies, and no
+    partner is kept."""
+    inv = field.inv
+    frob = None if base_q is None else frobenius_map(field, base_q)
+
+    def partner_high_first(f: tuple[int, ...]) -> tuple[int, ...]:
+        scaled = map(scale_map(field, inv(f[0])), f)
+        return tuple(scaled if frob is None else map(frob, scaled))
+
+    return tuple(f for f in candidates if f[0] and f[::-1] < partner_high_first(f))
 
 
 def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
@@ -295,7 +318,7 @@ def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], .
 def _reciprocal_pairs_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     """The smaller-code member f of each pair {f, f*} of distinct reciprocal
     irreducible partners, sorted by code, as :func:`_irreducible_raw`'s tuples."""
-    return _kept_of_pairs(_irreducible_raw(field, degree), partial(reciprocal_codes, field))
+    return _kept_of_pairs(field, _irreducible_raw(field, degree))
 
 
 @capped_cache(_irreducible_bound)
@@ -363,7 +386,9 @@ def _hermitian_bound(base_q: int, degree: int):
     check_int(degree, "degree")
     return (
         base_q**degree if degree % 2 else 0,
-        f"hermitian-self-reciprocal construction from GF({base_q}) degree {degree}",
+        "hermitian-self-reciprocal construction from GF({}) degree {}",
+        base_q,
+        degree,
     )
 
 
@@ -424,7 +449,7 @@ def hermitian_self_reciprocal_irreducibles(base_q: int, degree: int) -> tuple[Po
 def _hermitian_pairs_bound(base_q: int, degree: int):
     ff_from_order(base_q)  # a q that is not a prime power fails before the cap check
     check_int(degree, "degree")
-    return base_q ** (2 * degree), f"irreducible scan over GF({base_q * base_q}) degree {degree}"
+    return base_q ** (2 * degree), "irreducible scan over GF({}) degree {}", base_q**2, degree
 
 
 @capped_cache(_hermitian_pairs_bound)
@@ -432,9 +457,7 @@ def _hermitian_pairs_raw(base_q: int, degree: int) -> tuple[tuple[int, ...], ...
     """The smaller-code member f of each pair of distinct hermitian-reciprocal
     irreducible partners over GF(base_q^2), sorted by code."""
     ext = ff_from_order(base_q * base_q)
-    return _kept_of_pairs(
-        _irreducible_raw(ext, degree), partial(hermitian_reciprocal_codes, ext, base_q=base_q)
-    )
+    return _kept_of_pairs(ext, _irreducible_raw(ext, degree), base_q)
 
 
 @capped_cache(_hermitian_pairs_bound)

@@ -35,11 +35,13 @@ made for them through the kernels here: :func:`frobenius_map`,
 read the tables inline where they exist; :func:`combination_map` and
 :func:`evaluation_map` return the linear-combination and evaluation kernels
 that the census constructions run once per polynomial; and
-:func:`mark_multiples` sieves a batch of divisors over one set of addition
-rows.  The two polynomial kernels have two branches: plain ints with one
-``% p`` per output coefficient at a prime q, and one :class:`GF` call per
-operation in an extension field, where :meth:`GF.add` and :meth:`GF.mul`
-read the tables themselves if the field has them.
+:func:`mark_multiples` sieves all of one sieve's divisors over one set of
+addition rows, at a cost that goes with the marks: the narrow divisors of
+each degree in batches, each wide one by a walk of its own.  The two
+polynomial kernels have two branches: plain ints with one ``% p`` per output
+coefficient at a prime q, and one :class:`GF` call per operation in an
+extension field, where :meth:`GF.add` and :meth:`GF.mul` read the tables
+themselves if the field has them.
 
 The kernels take and return coefficient sequences, not :class:`Poly`: the
 census and oracle scans run on code tuples, and only the public census
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 from .numbertheory import as_prime_power, check_int, is_prime, prime_factorization
@@ -62,8 +64,12 @@ TABLE_LIMIT = 256
 MAX_FIELD_SIZE = 1 << 20
 
 #: Fewest candidates one leaf of :func:`mark_multiples` covers, where the
-#: free digits allow it.
-_LEAF_WIDTH = 64
+#: free digits allow it; a divisor with at most this many multiples is
+#: marked in a batch with the others of its degree.
+_LEAF_WIDTH = 256
+
+#: Most multiples one batch of :func:`mark_multiples` lists.
+_BATCH_ENTRIES = 1 << 12
 
 
 class GF:
@@ -529,57 +535,132 @@ def mark_multiples(
     polynomial in ``divisors``, where i is the code of the multiple's n low
     coefficients.
 
-    A field above :data:`TABLE_LIMIT` has no addition table; the rows the
-    walks read are built once for all the divisors of the call, and freed
-    when it returns.
-    """
-    rows = field.add_table or _RowsOnDemand(field.add, field.q)
-    try:
-        for divisor in divisors:
-            _mark_multiples_of(marks, field, rows, divisor, n)
-    finally:
-        if rows is not field.add_table:
-            rows.clear()  # a walk's closure holds the rows until a collection
-
-
-def _mark_multiples_of(
-    marks: bytearray,
-    field: GF,
-    add: list[list[int]] | _RowsOnDemand,
-    divisor: Sequence[int],
-    n: int,
-) -> None:
-    """Mark the monic degree-n multiples of one monic ``divisor``, reading
-    sums from the rows ``add``.
-
     A monic f = z^n + r is a multiple of G (degree d <= n) exactly when
     r = -z^n mod G.  So the top m = n - d coefficients of r are free, and read
     as base-q digits H they are the high part of i; the d low coefficients
-    are then fixed by H, linearly: they are those of -(z^n + H(z) z^d) mod G.
+    are then fixed by H, linearly: they are the residue[m] + sum_j H_j
+    residue[j] of :func:`_residues`.
+
+    The cost goes with the marks, not with the divisors.  A divisor with at
+    most :data:`_LEAF_WIDTH` multiples (q^m) is narrow: the narrow divisors
+    of one degree are marked together, in batches of at most
+    :data:`_BATCH_ENTRIES` multiples, by :func:`_mark_batch`.  A wider one
+    gets a walk of its own, :func:`_mark_walk`.
+
+    A divisor that is not monic, or of degree below 1, raises ``ValueError``;
+    one of degree above n has no multiple to mark.  A field above
+    :data:`TABLE_LIMIT` has no addition table: the rows the call reads are
+    built once for all its divisors, and freed when it returns.
+    """
+    q = field.q
+    add = field.add_table or _RowsOnDemand(field.add, q)
+    batches: dict[int, list[list[list[int]]]] = {}  # degree -> residues not yet marked
+    try:
+        for divisor in divisors:
+            d = len(divisor) - 1
+            if d < 1 or divisor[-1] != 1:
+                raise ValueError(f"divisor {tuple(divisor)} is not monic of degree >= 1")
+            m = n - d
+            if m < 0:
+                continue
+            residues = _residues(field, add, divisor, m)
+            multiples = q**m
+            if multiples > _LEAF_WIDTH:
+                _mark_walk(marks, field, add, residues)
+                continue
+            batch = batches.setdefault(d, [])
+            batch.append(residues)
+            if (len(batch) + 1) * multiples > _BATCH_ENTRIES:
+                _mark_batch(marks, field, add, batch)
+                batch.clear()
+        for batch in batches.values():
+            if batch:
+                _mark_batch(marks, field, add, batch)
+    finally:
+        if add is not field.add_table:
+            add.clear()  # a walk's closure holds the rows until a collection
+
+
+def _residues(
+    field: GF, add: list[list[int]] | _RowsOnDemand, divisor: Sequence[int], m: int
+) -> list[list[int]]:
+    """residues[j] = -(z^(d+j) mod G) for j = 0..m, as lists of d codes, for
+    the monic G = ``divisor`` of degree d, reading sums from the rows
+    ``add``; each is z times the one before, reduced mod G."""
+    reduce_top = list(map(field.neg, divisor[:-1]))  # z^d mod G
+    residues = [list(divisor[:-1])]
+    for _ in range(m):
+        last = residues[-1]
+        scale = scale_map(field, last[-1])
+        residues.append([add[s][scale(r)] for s, r in zip([0, *last[:-1]], reduce_top)])
+    return residues
+
+
+def _mul_rows(field: GF) -> Callable[[int], list[int]]:
+    """c -> the row [c * h for h in range(q)]: a row of the dense table, or q
+    :meth:`GF.mul` calls above :data:`TABLE_LIMIT`."""
+    if field.mul_table is not None:
+        return field.mul_table.__getitem__
+    q, mul = field.q, field.mul
+    return lambda c: [mul(c, h) for h in range(q)]
+
+
+def _mark_batch(
+    marks: bytearray,
+    field: GF,
+    add: list[list[int]] | _RowsOnDemand,
+    batch: list[list[list[int]]],
+) -> None:
+    """Mark the multiples of a batch of divisors of one degree d, given by
+    their :func:`_residues`, reading sums from the rows ``add``.
+
+    The batch's q^m multiples per divisor are listed divisor by divisor, each
+    in index order.  Low coefficient k of all of them is one column: seeded
+    with each divisor's residue[m], it is expanded digit by digit from the
+    top over the whole batch, each entry into the q values of the next digit.
+    The indices are then summed in d passes, and marked in one loop.
+    """
+    q = field.q
+    mul_row = _mul_rows(field)
+    m = len(batch[0]) - 1
+    d = len(batch[0][0])
+    indices = list(range(0, q ** (d + m), q**d)) * len(batch)
+    for k in range(d):
+        column = [residues[m][k] for residues in batch]
+        for j in range(m - 1, -1, -1):
+            # Each divisor's q^(m-1-j) entries so far step by its own row.
+            rows = [mul_row(residues[j][k]) for residues in batch]
+            runs = q ** (m - 1 - j)
+            steps = rows if runs == 1 else chain.from_iterable(map(repeat, rows, repeat(runs)))
+            column = [add[a][b] for a, step in zip(column, steps) for b in step]
+        w = q**k
+        indices = [i + c * w for i, c in zip(indices, column)]
+    for i in indices:
+        marks[i] = 1
+
+
+def _mark_walk(
+    marks: bytearray,
+    field: GF,
+    add: list[list[int]] | _RowsOnDemand,
+    residues: list[list[int]],
+) -> None:
+    """Mark the multiples of one divisor, given by its :func:`_residues`,
+    reading sums from the rows ``add``.
 
     A walk fixes the free digits from the top, one per level.  Each leaf
     covers the t lowest digits at once: all q^t of their values, in one list
-    pass per low coefficient.  t is the least with q^t >= :data:`_LEAF_WIDTH`,
-    but at most m - 1 when m > 1, so that building the leaf's q^t columns
-    costs at most a q-th of the marking.
+    pass per low coefficient, the first of which adds the leaf's base
+    offsets.  t is the least with q^t >= :data:`_LEAF_WIDTH`, but at most
+    m - 1 when m > 1, so that building the leaf's q^t columns costs at most
+    a q-th of the marking.
     """
     q = field.q
-    fadd, fmul = field.add, field.mul
-    d = len(divisor) - 1
-    m = n - d
-    # residues[j] = -(z^(d+j) mod G), built as residues[j+1] = z * residues[j] mod G.
-    reduce_top = [field.neg(c) for c in divisor[:d]]  # z^d mod G
-    residues = [list(divisor[:d])]
-    for _ in range(m):
-        last = residues[-1]
-        top = last[-1]
-        residues.append([fadd(s, fmul(top, r)) for s, r in zip([0, *last[:-1]], reduce_top)])
-    weights = [q**k for k in range(d)]
-    if m == 0:
-        marks[sum(c * w for c, w in zip(residues[0], weights))] = 1
-        return
+    mul_row = _mul_rows(field)
+    m = len(residues) - 1
+    d = len(residues[0])
     # scaled[j][h] = h * residues[j]: what digit j = h adds to the low coefficients.
-    scaled = [[[fmul(h, c) for c in residues[j]] for h in range(q)] for j in range(m)]
+    scaled = [list(zip(*map(mul_row, residues[j]))) for j in range(m)]
     t = 1
     while t < m - 1 and q**t < _LEAF_WIDTH:
         t += 1
@@ -592,7 +673,7 @@ def _mark_multiples_of(
         ]
     qd = q**d
     stride = q**t * qd
-    offsets = [h * qd for h in range(q**t)]
+    weights = [q**k for k in range(1, d)]
 
     def walk(j: int, high: int, low: list[int]) -> None:
         # Digits H_(m-1)..H_(j+1) are fixed: ``high`` holds them, ``low`` the
@@ -600,8 +681,9 @@ def _mark_multiples_of(
         # in a leaf, digits H_(t-1)..H_0 run over GF(q)^t together.
         if j < t:
             base = high * stride
-            indices = [base + o for o in offsets]
-            for a, column, w in zip(low, columns, weights):
+            row = add[low[0]]
+            indices = [i + row[b] for i, b in zip(range(base, base + stride, qd), columns[0])]
+            for a, column, w in zip(low[1:], columns[1:], weights):
                 row = add[a]
                 indices = [i + row[b] * w for i, b in zip(indices, column)]
             for i in indices:

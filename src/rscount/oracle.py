@@ -145,7 +145,7 @@ def _squarefree_marks(field: GF, n: int) -> bytearray:
 
 def _linear_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    return q**n, f"squarefree scan over GF({q}) degree {n}"
+    return q**n, "squarefree scan over GF({}) degree {}", q, n
 
 
 @capped_cache(_linear_bound)
@@ -160,7 +160,7 @@ def _unitary_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
     # One mark per monic g of degree n or n - 1 over GF(q).
     return (q**n + q ** (n - 1),
-            f"unitary scan over the monic g of degree {n} and {n - 1} over GF({q})")
+            "unitary scan over the monic g of degree {} and {} over GF({})", n, n - 1, q)
 
 
 @lru_cache(maxsize=64)
@@ -236,7 +236,7 @@ def _unitary_histogram(n: int, q: int) -> dict[int, int]:
 
 def _symplectic_bound(n: int, q: int):
     ff_from_order(q)  # a q that is not a prime power fails before the cap check
-    return q**n, f"symplectic scan over the monic g of degree {n} over GF({q})"
+    return q**n, "symplectic scan over the monic g of degree {} over GF({})", n, q
 
 
 @capped_cache(_symplectic_bound)
@@ -381,7 +381,7 @@ def _orthogonal_bound(m: int, q: int):
     # The census scans behind the data are capped at q^(m//2) candidates, at
     # the self-reciprocal irreducibles of degree m (or m-1) and the reciprocal
     # pairs of degree m//2, so the cached sums are capped at the same bound.
-    return q ** (m // 2), f"orthogonal data scan over GF({q}) dimension {m}"
+    return q ** (m // 2), "orthogonal data scan over GF({}) dimension {}", q, m
 
 
 @capped_cache(_orthogonal_bound)

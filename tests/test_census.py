@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -35,16 +36,19 @@ from rscount.conjugation import (
 )
 from rscount.census import (
     _formula_count,
+    _hermitian_pairs_raw,
     _irreducible_raw,
+    _reciprocal_pairs_raw,
     iter_hermitian_self_reciprocal_coeffs,
 )
-from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes
+from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes, reciprocal_codes
 from rscount.fields import (
     Poly,
     _frobenius_map,
     ff_from_order,
     ff_make,
     is_irreducible,
+    mark_multiples,
     poly_eval,
 )
 
@@ -233,6 +237,52 @@ def test_irreducible_sieve_is_complete():
         total = sum(e * len(irreducibles(field, e)) for e in range(1, d + 1) if d % e == 0)
         assert total == q**d
         assert all(is_irreducible(f) for f in irreducibles(field, d)[:50])
+
+
+#: (q, highest degree) of the irreducible census cells that the benchmark's
+#: linear-scan and orthogonal-scan grids reach, each from degree 1 up; the
+#: hermitian pairs they reach are those over GF(4) up to degree 6.
+_WORKLOAD_IRREDUCIBLE_CELLS = {2: 6, 3: 5, 4: 7, 5: 5, 7: 4, 8: 3, 9: 3, 11: 3, 13: 3}
+
+
+def _reference_survivors(marked, q, degree):
+    """The sieve's unmarked low-coefficient tuples in index order, each
+    reversed and made monic on its own: the census's earlier expression."""
+    survivors = itertools.compress(
+        itertools.product(range(q), repeat=degree), map(operator.not_, marked)
+    )
+    return tuple(t[::-1] + (1,) for t in survivors)
+
+
+def _reference_kept_of_pairs(candidates, partner_codes):
+    """The f whose partner has a larger code, comparing f and its low-to-high
+    partner both reversed: the census's earlier pair filter."""
+    return tuple(f for f in candidates if f[0] and f[::-1] < partner_codes(f)[::-1])
+
+
+def test_irreducible_survivors_match_the_reversed_tuples():
+    for q, top in _WORKLOAD_IRREDUCIBLE_CELLS.items():
+        field = ff_from_order(q)
+        for d in range(2, top + 1):
+            marked = bytearray(q**d)
+            factors = (g for e in range(1, d // 2 + 1) for g in _irreducible_raw(field, e))
+            mark_multiples(marked, field, factors, d)
+            assert _irreducible_raw(field, d) == _reference_survivors(marked, q, d), (q, d)
+
+
+def test_pair_filters_match_the_reversed_partners():
+    for q, top in _WORKLOAD_IRREDUCIBLE_CELLS.items():
+        field = ff_from_order(q)
+        partner = functools.partial(reciprocal_codes, field)
+        for d in range(1, top + 1):
+            expected = _reference_kept_of_pairs(_irreducible_raw(field, d), partner)
+            assert _reciprocal_pairs_raw(field, d) == expected, (q, d)
+    for base_q, top in ((2, 6), (3, 3), (4, 2)):
+        ext = ff_from_order(base_q * base_q)
+        partner = functools.partial(hermitian_reciprocal_codes, ext, base_q=base_q)
+        for d in range(1, top + 1):
+            expected = _reference_kept_of_pairs(_irreducible_raw(ext, d), partner)
+            assert _hermitian_pairs_raw(base_q, d) == expected, (base_q, d)
 
 
 def test_self_reciprocal_irreducibles():

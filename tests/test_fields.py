@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rscount
+from rscount import fields
 from rscount.census import _irreducible_raw
 from rscount.fields import (
     MAX_FIELD_SIZE,
@@ -567,7 +568,8 @@ def test_mark_multiples_without_dense_tables():
 
 
 # The sieve kernel with one free digit per leaf and one divisor per call,
-# kept as the reference for the wide-leaf walk in ``mark_multiples``.
+# kept as the reference for both regimes of ``mark_multiples``: the batches
+# of narrow divisors and the walks of wide ones.
 # ``rows``, when given, are addition rows that the caller shares across calls.
 def _reference_mark_multiples(
     marks: bytearray, field: GF, divisor: Sequence[int], n: int, rows=None
@@ -697,3 +699,117 @@ def test_mark_multiples_builds_each_addition_row_once_per_call():
     for c in range(q):
         _reference_mark_multiples(expected, field, (c, 1), 2, rows)
     assert bytes.fromhex(out["marks"]) == expected
+
+
+def _referenced(field: GF, divisors, n: int) -> bytearray:
+    """The union of the reference marks of ``divisors``, one call each."""
+    expected = bytearray(field.q**n)
+    for divisor in divisors:
+        _reference_mark_multiples(expected, field, divisor, n)
+    return expected
+
+
+def _random_monic(rng: random.Random, q: int, degree: int) -> list[int]:
+    return [rng.randrange(q) for _ in range(degree)] + [1]
+
+
+def _count_regimes(monkeypatch) -> dict[str, list[int]]:
+    """Record the calls that ``mark_multiples`` makes, until the lists are
+    cleared: the number of divisors of each batch, and one entry per walk."""
+    calls: dict[str, list[int]] = {"batch": [], "walk": []}
+
+    def batch(marks, field, add, residues):
+        calls["batch"].append(len(residues))
+        return mark_batch(marks, field, add, residues)
+
+    def walk(*args):
+        calls["walk"].append(1)
+        return mark_walk(*args)
+
+    mark_batch, mark_walk = fields._mark_batch, fields._mark_walk
+    monkeypatch.setattr(fields, "_mark_batch", batch)
+    monkeypatch.setattr(fields, "_mark_walk", walk)
+    return calls
+
+
+def test_mark_multiples_splits_one_degree_into_several_batches(monkeypatch):
+    # Every monic of degree 11 over GF(2) at n = 13, and 400 random cubics
+    # over GF(5) at n = 5: more multiples than one batch holds.
+    rng = random.Random(2512)
+    cells = [
+        (2, 13, [[*map(int, f"{c:011b}"), 1] for c in range(2**11)]),
+        (5, 5, [_random_monic(rng, 5, 3) for _ in range(400)]),
+    ]
+    calls = _count_regimes(monkeypatch)
+    for q, n, divisors in cells:
+        field = ff_from_order(q)
+        multiples = q ** (n - len(divisors[0]) + 1)
+        calls["batch"].clear()
+        marks = bytearray(q**n)
+        mark_multiples(marks, field, iter(divisors), n)
+        assert len(calls["batch"]) >= 2 and not calls["walk"], q
+        assert sum(calls["batch"]) == len(divisors)
+        assert max(calls["batch"]) * multiples <= fields._BATCH_ENTRIES
+        assert marks == _referenced(field, divisors, n), q
+
+
+def test_mark_multiples_on_both_sides_of_the_narrow_width(monkeypatch):
+    # For each q the largest m with q^m <= the leaf width is batched and
+    # m + 1 is walked; GF(257) walks its linear divisors at m = 1.
+    rng = random.Random(2513)
+    width = fields._LEAF_WIDTH
+    calls = _count_regimes(monkeypatch)
+    for q in (2, 3, 4, 5, 16, 257):
+        field = ff_from_order(q)
+        m = 0
+        while q ** (m + 1) <= width:
+            m += 1
+        for free, regime in ((m, "batch"), (m + 1, "walk")):
+            for d in (1, 2, 3):
+                n = d + free
+                if q**n > 3 * 10**5:
+                    continue
+                divisors = [_random_monic(rng, q, d) for _ in range(3)]
+                calls["batch"].clear()
+                calls["walk"].clear()
+                marks = bytearray(q**n)
+                mark_multiples(marks, field, divisors, n)
+                assert calls[regime] and not calls["batch" if regime == "walk" else "walk"], q
+                assert marks == _referenced(field, divisors, n), (q, n, divisors)
+
+
+def test_mark_multiples_takes_mixed_degrees_from_one_generator():
+    # Divisors of every degree 1..n, m = 0 among them, in a shuffled order,
+    # from one generator; the marks are the union of their references.
+    rng = random.Random(2514)
+    for q, n in ((2, 9), (3, 6), (4, 5), (7, 4), (9, 4), (257, 2)):
+        field = ff_from_order(q)
+        divisors = [_random_monic(rng, q, d) for d in range(1, n + 1) for _ in range(4)]
+        rng.shuffle(divisors)
+        marks = bytearray(q**n)
+        mark_multiples(marks, field, (g for g in divisors), n)
+        assert marks == _referenced(field, divisors, n), (q, n)
+
+
+def test_mark_multiples_rejects_a_non_monic_divisor():
+    # 2z + 1 over GF(3) once marked 2, 3 and 7, not the multiples of z + 2.
+    field = ff_make(3)
+    for divisor in ((1, 2), (1, 1, 2), (1, 0)):
+        with pytest.raises(ValueError, match="is not monic of degree >= 1"):
+            mark_multiples(bytearray(9), field, [divisor], 2)
+
+
+def test_mark_multiples_rejects_a_divisor_of_degree_below_one():
+    field = ff_make(3)
+    for divisor in ((1,), (2,), ()):
+        with pytest.raises(ValueError, match="is not monic of degree >= 1"):
+            mark_multiples(bytearray(9), field, [(2, 1), divisor], 2)
+
+
+def test_mark_multiples_skips_a_divisor_of_degree_above_n():
+    field = ff_make(3)
+    marks = bytearray(9)
+    mark_multiples(marks, field, [(1, 0, 0, 1)], 2)
+    assert marks == bytearray(9)
+    mark_multiples(marks, field, [(1, 0, 0, 1), (1, 1), (2, 0, 1, 1)], 2)
+    assert marks == _referenced(field, [(1, 1)], 2)

@@ -266,6 +266,45 @@ def test_unitary_cap_counts_the_monic_g(monkeypatch):
     assert _oracle(Family.U, 5, 3).count == rs_count(GroupSpec(Family.U, 5, 3))
 
 
+_REFUSALS = [
+    (lambda: irreducibles(ff_from_order(3), 3), "irreducible scan over GF(3) degree 3", 27),
+    (lambda: self_reciprocal_irreducibles(ff_from_order(3), 4),
+     "self-reciprocal scan over GF(3) degree 4", 9),
+    (lambda: hermitian_self_reciprocal_irreducibles(2, 5),
+     "hermitian-self-reciprocal construction from GF(2) degree 5", 32),
+    (lambda: hermitian_pairs(3, 2), "irreducible scan over GF(9) degree 2", 81),
+    (lambda: oracle_constant_histogram(4, 3), "squarefree scan over GF(3) degree 4", 81),
+    (lambda: oracle_unitary_histogram(5, 3),
+     "unitary scan over the monic g of degree 5 and 4 over GF(3)", 324),
+    (lambda: _oracle(Family.SP, 3, 5), "symplectic scan over the monic g of degree 3 over GF(5)", 125),
+    (lambda: _orthogonal_sums(7, 5), "orthogonal data scan over GF(5) dimension 7", 125),
+]
+
+
+def test_refusals_name_each_scan(monkeypatch):
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", "1")
+    for call, what, candidates in _REFUSALS:
+        message = (
+            f"{what} needs {candidates} candidates, above the enumeration cap 1 "
+            "(override with RSCOUNT_ENUM_CAP)"
+        )
+        with pytest.raises(EnumerationBoundError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
+class _Unformattable(str):
+    def format(self, *args):
+        raise AssertionError("the scan's name was formatted")
+
+
+def test_cap_check_formats_the_scan_name_only_on_refusal(monkeypatch):
+    monkeypatch.setenv("RSCOUNT_ENUM_CAP", "10")
+    check_enumeration_bound(10, _Unformattable("scan over GF({}) degree {}"), 3, 2)
+    with pytest.raises(EnumerationBoundError, match=r"^scan over GF\(3\) degree 2 needs 11 "):
+        check_enumeration_bound(11, "scan over GF({}) degree {}", 3, 2)
+
+
 # ---------------------------------------------------------------------------
 # linear scans
 # ---------------------------------------------------------------------------
