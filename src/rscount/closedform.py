@@ -143,12 +143,10 @@ def rs_so_even_dim(sign: int, n: int, q: int) -> int:
     check_int(q, "field size q", 2)
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"type sign must be +1 or -1, got {sign!r}")
-    if q % 2 == 0:
-        if n == 1:
-            return q - 1 if sign == 1 else q + 1
-        return q**n - q ** (n - 1) - sign * (-1) ** n * (q - 1)
     if n == 1:
         return q - 1 if sign == 1 else q + 1
+    if q % 2 == 0:
+        return q**n - q ** (n - 1) - sign * (-1) ** n * (q - 1)
     if n == 2:
         return q * q - 2 * q + 3 if sign == 1 else q * q - 1
     if n == 3:

@@ -1,12 +1,14 @@
 """Generating-function identities and coefficient-extraction counts.
 
-Two independent jobs live here:
+Two jobs live here, on one statement of each generating function:
 
 * :func:`verify_identity` expands both sides of a product-vs-rational identity
   at a concrete field size q and compares them exactly.  Each side is a tuple
   of the ints c_0..c_T, the coefficients of u^0..u^T.  The product sides are
-  assembled from census counts of irreducible polynomials; the closed sides
-  are small rational functions.
+  assembled from census counts of irreducible polynomials.  Ten closed sides
+  read the family terms that :func:`gf_count` extracts counts from, so the
+  identities check those very terms; the two graded by full dimension are
+  written out.
 * :func:`gf_count` extracts a single class count as a series coefficient of
   the family's rational terms, an arithmetic route independent of the
   closed-form expressions in :mod:`rscount.closedform`.
@@ -80,20 +82,22 @@ class Identity(Enum):
         raise ValueError(f"unknown identity {token!r} (expected one of: {valid})")
 
 
-#: Field-size parity each identity is stated for: "odd", "even", or "both".
-_PARITY = {
-    Identity.GL_PRODUCT: "both",
-    Identity.UNITARY_PRODUCT: "both",
-    Identity.SYMPLECTIC_PRODUCT: "both",
-    Identity.SIGNED_PRODUCT_ODD: "odd",
-    Identity.SIGNED_PRODUCT_EVEN: "even",
-    Identity.SO_COMBINED_ODD: "odd",
-    Identity.SO_DIFF_ODD: "odd",
-    Identity.SO_PLUS_EVEN: "even",
-    Identity.SO_MINUS_EVEN: "even",
-    Identity.SO_ODD_DIM_SERIES: "odd",
-    Identity.SO_PLUS_SERIES: "odd",
-    Identity.SO_MINUS_SERIES: "odd",
+#: Each identity's parity of q ("odd", "even" or "both"); the family whose
+#: rational terms give its closed side (None: written out in _closed_coeffs);
+#: and whether that side is 1 / the family's last term, not the terms' sum.
+_STATEMENTS = {
+    Identity.GL_PRODUCT: ("both", Family.GL, True),
+    Identity.UNITARY_PRODUCT: ("both", Family.U, True),
+    Identity.SYMPLECTIC_PRODUCT: ("both", Family.SP, True),
+    Identity.SIGNED_PRODUCT_ODD: ("odd", Family.SO_PLUS, True),
+    Identity.SIGNED_PRODUCT_EVEN: ("even", Family.SO_PLUS, True),
+    Identity.SO_COMBINED_ODD: ("odd", None, False),
+    Identity.SO_DIFF_ODD: ("odd", None, False),
+    Identity.SO_PLUS_EVEN: ("even", Family.SO_PLUS, False),
+    Identity.SO_MINUS_EVEN: ("even", Family.SO_MINUS, False),
+    Identity.SO_ODD_DIM_SERIES: ("odd", Family.SO_ODD, False),
+    Identity.SO_PLUS_SERIES: ("odd", Family.SO_PLUS, False),
+    Identity.SO_MINUS_SERIES: ("odd", Family.SO_MINUS, False),
 }
 
 
@@ -101,7 +105,7 @@ def admissible_parity(identity: Identity) -> str:
     """Required parity of q for this identity: "odd", "even", or "both"."""
     if not isinstance(identity, Identity):
         raise ValueError(f"unsupported identity {identity!r}")
-    return _PARITY[identity]
+    return _STATEMENTS[identity][0]
 
 
 def check_admissible(identity: Identity, q: int) -> None:
@@ -165,15 +169,6 @@ def _less_one(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _plus_or_minus(identity: Identity, a: list[int], b: list[int]) -> list[int]:
-    """a + b - 1 for the SO-plus identities, a - b for the SO-minus ones."""
-    if identity in (Identity.SO_PLUS_EVEN, Identity.SO_PLUS_SERIES):
-        return _less_one([x + y for x, y in zip(a, b)])
-    if identity in (Identity.SO_MINUS_EVEN, Identity.SO_MINUS_SERIES):
-        return [x - y for x, y in zip(a, b)]
-    raise ValueError(f"unhandled identity {identity!r}")
-
-
 # ---------------------------------------------------------------------------
 # the two sides of each identity
 # ---------------------------------------------------------------------------
@@ -217,8 +212,11 @@ def _product_coeffs(identity: Identity, q: int, T: int) -> list[int]:
     if identity is Identity.SO_ODD_DIM_SERIES:
         return series_mul([1, 2], a_side)
     b_side = _product(_blocks_and_pairs(q, T, -1), T)
-    even = identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN)
-    return _plus_or_minus(identity, series_mul([1, 1] if even else [1, 2, 2], a_side), b_side)
+    parity, family, _ = _STATEMENTS[identity]
+    a_side = series_mul([1, 1] if parity == "even" else [1, 2, 2], a_side)
+    if family is Family.SO_PLUS:
+        return _less_one([x + y for x, y in zip(a_side, b_side)])
+    return [x - y for x, y in zip(a_side, b_side)]
 
 
 def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
@@ -228,36 +226,22 @@ def closed_side(identity: Identity, q: int, terms: int = DEFAULT_TRUNCATION) -> 
 
 
 def _closed_coeffs(identity: Identity, q: int, T: int) -> list[int]:
-    if identity is Identity.GL_PRODUCT:
-        return series_from_rational([1, 1 - q, -q], [1, 0, -q], T)
-    if identity is Identity.UNITARY_PRODUCT:
-        return series_from_rational(
-            series_mul([1, 0, 1], [1, -q]), series_mul([1, 1], [1, 0, -q]), T
-        )
-    if identity is Identity.SYMPLECTIC_PRODUCT:
-        num = series_mul([1, 2, 1] if q % 2 else [1, 1], [1, -q])
-        return series_from_rational(num, [1, 0, -q], T)
-    if identity is Identity.SIGNED_PRODUCT_ODD:
-        return series_from_rational(series_mul([1, -1], [1, 2, 1]), [1, 0, -q], T)
-    if identity is Identity.SIGNED_PRODUCT_EVEN:
-        return series_from_rational([1, 1], [1, 0, -q], T)
+    _, family, reciprocal = _STATEMENTS[identity]
+    if family is not None:
+        rational_terms, _ = _family_rational(family, q, q % 2 == 1)
+        if reciprocal:
+            num, den = rational_terms[-1]
+            return series_from_rational(den, num, T)
+        expansions = [series_from_rational(num, den, T) for num, den in rational_terms]
+        coeffs = [sum(column) for column in zip(*expansions)]
+        return _less_one(coeffs) if family is Family.SO_PLUS else coeffs
+    # Graded by the full dimension: written out, not read from the family terms.
     if identity is Identity.SO_COMBINED_ODD:
         num = series_mul([2, 2, 4, 4, 4], [1, 0, 0, 0, -q])
         den = series_mul([1, 0, 2, 0, 1], [1, 0, -q])
         return _less_one(series_from_rational(num, den, T))
-    if identity is Identity.SO_DIFF_ODD:
-        den = series_mul([1, 0, 2, 0, 1], [1, 0, -1])
-        return _less_one(series_from_rational([2, 0, 0, 0, -2 * q], den, T))
-    if identity in (Identity.SO_PLUS_EVEN, Identity.SO_MINUS_EVEN):
-        first = series_from_rational([1, 0, -q], [1, -q], T)
-        second = series_from_rational([1, 0, -q], [1, 1], T)
-        return _plus_or_minus(identity, first, second)
-    den_a = series_mul([1, 2, 1], [1, -q])
-    if identity is Identity.SO_ODD_DIM_SERIES:
-        return series_from_rational(series_mul([1, 2], [1, 0, -q]), den_a, T)
-    first = series_from_rational(series_mul([1, 2, 2], [1, 0, -q]), den_a, T)
-    second = series_from_rational([1, 0, -q], series_mul([1, 2, 1], [1, -1]), T)
-    return _plus_or_minus(identity, first, second)
+    den = series_mul([1, 0, 2, 0, 1], [1, 0, -1])
+    return _less_one(series_from_rational([2, 0, 0, 0, -2 * q], den, T))
 
 
 def verify_identity(

@@ -623,19 +623,20 @@ def _reference_mark_multiples(
         walk(m - 1, 0, residues[m])
 
 
-def test_mark_multiples_matches_reference():
+def test_mark_multiples_matches_reference(monkeypatch):
     # Seeded random monic divisors (reducible ones too), every m = n - d in
-    # 0..6 with q^n <= 2 * 10^5.  For q < 64 every cell with m >= 3 has a
-    # leaf of two or more digits; GF(257) has no dense tables.  Each divisor
-    # is marked alone, and all of one n together in one batch call.
+    # 0..6 with q^n <= 2 * 10^5; over GF(2), m runs to 9, since 2^m exceeds
+    # the leaf width only from m = 9 on.  GF(257) has no dense tables.  Each
+    # divisor is marked alone, and all of one n together in one batch call.
+    # The spy records the fields whose walks ran a leaf of two or more digits.
+    calls = _count_regimes(monkeypatch)
     rng = random.Random(20121)
-    wide_leaves = set()
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 257):
         field = ff_from_order(q)
         n = 1
         while q**n <= 2 * 10**5:
             batch, union, divisors = bytearray(q**n), bytearray(q**n), []
-            for d in range(max(1, n - 6), n + 1):
+            for d in range(max(1, n - (9 if q == 2 else 6)), n + 1):
                 for _ in range(2):
                     divisor = [rng.randrange(q) for _ in range(d)] + [1]
                     marks, expected = bytearray(q**n), bytearray(q**n)
@@ -644,11 +645,10 @@ def test_mark_multiples_matches_reference():
                     assert marks == expected, (q, n, divisor)
                     _reference_mark_multiples(union, field, divisor, n)
                     divisors.append(divisor)
-                if q < 64 and n - d >= 3:
-                    wide_leaves.add(q)
             mark_multiples(batch, field, iter(divisors), n)
             assert batch == union, (q, n)
             n += 1
+    wide_leaves = {q for q, digits in calls["walk"] if digits >= 2}
     assert wide_leaves == {2, 3, 4, 5, 7, 8, 9, 16}
 
 
@@ -713,18 +713,23 @@ def _random_monic(rng: random.Random, q: int, degree: int) -> list[int]:
     return [rng.randrange(q) for _ in range(degree)] + [1]
 
 
-def _count_regimes(monkeypatch) -> dict[str, list[int]]:
+def _count_regimes(monkeypatch) -> dict[str, list]:
     """Record the calls that ``mark_multiples`` makes, until the lists are
-    cleared: the number of divisors of each batch, and one entry per walk."""
-    calls: dict[str, list[int]] = {"batch": [], "walk": []}
+    cleared: the number of divisors of each batch, and for each walk its
+    field size and the digits of its leaf."""
+    calls: dict[str, list] = {"batch": [], "walk": []}
 
     def batch(marks, field, add, residues):
         calls["batch"].append(len(residues))
         return mark_batch(marks, field, add, residues)
 
-    def walk(*args):
-        calls["walk"].append(1)
-        return mark_walk(*args)
+    def walk(marks, field, add, residues):
+        # The leaf's digits t, by the rule in _mark_walk's docstring.
+        m, t = len(residues) - 1, 1
+        while t < m - 1 and field.q**t < fields._LEAF_WIDTH:
+            t += 1
+        calls["walk"].append((field.q, t))
+        return mark_walk(marks, field, add, residues)
 
     mark_batch, mark_walk = fields._mark_batch, fields._mark_walk
     monkeypatch.setattr(fields, "_mark_batch", batch)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import rscount.genfun as genfun
+from rscount import census
 from rscount.census import CensusKind, census_count
 from rscount.closedform import Family, GroupSpec, rs_count, rs_symbolic
 from rscount.genfun import (
@@ -491,6 +492,45 @@ def test_integer_sides_match_the_boxed_reference(identity):
         # A constant QPoly equals its int, so the tuples compare entry by entry.
         assert product_side(identity, q, T) == tuple(expected_product), (identity, q)
         assert closed_side(identity, q, T) == tuple(expected_closed), (identity, q)
+
+
+def test_every_identity_holds_for_every_q(monkeypatch):
+    """Product side = closed side through u^24, for every q of each parity.
+
+    The product side reads the census formulas at any integer q >= 2, here
+    through a patched ``genfun._census``; ``census_count`` itself still
+    rejects a q that is not a prime power.  On each parity class of q, each
+    formula is a polynomial in q of the q-degree below, so in a factor
+    (1 +- u^k)^(+-N) of a product side, N has q-degree at most k:
+
+        kind                                  u-degree k   q-degree of N
+        IRREDUCIBLE, HERMITIAN_SELF_RECIPROCAL    d            d
+        SELF_RECIPROCAL (degree 2m)               m            m
+        RECIPROCAL_PAIRS                          d            d
+        HERMITIAN_PAIRS                           2d           2d
+
+    (the two full-dimension identities put the SELF_RECIPROCAL and
+    RECIPROCAL_PAIRS factors at u^(2m) and u^(2d), with room to spare).
+    So the u^n coefficient of a product side is a polynomial in q of degree
+    <= n on each parity class.
+    So is that of a closed side: a rational function whose u^k coefficients
+    have q-degree <= k, over a denominator with constant term 1.  The
+    difference of the two sides at u^n, for n <= 24, is then a polynomial of
+    degree <= 24 that vanishes at 25 integers of one parity, hence zero for
+    every q of that parity.  The ``exact_div`` inside ``census._mobius_sum``
+    checks that each formula is an integer at each q it is read at.  Since
+    ten closed sides read ``_family_rational``, this proves that the terms
+    ``gf_count`` extracts counts from equal the census products for every q.
+    """
+    monkeypatch.setattr(genfun, "_census", census._formula_count)
+    T, cells = 24, 0
+    for identity in Identity:
+        parity = admissible_parity(identity)
+        for q in range(2, 52):
+            if parity in ("both", "odd" if q % 2 else "even"):
+                assert product_side(identity, q, T) == closed_side(identity, q, T), (identity, q)
+                cells += 1
+    assert cells == 375
 
 
 _GRID_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32)
