@@ -35,13 +35,16 @@ made for them through the kernels here: :func:`frobenius_map`,
 read the tables inline where they exist; :func:`combination_map` and
 :func:`evaluation_map` return the linear-combination and evaluation kernels
 that the census constructions run once per polynomial; and
-:func:`mark_multiples` sieves all of one sieve's divisors over one set of
-addition rows, at a cost that goes with the marks: the narrow divisors of
-each degree in batches, each wide one by a walk of its own.  The two
-polynomial kernels have two branches: plain ints with one ``% p`` per output
-coefficient at a prime q, and one :class:`GF` call per operation in an
-extension field, where :meth:`GF.add` and :meth:`GF.mul` read the tables
-themselves if the field has them.
+:func:`mark_multiples` sieves all of one sieve's divisors in one call, at a
+cost that goes with the marks.  At odd q it reads one set of addition rows:
+the narrow divisors of each degree in batches, each wide one by a walk of
+its own.  In characteristic 2 a sum of codes is their XOR, so the index of
+a multiple is GF(2)-linear in it, and each divisor's multiples are one XOR
+span, with no addition rows at all.  The two polynomial kernels have two
+branches: plain ints with one ``% p`` per output coefficient at a prime q,
+and one :class:`GF` call per operation in an extension field, where
+:meth:`GF.add` and :meth:`GF.mul` read the tables themselves if the field
+has them.
 
 The kernels take and return coefficient sequences, not :class:`Poly`: the
 census and oracle scans run on code tuples, and only the public census
@@ -68,7 +71,8 @@ MAX_FIELD_SIZE = 1 << 20
 #: marked in a batch with the others of its degree.
 _LEAF_WIDTH = 256
 
-#: Most multiples one batch of :func:`mark_multiples` lists.
+#: Most multiples one batch of :func:`mark_multiples` lists, and most
+#: entries of one leaf of a characteristic-2 span (:func:`_mark_span`).
 _BATCH_ENTRIES = 1 << 12
 
 
@@ -541,16 +545,19 @@ def mark_multiples(
     are then fixed by H, linearly: they are the residue[m] + sum_j H_j
     residue[j] of :func:`_residues`.
 
-    The cost goes with the marks, not with the divisors.  A divisor with at
-    most :data:`_LEAF_WIDTH` multiples (q^m) is narrow: the narrow divisors
-    of one degree are marked together, in batches of at most
-    :data:`_BATCH_ENTRIES` multiples, by :func:`_mark_batch`.  A wider one
-    gets a walk of its own, :func:`_mark_walk`.
+    The cost goes with the marks, not with the divisors.  In characteristic
+    2 the index is GF(2)-linear in the multiple, so each divisor's indices
+    are an offset XOR a span, listed by :func:`_mark_span` with one XOR per
+    mark.  At odd q a divisor with at most :data:`_LEAF_WIDTH` multiples
+    (q^m) is narrow: the narrow divisors of one degree are marked together,
+    in batches of at most :data:`_BATCH_ENTRIES` multiples, by
+    :func:`_mark_batch`.  A wider one gets a walk of its own,
+    :func:`_mark_walk`.
 
     A divisor that is not monic, or of degree below 1, raises ``ValueError``;
     one of degree above n has no multiple to mark.  A field above
-    :data:`TABLE_LIMIT` has no addition table: the rows the call reads are
-    built once for all its divisors, and freed when it returns.
+    :data:`TABLE_LIMIT` has no addition table: at odd q the rows the call
+    reads are built once for all its divisors, and freed when it returns.
     """
     q = field.q
     add = field.add_table or _RowsOnDemand(field.add, q)
@@ -562,6 +569,9 @@ def mark_multiples(
                 raise ValueError(f"divisor {tuple(divisor)} is not monic of degree >= 1")
             m = n - d
             if m < 0:
+                continue
+            if field.p == 2:
+                _mark_span(marks, field, divisor, m)
                 continue
             residues = _residues(field, add, divisor, m)
             multiples = q**m
@@ -579,6 +589,38 @@ def mark_multiples(
     finally:
         if add is not field.add_table:
             add.clear()  # a walk's closure holds the rows until a collection
+
+
+def _mark_span(marks: bytearray, field: GF, divisor: Sequence[int], m: int) -> None:
+    """Mark the q^m monic multiples of degree n = d + m of the monic
+    ``divisor`` G of degree d, over GF(2^k), with one XOR per mark.
+
+    At q = 2^k a code is a k-bit vector and a sum of codes is their XOR.  An
+    index packs the n low codes k bits per digit, so it is GF(2)-linear in
+    the polynomial.  The multiples are z^m G + H G for the H of degree < m,
+    so their indices are the index of z^m G's n low coefficients XOR the
+    span of the k m vectors index(2^b z^j G), for the basis codes 2^b and
+    j < m.  The span is listed in chunks: a leaf spans the first vectors, at
+    most :data:`_BATCH_ENTRIES` entries, and is marked once per element of
+    the span of the rest.  Multiplying by the basis codes takes k (d + 1)
+    products; above :data:`TABLE_LIMIT` each is one :meth:`GF.mul` call.
+    """
+    k = field.k
+    shifts = range(0, k * len(divisor), k)
+    # index(2^b G); shifting it by k j bits multiplies by z^j.
+    rows = [sum(map(operator.lshift, map(scale_map(field, 1 << b), divisor), shifts))
+            for b in range(k)]
+    vectors = [row << k * j for j in range(m) for row in rows]
+    split = _BATCH_ENTRIES.bit_length() - 1
+    # z^m G, without its leading 1 at digit n.
+    leaf, tops = [0], [(rows[0] ^ 1 << shifts[-1]) << k * m]
+    for v in vectors[:split]:
+        leaf += [s ^ v for s in leaf]
+    for v in vectors[split:]:
+        tops += [t ^ v for t in tops]
+    for top in tops:
+        for s in leaf:
+            marks[top ^ s] = 1
 
 
 def _residues(

@@ -568,8 +568,9 @@ def test_mark_multiples_without_dense_tables():
 
 
 # The sieve kernel with one free digit per leaf and one divisor per call,
-# kept as the reference for both regimes of ``mark_multiples``: the batches
-# of narrow divisors and the walks of wide ones.
+# kept as the reference for every regime of ``mark_multiples``: the batches
+# of narrow divisors, the walks of wide ones, and the XOR spans of
+# characteristic 2.
 # ``rows``, when given, are addition rows that the caller shares across calls.
 def _reference_mark_multiples(
     marks: bytearray, field: GF, divisor: Sequence[int], n: int, rows=None
@@ -628,7 +629,8 @@ def test_mark_multiples_matches_reference(monkeypatch):
     # 0..6 with q^n <= 2 * 10^5; over GF(2), m runs to 9, since 2^m exceeds
     # the leaf width only from m = 9 on.  GF(257) has no dense tables.  Each
     # divisor is marked alone, and all of one n together in one batch call.
-    # The spy records the fields whose walks ran a leaf of two or more digits.
+    # The spy records the fields whose walks ran a leaf of two or more digits,
+    # and the fields that took the XOR path: every one of characteristic 2.
     calls = _count_regimes(monkeypatch)
     rng = random.Random(20121)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 257):
@@ -649,7 +651,8 @@ def test_mark_multiples_matches_reference(monkeypatch):
             assert batch == union, (q, n)
             n += 1
     wide_leaves = {q for q, digits in calls["walk"] if digits >= 2}
-    assert wide_leaves == {2, 3, 4, 5, 7, 8, 9, 16}
+    assert wide_leaves == {3, 5, 7, 9}
+    assert set(calls["span"]) == {2, 4, 8, 16}
 
 
 def test_mark_multiples_builds_each_addition_row_once_per_call():
@@ -701,6 +704,52 @@ def test_mark_multiples_builds_each_addition_row_once_per_call():
     assert bytes.fromhex(out["marks"]) == expected
 
 
+def test_mark_multiples_marks_a_span_of_several_chunks():
+    # Spans of more vectors than one leaf holds: each is marked as a leaf
+    # per element of the span of the rest, and the marks are the reference.
+    rng = random.Random(2516)
+    split = fields._BATCH_ENTRIES.bit_length() - 1
+    for q, n, degrees in ((2, 16, (1, 2, 3)), (4, 8, (1, 2)), (8, 6, (1,)), (16, 5, (1,))):
+        field = ff_from_order(q)
+        divisors = [_random_monic(rng, q, d) for d in degrees]
+        assert field.k * (n - 1) > split
+        marks = bytearray(q**n)
+        mark_multiples(marks, field, divisors, n)
+        assert marks == _referenced(field, divisors, n), q
+
+
+def test_mark_multiples_lists_a_span_in_chunks():
+    """The XOR path lists no span whole: the squarefree sieve of degree 20
+    over GF(2), whose marks take 1 MiB, peaks under 1.5 MiB of traced
+    memory, where one list of the 2^18 multiples of z^2 alone would hold
+    several MiB.  Measured in a fresh interpreter, with the irreducibles
+    that it squares already listed."""
+    script = textwrap.dedent(
+        """
+        import tracemalloc
+        from rscount import oracle
+        from rscount.census import _irreducible_raw
+        from rscount.fields import ff_make
+        field = ff_make(2)
+        for degree in range(1, 11):
+            _irreducible_raw(field, degree)
+        tracemalloc.start()
+        marks = oracle._squarefree_marks(field, 20)
+        print(tracemalloc.get_traced_memory()[1], marks.count(0))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    peak, squarefree = map(int, result.stdout.split())
+    assert squarefree == 2**20 - 2**19
+    assert 2**20 < peak < 1.5 * 2**20
+
+
 def _referenced(field: GF, divisors, n: int) -> bytearray:
     """The union of the reference marks of ``divisors``, one call each."""
     expected = bytearray(field.q**n)
@@ -715,9 +764,9 @@ def _random_monic(rng: random.Random, q: int, degree: int) -> list[int]:
 
 def _count_regimes(monkeypatch) -> dict[str, list]:
     """Record the calls that ``mark_multiples`` makes, until the lists are
-    cleared: the number of divisors of each batch, and for each walk its
-    field size and the digits of its leaf."""
-    calls: dict[str, list] = {"batch": [], "walk": []}
+    cleared: the number of divisors of each batch, for each walk its field
+    size and the digits of its leaf, and for each XOR span its field size."""
+    calls: dict[str, list] = {"batch": [], "walk": [], "span": []}
 
     def batch(marks, field, add, residues):
         calls["batch"].append(len(residues))
@@ -731,36 +780,54 @@ def _count_regimes(monkeypatch) -> dict[str, list]:
         calls["walk"].append((field.q, t))
         return mark_walk(marks, field, add, residues)
 
-    mark_batch, mark_walk = fields._mark_batch, fields._mark_walk
+    def span(marks, field, divisor, m):
+        calls["span"].append(field.q)
+        return mark_span(marks, field, divisor, m)
+
+    mark_batch, mark_walk, mark_span = fields._mark_batch, fields._mark_walk, fields._mark_span
     monkeypatch.setattr(fields, "_mark_batch", batch)
     monkeypatch.setattr(fields, "_mark_walk", walk)
+    monkeypatch.setattr(fields, "_mark_span", span)
     return calls
 
 
+def _clear(calls: dict[str, list]) -> None:
+    for recorded in calls.values():
+        recorded.clear()
+
+
 def test_mark_multiples_splits_one_degree_into_several_batches(monkeypatch):
-    # Every monic of degree 11 over GF(2) at n = 13, and 400 random cubics
-    # over GF(5) at n = 5: more multiples than one batch holds.
+    # Every monic of degree 11 over GF(2) at n = 13, 400 random cubics over
+    # GF(5) at n = 5, and every monic quintic over GF(3) at n = 9 (81
+    # multiples each): more multiples than one batch holds.  Characteristic
+    # 2 marks each divisor's span instead, one call per divisor.
     rng = random.Random(2512)
     cells = [
         (2, 13, [[*map(int, f"{c:011b}"), 1] for c in range(2**11)]),
         (5, 5, [_random_monic(rng, 5, 3) for _ in range(400)]),
+        (3, 9, [[c // 3**i % 3 for i in range(5)] + [1] for c in range(3**5)]),
     ]
     calls = _count_regimes(monkeypatch)
     for q, n, divisors in cells:
         field = ff_from_order(q)
         multiples = q ** (n - len(divisors[0]) + 1)
-        calls["batch"].clear()
+        _clear(calls)
         marks = bytearray(q**n)
         mark_multiples(marks, field, iter(divisors), n)
-        assert len(calls["batch"]) >= 2 and not calls["walk"], q
-        assert sum(calls["batch"]) == len(divisors)
-        assert max(calls["batch"]) * multiples <= fields._BATCH_ENTRIES
+        if q == 2:
+            assert calls["span"] == [2] * len(divisors)
+            assert not calls["batch"] and not calls["walk"]
+        else:
+            assert len(calls["batch"]) >= 2 and not calls["walk"] and not calls["span"], q
+            assert sum(calls["batch"]) == len(divisors)
+            assert max(calls["batch"]) * multiples <= fields._BATCH_ENTRIES
         assert marks == _referenced(field, divisors, n), q
 
 
 def test_mark_multiples_on_both_sides_of_the_narrow_width(monkeypatch):
-    # For each q the largest m with q^m <= the leaf width is batched and
-    # m + 1 is walked; GF(257) walks its linear divisors at m = 1.
+    # For each odd q the largest m with q^m <= the leaf width is batched and
+    # m + 1 is walked; GF(257) walks its linear divisors at m = 1.  Each
+    # q of characteristic 2 takes the XOR path on the same cells.
     rng = random.Random(2513)
     width = fields._LEAF_WIDTH
     calls = _count_regimes(monkeypatch)
@@ -775,11 +842,11 @@ def test_mark_multiples_on_both_sides_of_the_narrow_width(monkeypatch):
                 if q**n > 3 * 10**5:
                     continue
                 divisors = [_random_monic(rng, q, d) for _ in range(3)]
-                calls["batch"].clear()
-                calls["walk"].clear()
+                _clear(calls)
                 marks = bytearray(q**n)
                 mark_multiples(marks, field, divisors, n)
-                assert calls[regime] and not calls["batch" if regime == "walk" else "walk"], q
+                taken = {name for name, recorded in calls.items() if recorded}
+                assert taken == {"span" if q % 2 == 0 else regime}, (q, n)
                 assert marks == _referenced(field, divisors, n), (q, n, divisors)
 
 
@@ -798,23 +865,51 @@ def test_mark_multiples_takes_mixed_degrees_from_one_generator():
 
 def test_mark_multiples_rejects_a_non_monic_divisor():
     # 2z + 1 over GF(3) once marked 2, 3 and 7, not the multiples of z + 2.
-    field = ff_make(3)
-    for divisor in ((1, 2), (1, 1, 2), (1, 0)):
-        with pytest.raises(ValueError, match="is not monic of degree >= 1"):
-            mark_multiples(bytearray(9), field, [divisor], 2)
+    # In characteristic 2 a divisor is not monic when it ends in a zero.
+    for q, divisors in (
+        (3, ((1, 2), (1, 1, 2), (1, 0))),
+        (2, ((1, 0), (1, 1, 0))),
+        (4, ((1, 2), (1, 1, 3), (1, 0))),
+    ):
+        field = ff_from_order(q)
+        for divisor in divisors:
+            with pytest.raises(ValueError, match="is not monic of degree >= 1"):
+                mark_multiples(bytearray(q**2), field, [divisor], 2)
 
 
 def test_mark_multiples_rejects_a_divisor_of_degree_below_one():
-    field = ff_make(3)
-    for divisor in ((1,), (2,), ()):
-        with pytest.raises(ValueError, match="is not monic of degree >= 1"):
-            mark_multiples(bytearray(9), field, [(2, 1), divisor], 2)
+    for q in (3, 2, 4):
+        field = ff_from_order(q)
+        for divisor in ((1,), (q - 1,), ()):
+            with pytest.raises(ValueError, match="is not monic of degree >= 1"):
+                mark_multiples(bytearray(q**2), field, [(q - 1, 1), divisor], 2)
 
 
 def test_mark_multiples_skips_a_divisor_of_degree_above_n():
-    field = ff_make(3)
-    marks = bytearray(9)
-    mark_multiples(marks, field, [(1, 0, 0, 1)], 2)
-    assert marks == bytearray(9)
-    mark_multiples(marks, field, [(1, 0, 0, 1), (1, 1), (2, 0, 1, 1)], 2)
-    assert marks == _referenced(field, [(1, 1)], 2)
+    for q in (3, 2, 4):
+        field = ff_from_order(q)
+        marks = bytearray(q**2)
+        mark_multiples(marks, field, [(1, 0, 0, 1)], 2)
+        assert marks == bytearray(q**2)
+        mark_multiples(marks, field, [(1, 0, 0, 1), (1, 1), (q - 1, 0, 1, 1)], 2)
+        assert marks == _referenced(field, [(1, 1)], 2)
+
+
+def test_mark_multiples_in_characteristic_2_without_dense_tables():
+    # GF(512) and GF(1024) have no dense tables; the XOR path multiplies by
+    # each basis code through their digit arithmetic.  At n = 3 the marks go
+    # to a dict, which takes the same item assignments as a bytearray of
+    # q^3 bytes; its divisors have at most q multiples each.
+    rng = random.Random(2515)
+    for q in (512, 1024):
+        field = ff_from_order(q)
+        assert field.add_table is None
+        for n, degrees, marks in ((2, (1, 1, 2), bytearray(q**2)), (3, (2, 2, 3), {})):
+            divisors = [_random_monic(rng, q, d) for d in degrees]
+            expected = bytearray(q**n) if n == 2 else {}
+            for divisor in divisors:
+                _reference_mark_multiples(expected, field, divisor, n)
+            mark_multiples(marks, field, divisors, n)
+            assert marks == expected, (q, n)
+            if n == 3:
+                assert max(marks) < q**n
