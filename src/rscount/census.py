@@ -28,10 +28,13 @@ path that returns them sorted by code (``_irreducible_raw``,
 ``_self_reciprocal_raw``, ``_hermitian_self_reciprocal_raw``, and for the
 pair kinds ``_reciprocal_pairs_raw`` and ``_hermitian_pairs_raw``, which keep
 only the smaller-code member f of each pair, as the irreducibles' own tuple).
-The irreducibles come from one product sieve, and each pair path compares
-f with its partner built highest coefficient first, so that only f is
-reversed.  The oracle and ``census_count(..., "enumerate")`` count those
-tuples.  Only the public :func:`irreducibles`,
+The irreducibles come from one product sieve.  Each pair path decides f
+against its partner on one coefficient, in C-level passes over all the
+candidates, and builds the partner (highest coefficient first, so that only
+f is reversed) only on a tie.  The constructions stream their g through the
+batch kernel :func:`~rscount.fields.linear_map`.  The oracle and
+``census_count(..., "enumerate")`` count those tuples.  Only the public
+:func:`irreducibles`,
 :func:`self_reciprocal_irreducibles`, :func:`reciprocal_pairs`,
 :func:`hermitian_self_reciprocal_irreducibles` and :func:`hermitian_pairs`
 wrap them in :class:`~rscount.fields.Poly`; the pair functions build the
@@ -56,10 +59,9 @@ from .fields import (
     GF,
     Poly,
     _monic_polys,
-    combination_map,
-    evaluation_map,
     ff_from_order,
     frobenius_map,
+    linear_map,
     mark_multiples,
     poly_eval,
     poly_mul,
@@ -224,55 +226,75 @@ def _self_reciprocal_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     irreducible exactly when z^2 - b z + 1 has no root in GF(q^m):
 
     * q odd: b^2 - 4 is a nonsquare in GF(q^m), i.e. its norm g(2) g(-2) is
-      a nonsquare in GF(q);
+      a nonsquare in GF(q): one of g(2), g(-2) is a nonzero square and the
+      other a nonsquare;
     * q even: b != 0 and Tr(1/b) = 1 over GF(2), i.e. g_0 != 0 and the
-      absolute trace of g_1/g_0 (the sum of its 2^i-th powers, 2^i < q) is 1.
+      absolute trace of g_1/g_0 is 1.  x -> Tr(x / c) is GF(2)-linear in
+      the bits of the code x, so it is the parity of x AND a k-bit mask of
+      c, and the masks of all c are listed once, by doubling.
 
     In degree 2 the g are z + c for every c, including c = 0.  The g come
     from the sieve :func:`_irreducible_raw`, whose q^m candidates are the cap
-    checked here; the expansion and the evaluations run on the kernels of
-    :func:`~rscount.fields.combination_map` and
-    :func:`~rscount.fields.evaluation_map`.
+    checked here.  They stream through the batch kernel of
+    :func:`~rscount.fields.linear_map`, one batch at a time: the evaluations
+    at 2 and -2 of a batch (q odd), the test, and the expansion of the kept
+    g.  Only the low m + 1 coefficients of f are expanded; its high half
+    mirrors them.  A palindrome read highest coefficient first is itself,
+    so the tuples sort by code in their own order.
     """
     if degree == 1:
         return tuple(sorted({(1, 1), (field.neg(1), 1)}))
     if degree % 2:
         return ()
     m = degree // 2
-    q, add, mul = field.q, field.add, field.mul
-    # basis[i]: the low m + 1 coefficients of z^(m-i) (z^2 + 1)^i.  f is
-    # palindromic, so its high half mirrors them.
+    q, mul = field.q, field.mul
+    # basis[i]: the low m + 1 coefficients of z^(m-i) (z^2 + 1)^i.
     basis = [[0] * (m + 1) for _ in range(m + 1)]
     for i, row in enumerate(basis):
         for j in range(i // 2 + 1):
             row[m - i + 2 * j] = field.scalar(math.comb(i, j))
-    expand = combination_map(field, basis)
     irreducibles_m = _irreducible_raw(field, m)
     if q % 2:
-        nonsquare = bytearray(b"\1") * q  # nonsquare[x]: x is a nonzero nonsquare
-        nonsquare[0] = 0
+        # square_class[x]: 1 for a nonzero square, 2 for a nonsquare, 0 for 0,
+        # so that exactly the kept g have classes 1 and 2, XOR 3.
+        square_class = bytearray(b"\2") * q
+        square_class[0] = 0
         for a in range(1, q):
-            nonsquare[mul(a, a)] = 0
-        at_two = evaluation_map(field, field.scalar(2), m)
-        at_minus_two = evaluation_map(field, field.scalar(-2), m)
-        kept = (g for g in irreducibles_m if nonsquare[mul(at_two(g), at_minus_two(g))])
+            square_class[mul(a, a)] = 1
+        classes = square_class.__getitem__
+        evaluate = linear_map(
+            field, [[field.scalar(2**i), field.scalar((-2) ** i)] for i in range(m + 1)]
+        )
+        kept = itertools.chain.from_iterable(
+            map((3).__eq__, map(operator.xor, map(classes, at_two), map(classes, at_minus_two)))
+            for at_two, at_minus_two in evaluate(irreducibles_m)
+        )
     else:
+        add, k = field.add, field.k
 
-        def trace_one(g) -> bool:
-            if g[0] == 0:
-                return False
-            trace = power = mul(g[1], field.inv(g[0]))
-            for _ in range(field.k - 1):
-                power = mul(power, power)
-                trace = add(trace, power)
-            return trace == 1
+        def trace(y: int) -> int:
+            total = y
+            for _ in range(k - 1):
+                y = mul(y, y)
+                total = add(total, y)
+            return total
 
-        kept = filter(trace_one, irreducibles_m)
+        # by_inverse[h]: bit b is Tr(2^b h), GF(2)-linear in h too.
+        by_inverse = [0]
+        for c in range(k):
+            row = sum(trace(mul(1 << b, 1 << c)) << b for b in range(k))
+            by_inverse += [mask ^ row for mask in by_inverse]
+        masks = [0, *(by_inverse[field.inv(c)] for c in range(1, q))]
+        # g_0 = 0 reads the mask 0, so its parity is 0.
+        kept = map((1).__and__, map(int.bit_count, map(
+            operator.and_,
+            map(masks.__getitem__, map(operator.itemgetter(0), irreducibles_m)),
+            map(operator.itemgetter(1), irreducibles_m),
+        )))
     out = []
-    for g in kept:
-        low = expand(g)
-        out.append(tuple(low + low[-2::-1]))
-    out.sort(key=_code_key(degree))
+    for low in linear_map(field, basis)(itertools.compress(irreducibles_m, kept)):
+        out += zip(*low, *low[-2::-1])
+    out.sort()
     return tuple(out)
 
 
@@ -293,20 +315,32 @@ def _kept_of_pairs(
     ``field`` = GF(base_q^2).  z, the one irreducible with constant term 0,
     has no partner and is left out.
 
-    f and its partner are monic of one degree, so comparing them highest
+    f and its partner are monic of one degree n, so comparing them highest
     coefficient first orders them by code.  Read that way, the partner of
     f = sum a_i z^i is (t(a_i / a_0) for i = 0..n), with t the identity or the
-    Frobenius x -> x^base_q, so it is built in that order and only f is
-    reversed.  The kept tuples are the candidates' own, not copies, and no
-    partner is kept."""
-    inv = field.inv
+    Frobenius x -> x^base_q, and both start with 1.  So each f is decided on
+    one coefficient, a_(n-1) against t(a_1 / a_0), in C-level passes over
+    all the candidates.  Only on a tie (about one f in q, and every f that
+    is its own partner) is the partner built in full, in that order, and
+    compared with f reversed.  The kept tuples are the candidates' own, not
+    copies, and no partner is kept."""
+    inv, mul = field.inv, field.mul
     frob = None if base_q is None else frobenius_map(field, base_q)
 
     def partner_high_first(f: tuple[int, ...]) -> tuple[int, ...]:
         scaled = map(scale_map(field, inv(f[0])), f)
         return tuple(scaled if frob is None else map(frob, scaled))
 
-    return tuple(f for f in candidates if f[0] and f[::-1] < partner_high_first(f))
+    candidates = tuple(filter(operator.itemgetter(0), candidates))
+    ratios = map(mul, map(operator.itemgetter(1), candidates),
+                 map(inv, map(operator.itemgetter(0), candidates)))
+    theirs = list(ratios if frob is None else map(frob, ratios))
+    ours = list(map(operator.itemgetter(-2), candidates))
+    keep = list(map(operator.lt, ours, theirs))
+    for i in itertools.compress(range(len(keep)), map(operator.eq, ours, theirs)):
+        f = candidates[i]
+        keep[i] = f[::-1] < partner_high_first(f)
+    return tuple(itertools.compress(candidates, keep))
 
 
 def _with_partners(field: GF, kept, partner_codes) -> tuple[tuple[Poly, Poly], ...]:
@@ -409,7 +443,8 @@ def _hermitian_self_reciprocal_raw(base_q: int, degree: int) -> tuple[tuple[int,
     leading coefficient g(w^q) is nonzero, as g has no root in GF(q^2).  The
     g come from the sieve over GF(q), whose q^d candidates are the cap
     checked here; their codes enter GF(q^2) through :func:`cayley_frame`,
-    and the expansion runs on :func:`~rscount.fields.combination_map`.
+    and the expansion runs on the batch kernel of
+    :func:`~rscount.fields.linear_map`, one batch at a time.
     Any root of GF(q)'s modulus gives the same set, since the set is closed
     under the Frobenius of GF(q).
     """
@@ -426,13 +461,14 @@ def _hermitian_self_reciprocal_raw(base_q: int, degree: int) -> tuple[tuple[int,
     for _ in range(degree):
         cayley.append(poly_mul(ext, cayley[-1], [neg(w), frob(w)]))
         shift.append(poly_mul(ext, shift[-1], [neg(1), 1]))
-    expand = combination_map(
+    expand = linear_map(
         ext, [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
     )
+    embedded = (tuple(map(embed.__getitem__, g))
+                for g in _irreducible_raw(ff_from_order(base_q), degree))
     out = []
-    for g in _irreducible_raw(ff_from_order(base_q), degree):
-        f = expand([embed[c] for c in g])
-        out.append(tuple(map(scale_map(ext, ext.inv(f[-1])), f)))
+    for columns in expand(embedded):
+        out += (tuple(map(scale_map(ext, ext.inv(f[-1])), f)) for f in zip(*columns))
     out.sort(key=_code_key(degree))
     return tuple(out)
 

@@ -32,19 +32,15 @@ logarithms); larger fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit
 arithmetic.  Only this module reads the tables.  Other modules get the choice
 made for them through the kernels here: :func:`frobenius_map`,
 :func:`scale_map` and :func:`translate_map` return functions of one code that
-read the tables inline where they exist; :func:`combination_map` and
-:func:`evaluation_map` return the linear-combination and evaluation kernels
-that the census constructions run once per polynomial; and
-:func:`mark_multiples` sieves all of one sieve's divisors in one call, at a
-cost that goes with the marks.  At odd q it reads one set of addition rows:
-the narrow divisors of each degree in batches, each wide one by a walk of
-its own.  In characteristic 2 a sum of codes is their XOR, so the index of
-a multiple is GF(2)-linear in it, and each divisor's multiples are one XOR
-span, with no addition rows at all.  The two polynomial kernels have two
-branches: plain ints with one ``% p`` per output coefficient at a prime q,
-and one :class:`GF` call per operation in an extension field, where
-:meth:`GF.add` and :meth:`GF.mul` read the tables themselves if the field
-has them.
+read the tables inline where they exist; :func:`linear_map` returns the
+batch kernel of a GF(p)-linear map of coefficient sequences (the census
+constructions' expansions and evaluations), which packs a whole batch into
+ints and reads no table; and :func:`mark_multiples` sieves all of one
+sieve's divisors in one call, at a cost that goes with the marks.  At odd q
+it reads one set of addition rows: the narrow divisors of each degree in
+batches, each wide one by a walk of its own.  In characteristic 2 a sum of
+codes is their XOR, so the index of a multiple is GF(2)-linear in it, and
+each divisor's multiples are one XOR span, with no addition rows at all.
 
 The kernels take and return coefficient sequences, not :class:`Poly`: the
 census and oracle scans run on code tuples, and only the public census
@@ -54,9 +50,10 @@ functions wrap them, through :func:`_monic_polys`.
 from __future__ import annotations
 
 import operator
+import struct
 from functools import lru_cache, partial
-from itertools import chain, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .numbertheory import as_prime_power, check_int, is_prime, prime_factorization
 
@@ -71,8 +68,9 @@ MAX_FIELD_SIZE = 1 << 20
 #: marked in a batch with the others of its degree.
 _LEAF_WIDTH = 256
 
-#: Most multiples one batch of :func:`mark_multiples` lists, and most
-#: entries of one leaf of a characteristic-2 span (:func:`_mark_span`).
+#: Most multiples one batch of :func:`mark_multiples` lists, most entries
+#: of one leaf of a characteristic-2 span (:func:`_mark_span`), and most
+#: coefficient sequences one batch of a :func:`linear_map` kernel takes.
 _BATCH_ENTRIES = 1 << 12
 
 
@@ -389,44 +387,94 @@ def translate_map(field: GF, c: int) -> Callable[[int], int]:
     return partial(field.add, c)
 
 
-def combination_map(
+def linear_map(
     field: GF, basis: Sequence[Sequence[int]]
-) -> Callable[[Sequence[int]], list[int]]:
-    """Return the kernel g -> sum_i g[i] * basis[i] of a coefficient
-    sequence g, where the basis rows are coefficient lists of one length.
+) -> Callable[[Iterable[Sequence[int]]], Iterator[list[tuple[int, ...]]]]:
+    """Return the batch kernel of the map g -> sum_i g[i] * basis[i] of
+    coefficient sequences g of length ``len(basis)``, where the basis rows
+    are code lists of one length w.
 
-    At a prime q the codes are the residues mod p, so each output
-    coefficient is one int dot product and one ``% p``.  An extension field
-    makes one :meth:`GF.mul` and :meth:`GF.add` per nonzero term.
+    The kernel takes an iterable of g and yields, for each batch of at most
+    :data:`_BATCH_ENTRIES` of them, the w columns of their images: column j
+    holds coefficient j of each image, in the order of the g.  An empty
+    iterable yields nothing.
+
+    The map is GF(p)-linear in the base-p digits of the codes, so a batch is
+    one set of int operations (Kronecker substitution): each input digit of
+    the whole batch is packed into one int, one slot per g, and each output
+    digit is one weighted sum of those ints, the weights being the digits of
+    p^b * basis[i].  The slots are wide enough that no sum spills into the
+    next, and all of them are reduced mod p at once by a multiply, a shift
+    and a mask per int (a Barrett reduction).  The set-up makes one
+    :meth:`GF.mul` per basis entry and digit; the batches make no field
+    call and read no table.
     """
-    if field.k == 1:
-        p, columns = field.p, list(zip(*basis))
-        return lambda g: [sum(map(operator.mul, g, column)) % p for column in columns]
-    width = len(basis[0])
-    add, scale = field.add, field.mul
+    p, k = field.p, field.k
+    size, width = len(basis), len(basis[0])
+    # weights[j][c]: the (input digit, weight) pairs of digit c of output
+    # coefficient j, input digit i * k + b being digit b of g[i].
+    image_digits = [
+        [field._decode(field.mul(p**b, code)) for code in row] for row in basis for b in range(k)
+    ]
+    weights = [
+        [[(x, image[j][c]) for x, image in enumerate(image_digits) if image[j][c]]
+         for c in range(k)]
+        for j in range(width)
+    ]
+    # Every value split mod p is below 2^bits: a code, or a weighted sum of
+    # digits.  floor(v / p) is then v * factor >> shift, and a slot must hold
+    # v * factor: a struct format character, or several 64-bit words.
+    most = max((sum(w for _, w in terms) for column in weights for terms in column), default=0)
+    bits = max(field.q - 1, (p - 1) * most).bit_length()
+    shift = bits + p.bit_length()
+    factor = -(-(1 << shift) // p)
+    need = (((1 << bits) - 1) * factor).bit_length()
+    char, words = next(((c, 1) for c, n in (("B", 8), ("H", 16), ("I", 32)) if need <= n),
+                       ("Q", -(-need // 64)))
+    slot = struct.calcsize(char) * 8 * words
 
-    def combine(g: Sequence[int]) -> list[int]:
-        out = [0] * width
-        for c, row in zip(g, basis):
-            if c:
-                out = [add(a, scale(c, b)) if b else a for a, b in zip(out, row)]
-        return out
+    def images(rows: Iterable[Sequence[int]]) -> Iterator[list[tuple[int, ...]]]:
+        rows = iter(rows)
+        while batch := list(islice(rows, _BATCH_ENTRIES)):
+            n = len(batch)
+            fmt = f"<{n * words}{char}"
+            quotient_mask = int.from_bytes(
+                ((1 << (slot - shift)) - 1).to_bytes(slot // 8, "little") * n, "little"
+            )
 
-    return combine
+            def pack(values) -> int:
+                if words > 1:
+                    spread = [0] * (n * words)
+                    spread[::words] = values
+                    values = spread
+                return int.from_bytes(struct.pack(fmt, *values), "little")
 
+            def split(packed: int) -> tuple[int, int]:
+                """(v mod p, floor(v / p)) in every slot."""
+                quotient = (packed * factor >> shift) & quotient_mask
+                return packed - p * quotient, quotient
 
-def evaluation_map(field: GF, x: int, degree: int) -> Callable[[Sequence[int]], int]:
-    """Return the kernel g -> g(x) of a coefficient sequence g of degree at
-    most ``degree``.
+            columns = list(zip(*batch))
+            if len(columns) != size:
+                raise ValueError(f"a coefficient sequence of length other than {size}")
+            digits = []
+            for packed in map(pack, columns):
+                for _ in range(k - 1):
+                    digit, packed = split(packed)
+                    digits.append(digit)
+                digits.append(packed)  # the top digit, less than p
+            out = []
+            for coefficient in weights:
+                code = 0
+                for c, terms in enumerate(coefficient):
+                    total = 0
+                    for x, w in terms:
+                        total += w * digits[x]
+                    code += p**c * split(total)[0]
+                out.append(struct.unpack(fmt, code.to_bytes(n * slot // 8, "little"))[::words])
+            yield out
 
-    At a prime q it is one int dot product with the powers of x and one
-    ``% p``; an extension field calls :func:`poly_eval`.
-    """
-    if field.k == 1:
-        p = field.p
-        powers = [pow(x, i, p) for i in range(degree + 1)]
-        return lambda g: sum(map(operator.mul, g, powers)) % p
-    return lambda g: poly_eval(field, g, x)
+    return images
 
 
 # -- raw polynomial kernels -----------------------------------------------------

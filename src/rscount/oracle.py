@@ -43,7 +43,10 @@ tuples, and builds no :class:`~rscount.fields.Poly`: the sieve reads
 ``_irreducible_raw``, and the orthogonal walk reads ``_self_reciprocal_raw``
 and ``_reciprocal_pairs_raw``, which keep one member f of each pair {f, f*}
 and no partner.  The orthogonal oracle counts its data without building them:
-one plain recursion reaches every datum once per ±1-eigenvalue option, with
+one plain recursion reaches every subset of blocks and pairs of degree sum
+at most the dimension exactly once, and tallies it by its degree sum; every
+±1-eigenvalue option reads the tally of the degree sum it leaves, so no
+subset is walked twice.  The walk steps through the subsets themselves, with
 no counting formula, so it stays an enumeration.  :func:`iter_orthogonal_data`
 builds the same data, one :class:`ConjugacyDatum` each, and is the one place
 here that reads ``Poly``: the blocks and pairs (partners included) of the
@@ -393,37 +396,45 @@ def _orthogonal_sums(m: int, q: int) -> tuple[int, int, int]:
     no-eigenvalue data, sign -1 per block and +1 per pair.
 
     A datum is one ±1-eigenvalue option (a, a_type, b, b_type) with a subset
-    of the block/pair list of degree sum m - a - b; the walk reaches each
-    once, as :func:`iter_orthogonal_data` does, but only counts it.
+    of the block/pair list of degree sum m - a - b.  One walk reaches every
+    subset of degree sum at most m exactly once, as :func:`iter_orthogonal_data`
+    reaches each datum, but only counts it: it adds 1 to the count and the
+    subset's sign to the signed count of its degree sum.  Each option then
+    reads the tallies at m - a - b, so the subsets that several options
+    share are walked once, not once per option.  The walk lists subsets, one
+    step each, and sums no multiplicities by degree, so it stays an
+    enumeration.
     """
     options, groups = _orthogonal_parts(m, q)
-    degrees = [d for d, _, members in groups for _ in members]
+    # Ascending degrees, and m + 1 after the last, which no subset can add.
+    degrees = [d for d, _, members in groups for _ in members] + [m + 1]
     signs = [sign for _, sign, members in groups for _ in members]
-    size = len(degrees)
+    size = len(signs)
+    count, signed = [1] + [0] * m, [1] + [0] * m  # the empty subset
 
-    def walk(start: int, remaining: int) -> tuple[int, int]:
-        """(data, signed data) among the subsets of universe[start:] of
-        degree sum ``remaining``."""
-        if remaining == 0:
-            return 1, 1
-        count = signed = 0
+    def walk(start: int, total: int, sign: int) -> None:
+        """Tally every subset that extends one of degree sum ``total`` and
+        sign ``sign``, whose items all come before ``start``, by items from
+        ``start`` on."""
         for i in range(start, size):
-            if degrees[i] > remaining:
+            reached = total + degrees[i]
+            if reached > m:
                 break
-            c, s = walk(i + 1, remaining - degrees[i])
-            count += c
-            signed += signs[i] * s
-        return count, signed
+            reached_sign = sign * signs[i]
+            count[reached] += 1
+            signed[reached] += reached_sign
+            if reached + degrees[i + 1] <= m:
+                walk(i + 1, reached, reached_sign)
 
+    walk(0, 0, 1)
     S = D = total = 0
     for a, _, b, _ in options:
-        count, signed = walk(0, m - a - b)
-        total += count
+        total += count[m - a - b]
         if a or b:
-            S += count
+            S += count[m - a - b]
         else:
-            S += 2 * count
-            D += 2 * signed
+            S += 2 * count[m]
+            D += 2 * signed[m]
     return S, D, total
 
 

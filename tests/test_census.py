@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import re
@@ -37,11 +38,15 @@ from rscount.conjugation import (
 from rscount.census import (
     _formula_count,
     _hermitian_pairs_raw,
+    _hermitian_self_reciprocal_raw,
     _irreducible_raw,
     _reciprocal_pairs_raw,
+    _self_reciprocal_raw,
+    cayley_frame,
     iter_hermitian_self_reciprocal_coeffs,
 )
 from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes, reciprocal_codes
+from rscount import fields
 from rscount.fields import (
     Poly,
     _frobenius_map,
@@ -50,6 +55,7 @@ from rscount.fields import (
     is_irreducible,
     mark_multiples,
     poly_eval,
+    poly_mul,
 )
 
 
@@ -171,6 +177,81 @@ def test_hermitian_cayley_construction_matches_both_scans():
         assert len(built) == census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, q, d).count
 
 
+def _reference_self_reciprocal_construction(field, degree):
+    """The z + 1/z construction one g at a time, as the census built it
+    before its batch kernel: g(2) g(-2) (q odd) or the trace of g_1/g_0 by
+    squarings (q even) per g, and the expansion as one GF call per term."""
+    q, m = field.q, degree // 2
+    add, mul = field.add, field.mul
+    basis = [[0] * (m + 1) for _ in range(m + 1)]
+    for i, row in enumerate(basis):
+        for j in range(i // 2 + 1):
+            row[m - i + 2 * j] = field.scalar(math.comb(i, j))
+    squares = {mul(a, a) for a in range(q)}
+    out = []
+    for g in _irreducible_raw(field, m):
+        if q % 2:
+            at_two = poly_eval(field, g, field.scalar(2))
+            if mul(at_two, poly_eval(field, g, field.scalar(-2))) in squares:
+                continue
+        else:
+            if g[0] == 0:
+                continue
+            trace = power = mul(g[1], field.inv(g[0]))
+            for _ in range(field.k - 1):
+                power = mul(power, power)
+                trace = add(trace, power)
+            if trace != 1:
+                continue
+        low = [0] * (m + 1)
+        for c, row in zip(g, basis):
+            low = [add(a, mul(c, b)) for a, b in zip(low, row)]
+        out.append(tuple(low + low[-2::-1]))
+    out.sort(key=lambda f: f[::-1])
+    return tuple(out)
+
+
+def _reference_hermitian_construction(base_q, degree):
+    """The Cayley construction one g at a time, as the census built it
+    before its batch kernel: the g embedded code by code, expanded with one
+    GF call per term and made monic."""
+    ext = ff_from_order(base_q * base_q)
+    add, mul, neg = ext.add, ext.mul, ext.neg
+    w, embed = cayley_frame(base_q)
+    cayley, shift = [[1]], [[1]]
+    for _ in range(degree):
+        cayley.append(poly_mul(ext, cayley[-1], [neg(w), ext.pow(w, base_q)]))
+        shift.append(poly_mul(ext, shift[-1], [neg(1), 1]))
+    basis = [poly_mul(ext, cayley[i], shift[degree - i]) for i in range(degree + 1)]
+    out = []
+    for g in _irreducible_raw(ff_from_order(base_q), degree):
+        f = [0] * (degree + 1)
+        for c, row in zip(g, basis):
+            f = [add(a, mul(embed[c], b)) for a, b in zip(f, row)]
+        lead = ext.inv(f[-1])
+        out.append(tuple(mul(lead, c) for c in f))
+    out.sort(key=lambda f: f[::-1])
+    return tuple(out)
+
+
+def test_batched_constructions_match_the_per_polynomial_ones():
+    """The batch kernel's constructions against the per-g ones, on cells
+    that span several batches, a prime above the table limit (257) and an
+    extension field above it (512, digit arithmetic)."""
+    for q, d in ((7, 12), (3, 20), (4, 16), (257, 4), (512, 2)):
+        field = ff_from_order(q)
+        g_count = len(_irreducible_raw(field, d // 2))
+        built = _self_reciprocal_raw(field, d)
+        assert built == _reference_self_reciprocal_construction(field, d), (q, d)
+        assert len(built) == census_count(CensusKind.SELF_RECIPROCAL, q, d).count, (q, d)
+        if (q, d) == (7, 12):
+            assert g_count == 19_544 > 4 * fields._BATCH_ENTRIES
+    assert len(_irreducible_raw(ff_from_order(5), 7)) == 11_160 > 2 * fields._BATCH_ENTRIES
+    built = _hermitian_self_reciprocal_raw(5, 7)
+    assert built == _reference_hermitian_construction(5, 7)
+    assert len(built) == census_count(CensusKind.HERMITIAN_SELF_RECIPROCAL, 5, 7).count
+
+
 def test_kind_tokens_round_trip():
     for kind in CensusKind:
         assert CensusKind.from_token(kind.value) is kind
@@ -270,19 +351,36 @@ def test_irreducible_survivors_match_the_reversed_tuples():
             assert _irreducible_raw(field, d) == _reference_survivors(marked, q, d), (q, d)
 
 
+def _ties(candidates, partner_codes):
+    """(ties, ties between distinct partners): the candidates with a nonzero
+    constant whose coefficient below the leading one equals their partner's,
+    so that the pair filter compares them in full."""
+    tied = [f for f in candidates if f[0] and f[-2] == partner_codes(f)[-2]]
+    return len(tied), sum(f != partner_codes(f) for f in tied)
+
+
 def test_pair_filters_match_the_reversed_partners():
+    ties = [0, 0]
     for q, top in _WORKLOAD_IRREDUCIBLE_CELLS.items():
         field = ff_from_order(q)
         partner = functools.partial(reciprocal_codes, field)
         for d in range(1, top + 1):
             expected = _reference_kept_of_pairs(_irreducible_raw(field, d), partner)
-            assert _reciprocal_pairs_raw(field, d) == expected, (q, d)
+            kept = _reciprocal_pairs_raw(field, d)
+            assert kept == expected, (q, d)
+            # The kept tuples are the sieve's own, not copies.
+            assert set(map(id, kept)) <= set(map(id, _irreducible_raw(field, d)))
+            ties = list(map(operator.add, ties, _ties(_irreducible_raw(field, d), partner)))
+    assert min(ties) > 0, ties
+    ties = [0, 0]
     for base_q, top in ((2, 6), (3, 3), (4, 2)):
         ext = ff_from_order(base_q * base_q)
         partner = functools.partial(hermitian_reciprocal_codes, ext, base_q=base_q)
         for d in range(1, top + 1):
             expected = _reference_kept_of_pairs(_irreducible_raw(ext, d), partner)
             assert _hermitian_pairs_raw(base_q, d) == expected, (base_q, d)
+            ties = list(map(operator.add, ties, _ties(_irreducible_raw(ext, d), partner)))
+    assert min(ties) > 0, ties
 
 
 def test_self_reciprocal_irreducibles():
@@ -592,12 +690,14 @@ def test_field_keyed_caches_are_bounded():
 def test_hermitian_censuses_run_no_power_per_coefficient():
     """The enumerate routes of the hermitian kinds apply the involution to
     each irreducible through one Frobenius table, not one ``GF.pow`` per
-    coefficient.  Counted in a fresh interpreter, so that no cache is warm."""
+    coefficient.  Counted in a fresh interpreter, so that no cache is warm:
+    first the set-up of GF(9), GF(4) and their Frobenius tables, then the
+    census routes alone."""
     script = textwrap.dedent(
         """
         import json
         from rscount.census import CensusKind, census_count, irreducibles
-        from rscount.fields import GF, ff_from_order
+        from rscount.fields import GF, ff_from_order, frobenius_map
         calls = [0]
         power = GF.pow
         def counted(self, a, e):
@@ -605,6 +705,10 @@ def test_hermitian_censuses_run_no_power_per_coefficient():
             return power(self, a, e)
         GF.pow = counted
         out = {"counts": {}}
+        for q in (3, 2):
+            frobenius_map(ff_from_order(q * q), q)
+        out["setup_calls"] = calls[0]
+        calls[0] = 0
         for kind, q, d_max in (("hermitian-self-reciprocal", 3, 5), ("hermitian-pairs", 2, 6)):
             out["counts"][kind] = [
                 census_count(CensusKind.from_token(kind), q, d, "enumerate").count
@@ -637,11 +741,13 @@ def test_hermitian_censuses_run_no_power_per_coefficient():
         assert out["counts"][kind.value] == [
             census_count(kind, q, d).count for d in range(1, d_max + 1)
         ]
-    # One power per code builds the Frobenius tables of GF(9) and GF(4); one
-    # per coefficient of every irreducible would be 86,350 here.
+    # One power per code builds the Frobenius tables of GF(9) and GF(4); the
+    # census routes then take none, where one per coefficient of every
+    # irreducible would be 86,350 here.
     assert out["irreducibles"] > 10_000
-    assert out["calls"] <= 9 + 4
-    assert out["control_calls"] == out["calls"] + 1
+    assert out["setup_calls"] <= 9 + 4
+    assert out["calls"] == 0
+    assert out["control_calls"] == 1
 
 
 def test_hermitian_census_sieves_over_the_base_field():

@@ -21,8 +21,6 @@ from rscount.fields import (
     TABLE_LIMIT,
     GF,
     Poly,
-    combination_map,
-    evaluation_map,
     ff_from_order,
     ff_generator,
     ff_make,
@@ -30,6 +28,7 @@ from rscount.fields import (
     frobenius_map,
     is_irreducible,
     is_squarefree,
+    linear_map,
     mark_multiples,
     multiplicative_order,
     poly_derivative,
@@ -330,12 +329,12 @@ def test_poly_evaluation():
     assert f(3) == 0
 
 
-# The kernels' two branches, plain ints at a prime q (with or without tables)
-# and GF calls in an extension field, the latter on fields with tables and
-# above TABLE_LIMIT.  The references are the digit arithmetic, which reads no
-# table.
+# The batch kernel on prime fields (with and without tables, and one prime
+# whose sums need slots of more than one 64-bit word) and on extension
+# fields with tables and above TABLE_LIMIT.  The references are the digit
+# arithmetic, which reads no table.
 _KERNEL_FIELDS = {
-    "prime": (11, 13, 257),
+    "prime": (11, 13, 257, 65537),
     "tables": (4, 8, 9, 16),
     "digits": (289, 343),
 }
@@ -356,6 +355,19 @@ def _digit_evaluation(field, g, x):
     return acc
 
 
+def _digit_power(field, x, e):
+    acc = 1
+    for _ in range(e):
+        acc = field._mul_digits(acc, x)
+    return acc
+
+
+def _images(kernel, rows):
+    """The images of ``rows`` under a :func:`linear_map` kernel, one tuple
+    each, read across its batches."""
+    return [image for columns in kernel(rows) for image in zip(*columns)]
+
+
 @pytest.mark.parametrize("branch", sorted(_KERNEL_FIELDS))
 def test_polynomial_kernels_match_digit_arithmetic(branch):
     rng = random.Random(20)
@@ -369,16 +381,39 @@ def test_polynomial_kernels_match_digit_arithmetic(branch):
             # Sparse rows (as the z + 1/z basis), dense rows (as the Cayley one).
             basis = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(width)]
                      for _ in range(degree + 1)]
-            combine = combination_map(field, basis)
+            combine = linear_map(field, basis)
             xs = [0, 1, q - 1, rng.randrange(q)]
-            evaluations = [evaluation_map(field, x, degree) for x in xs]
+            # Column j of this basis maps g to g(xs[j]).
+            evaluate = linear_map(
+                field, [[_digit_power(field, x, i) for x in xs] for i in range(degree + 1)]
+            )
+            gs = []
             for _ in range(20):
                 g = [rng.randrange(q) for _ in range(degree)] + [1]
                 g[rng.randrange(degree + 1)] = 0
-                assert combine(g) == _digit_combination(field, basis, g), (q, basis, g)
-                assert [e(g) for e in evaluations] == [
-                    _digit_evaluation(field, g, x) for x in xs
-                ], (q, g)
+                gs.append(g)
+            assert _images(combine, gs) == [
+                tuple(_digit_combination(field, basis, g)) for g in gs
+            ], (q, basis)
+            assert _images(evaluate, gs) == [
+                tuple(_digit_evaluation(field, g, x) for x in xs) for g in gs
+            ], (q, degree)
+            assert list(combine([])) == [] and list(combine(iter(()))) == []
+            with pytest.raises(ValueError):
+                list(combine([[1] * (degree + 2)]))
+        # The evaluations at 2 and -2 of the self-reciprocal construction, on
+        # a batch one chunk and five rows long.
+        at_two = [field.scalar(2), field.scalar(-2)]
+        evaluate = linear_map(field, [[field.scalar(2**i), field.scalar((-2) ** i)]
+                                      for i in range(2)])
+        gs = [(rng.randrange(q), rng.randrange(q)) for _ in range(fields._BATCH_ENTRIES + 5)]
+        batches = list(evaluate(iter(gs)))
+        assert [len(column) for columns in batches for column in columns] == [
+            fields._BATCH_ENTRIES, fields._BATCH_ENTRIES, 5, 5
+        ], q
+        assert [image for columns in batches for image in zip(*columns)] == [
+            tuple(_digit_evaluation(field, g, x) for x in at_two) for g in gs
+        ], q
         for c in (0, 1, q - 1, rng.randrange(q)):
             add_c = translate_map(field, c)
             xs = [rng.randrange(q) for _ in range(30)]

@@ -515,7 +515,7 @@ def _reference_orthogonal_sums(m: int, q: int, limit: int):
 
 def test_orthogonal_walk_matches_data_sums():
     cells = 0
-    for q in (2, 3, 4, 5, 7, 8, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         for m in range(2, 11):
             if q % 2 == 0 and m % 2:
                 continue
@@ -523,8 +523,12 @@ def test_orthogonal_walk_matches_data_sums():
             if expected is None:
                 continue
             assert _orthogonal_sums(m, q) == expected, (m, q)
+            # The oracle reports the data count it walked as its witnesses.
+            families = (Family.SO_PLUS, Family.SO_MINUS) if m % 2 == 0 else (Family.SO_ODD,)
+            for family in families:
+                assert _oracle(family, m // 2, q).witness_count == expected[2], (family, m, q)
             cells += 1
-    assert cells == 49
+    assert cells == 49 + 13  # 13 cells at q = 11 and 13
 
 
 def test_orthogonal_walk_and_data_reject_odd_dimension_in_even_characteristic():
