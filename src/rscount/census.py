@@ -166,6 +166,11 @@ def _irreducible_bound(field: GF, degree: int):
     return field.q**degree, "irreducible scan over GF({}) degree {}", field.q, degree
 
 
+#: The translate table that turns a sieve's marks into the selectors of
+#: its survivors: 1 for an unmarked candidate, 0 for a marked one.
+_UNMARKED = bytes([1]) + bytes(255)
+
+
 @capped_cache(_irreducible_bound)
 def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible coefficient tuples of the given degree, sorted by code.
@@ -174,10 +179,15 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     irreducibility test per candidate: a reducible monic polynomial is a
     product g * h with g irreducible of degree <= degree/2, so marking the
     monic multiples of those g, in one :func:`~rscount.fields.mark_multiples`
-    call, leaves exactly the irreducibles.  They come out in index order,
-    which is code order: the code of a monic polynomial of degree d is q^d
-    plus the index of its d low coefficients.  The survivors are read back
-    by C-level calls, with no Python step per tuple.
+    call, leaves exactly the irreducibles.  Over a field of at most 16
+    elements, once q^(degree-1) exceeds the leaf width (256), the linear g
+    take that call's root pass: every candidate with a root is marked by
+    evaluating all of them at once, in byte passes of at most 2^15
+    candidates.  The survivors come out in index order, which is code
+    order: the code of a monic polynomial of degree d is q^d plus the index
+    of its d low coefficients.  They are read back by C-level calls, with
+    no Python step per tuple: one ``bytes.translate`` turns the marks into
+    the survivors' selectors for ``itertools.compress``.
     """
     q = field.q
     if degree == 1:
@@ -185,12 +195,14 @@ def _irreducible_raw(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
     marked = bytearray(q**degree)
     factors = (g for e in range(1, degree // 2 + 1) for g in _irreducible_raw(field, e))
     mark_multiples(marked, field, factors, degree)
+    # Their selectors replace the marks, which are not held while the
+    # survivors are read back.
+    selectors = marked.translate(_UNMARKED)
+    del marked
     # product() runs through the low coefficients in index order, the highest
     # one first, each tuple ending in the leading 1; the unmarked ones are
     # read back low to high.
-    survivors = itertools.compress(
-        itertools.product(*[range(q)] * degree, (1,)), map(operator.not_, marked)
-    )
+    survivors = itertools.compress(itertools.product(*[range(q)] * degree, (1,)), selectors)
     return tuple(map(operator.itemgetter(*range(degree - 1, -1, -1), degree), survivors))
 
 

@@ -36,9 +36,14 @@ read the tables inline where they exist; :func:`linear_map` returns the
 batch kernel of a GF(p)-linear map of coefficient sequences (the census
 constructions' expansions and evaluations), which packs a whole batch into
 ints and reads no table; and :func:`mark_multiples` sieves all of one
-sieve's divisors in one call, at a cost that goes with the marks.  At odd q
-it reads one set of addition rows: the narrow divisors of each degree in
-batches, each wide one by a walk of its own.  In characteristic 2 a sum of
+sieve's divisors in one call, at a cost that goes with the marks.  Over a
+field of at most 16 elements, where each linear divisor z - a has more than
+256 multiples, it marks them all at once by evaluation: the f with
+f(a) = 0 are found by ``bytes.translate`` and ``join`` passes through the
+tables, a chunk at a time, and OR'd in through ints, with no Python step
+per mark.  For the other divisors, at odd q it reads one set of addition
+rows: the narrow divisors of each degree in batches, each wide one by a
+walk of its own.  In characteristic 2 a sum of
 codes is their XOR, so the index of a multiple is GF(2)-linear in it, and
 each divisor's multiples are one XOR span, with no addition rows at all.
 
@@ -72,6 +77,10 @@ _LEAF_WIDTH = 256
 #: of one leaf of a characteristic-2 span (:func:`_mark_span`), and most
 #: coefficient sequences one batch of a :func:`linear_map` kernel takes.
 _BATCH_ENTRIES = 1 << 12
+
+#: Most candidates one chunk of the root pass (:func:`_mark_roots`) ORs
+#: into the marks at once, and most bytes of one root's hit patterns.
+_ROOT_CHUNK = 8 * _BATCH_ENTRIES
 
 
 class GF:
@@ -593,14 +602,18 @@ def mark_multiples(
     are then fixed by H, linearly: they are the residue[m] + sum_j H_j
     residue[j] of :func:`_residues`.
 
-    The cost goes with the marks, not with the divisors.  In characteristic
-    2 the index is GF(2)-linear in the multiple, so each divisor's indices
+    The cost goes with the marks, not with the divisors.  The multiples of
+    a linear divisor z - a are the f with f(a) = 0.  Where q^2 <=
+    :data:`_LEAF_WIDTH` < q^(n-1), a rule that reads only q and n, the
+    linear divisors are marked last and together, by evaluating all the
+    candidates at their roots (:func:`_mark_roots`).  In characteristic 2
+    the index is GF(2)-linear in the multiple, so each divisor's indices
     are an offset XOR a span, listed by :func:`_mark_span` with one XOR per
     mark.  At odd q a divisor with at most :data:`_LEAF_WIDTH` multiples
     (q^m) is narrow: the narrow divisors of one degree are marked together,
     in batches of at most :data:`_BATCH_ENTRIES` multiples, by
     :func:`_mark_batch`.  A wider one gets a walk of its own,
-    :func:`_mark_walk`.
+    :func:`_mark_walk`.  Marks already set stay set.
 
     A divisor that is not monic, or of degree below 1, raises ``ValueError``;
     one of degree above n has no multiple to mark.  A field above
@@ -610,6 +623,9 @@ def mark_multiples(
     q = field.q
     add = field.add_table or _RowsOnDemand(field.add, q)
     batches: dict[int, list[list[list[int]]]] = {}  # degree -> residues not yet marked
+    # The roots of the linear divisors, marked together in one root pass
+    # where the field is small and each of them is wide.
+    roots = set() if q * q <= _LEAF_WIDTH < q ** (n - 1) else None
     try:
         for divisor in divisors:
             d = len(divisor) - 1
@@ -617,6 +633,9 @@ def mark_multiples(
                 raise ValueError(f"divisor {tuple(divisor)} is not monic of degree >= 1")
             m = n - d
             if m < 0:
+                continue
+            if d == 1 and roots is not None:
+                roots.add(field.neg_table[divisor[0]])
                 continue
             if field.p == 2:
                 _mark_span(marks, field, divisor, m)
@@ -634,6 +653,8 @@ def mark_multiples(
         for batch in batches.values():
             if batch:
                 _mark_batch(marks, field, add, batch)
+        if roots:
+            _mark_roots(marks, field, roots, n)
     finally:
         if add is not field.add_table:
             add.clear()  # a walk's closure holds the rows until a collection
@@ -652,9 +673,14 @@ def _mark_span(marks: bytearray, field: GF, divisor: Sequence[int], m: int) -> N
     most :data:`_BATCH_ENTRIES` entries, and is marked once per element of
     the span of the rest.  Multiplying by the basis codes takes k (d + 1)
     products; above :data:`TABLE_LIMIT` each is one :meth:`GF.mul` call.
+    At m = 0 the one multiple is G, whose index is its own low codes: it
+    is marked with no product.
     """
     k = field.k
     shifts = range(0, k * len(divisor), k)
+    if m == 0:  # G's own index: its low codes, k bits each
+        marks[sum(map(operator.lshift, divisor[:-1], shifts))] = 1
+        return
     # index(2^b G); shifting it by k j bits multiplies by z^j.
     rows = [sum(map(operator.lshift, map(scale_map(field, 1 << b), divisor), shifts))
             for b in range(k)]
@@ -669,6 +695,73 @@ def _mark_span(marks: bytearray, field: GF, divisor: Sequence[int], m: int) -> N
     for top in tops:
         for s in leaf:
             marks[top ^ s] = 1
+
+
+def _mark_roots(marks: bytearray, field: GF, roots: Iterable[int], n: int) -> None:
+    """Mark every monic f of degree n with f(a) = 0 for some a in
+    ``roots``, that is the multiples of the linear divisors z - a, by
+    evaluating all the candidates at once, through the dense tables.
+
+    f(a) = a^n + sum_k c_k a^k is linear in the digits c_k of the index
+    i = sum_k c_k q^k.  So it splits into three parts, each listed for all
+    its digit values, in index order, as bytes: the t low digits, which run
+    within a block of q^t candidates; the next u, which pick the block
+    within a chunk; and the rest, with a^n, which pick the chunk.  A
+    block's values are the low values plus one value s, so its
+    hits, where f(a) = 0, are one of q patterns: the positions where the
+    low value is -s, each made once by ``bytes.translate``.  A chunk's hits
+    are the ``join`` of the patterns that its blocks pick, OR'd into the
+    marks through ints: no index list is built and no Python step runs per
+    mark.  Marks already set stay set, and no byte at or beyond q^n is read
+    or written.
+
+    t is the least with q^(t+1) >= 8 q^(n-t), so that the patterns outweigh
+    the blocks that the join steps over, but at most n - 1, and a root's q
+    patterns take at most :data:`_ROOT_CHUNK` bytes; a chunk is as many
+    blocks as that many bytes hold.  So a cell of at most
+    :data:`_ROOT_CHUNK` candidates is one chunk, and the transient memory
+    is the patterns and a few chunks, whatever q^n.
+    """
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    pad = bytes(256 - q)
+    shift = [bytes(row) + pad for row in add]  # shift[c]: the translate table of x -> x + c
+    window = bytes(255) + b"\1" + bytes(255)
+    hit = [window[255 - v:511 - v] for v in field.neg_table]  # hit[s][x] = 1 iff x + s = 0
+
+    def values(start: int, weights: Sequence[int]) -> bytes:
+        """start + sum_j i_j weights[j] for every i < q^w, where i_j are the
+        w base-q digits of i: one byte each, in index order.  Digit j's
+        level is the ``join`` of q translates of the level below, one per
+        digit value c, through the ``shift`` table of c weights[j]."""
+        if not weights:
+            return bytes([start])
+        out = bytes(map(add[start].__getitem__, mul[weights[0]]))
+        for w in weights[1:]:
+            out = b"".join([out.translate(shift[x]) for x in mul[w]])
+        return out
+
+    t = 1
+    while t < n - 1 and q ** (t + 1) < 8 * q ** (n - t) and q ** (t + 2) <= _ROOT_CHUNK:
+        t += 1
+    u = n - t  # the top digits that run within one chunk
+    while q ** (t + u) > _ROOT_CHUNK:
+        u -= 1
+    plans = []
+    for a in roots:
+        powers = [1]
+        for _ in range(n):
+            powers.append(mul[a][powers[-1]])
+        low = values(0, powers[:t])
+        plans.append((list(map(low.translate, hit)).__getitem__, values(0, powers[t:t + u]),
+                      values(powers[n], powers[t + u:])))
+    size = q ** (t + u)
+    for h in range(q ** (n - t - u)):
+        chunk = slice(h * size, (h + 1) * size)
+        acc = int.from_bytes(marks[chunk], "little")
+        for pattern, mid, high in plans:
+            acc |= int.from_bytes(b"".join(map(pattern, mid.translate(shift[high[h]]))), "little")
+        marks[chunk] = acc.to_bytes(size, "little")
 
 
 def _residues(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rscount
-from rscount import fields
+from rscount import fields, oracle
 from rscount.census import _irreducible_raw
 from rscount.fields import (
     MAX_FIELD_SIZE,
@@ -665,7 +665,9 @@ def test_mark_multiples_matches_reference(monkeypatch):
     # the leaf width only from m = 9 on.  GF(257) has no dense tables.  Each
     # divisor is marked alone, and all of one n together in one batch call.
     # The spy records the fields whose walks ran a leaf of two or more digits,
-    # and the fields that took the XOR path: every one of characteristic 2.
+    # the fields that took the XOR path: every one of characteristic 2, and
+    # the fields whose linear divisors took the root pass: every one up to
+    # GF(16), each at the degrees its rule admits.
     calls = _count_regimes(monkeypatch)
     rng = random.Random(20121)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 257):
@@ -688,6 +690,8 @@ def test_mark_multiples_matches_reference(monkeypatch):
     wide_leaves = {q for q, digits in calls["walk"] if digits >= 2}
     assert wide_leaves == {3, 5, 7, 9}
     assert set(calls["span"]) == {2, 4, 8, 16}
+    assert {q for q, _, _ in calls["root"]} == {2, 3, 4, 5, 7, 8, 9, 16}
+    assert all(_takes_root_pass(q, n) for q, n, _ in calls["root"])
 
 
 def test_mark_multiples_builds_each_addition_row_once_per_call():
@@ -800,8 +804,9 @@ def _random_monic(rng: random.Random, q: int, degree: int) -> list[int]:
 def _count_regimes(monkeypatch) -> dict[str, list]:
     """Record the calls that ``mark_multiples`` makes, until the lists are
     cleared: the number of divisors of each batch, for each walk its field
-    size and the digits of its leaf, and for each XOR span its field size."""
-    calls: dict[str, list] = {"batch": [], "walk": [], "span": []}
+    size and the digits of its leaf, for each XOR span its field size, and
+    for each root pass its field size, degree and distinct roots."""
+    calls: dict[str, list] = {"batch": [], "walk": [], "span": [], "root": []}
 
     def batch(marks, field, add, residues):
         calls["batch"].append(len(residues))
@@ -819,11 +824,24 @@ def _count_regimes(monkeypatch) -> dict[str, list]:
         calls["span"].append(field.q)
         return mark_span(marks, field, divisor, m)
 
+    def roots(marks, field, found, n):
+        calls["root"].append((field.q, n, sorted(found)))
+        return mark_roots(marks, field, found, n)
+
     mark_batch, mark_walk, mark_span = fields._mark_batch, fields._mark_walk, fields._mark_span
+    mark_roots = fields._mark_roots
     monkeypatch.setattr(fields, "_mark_batch", batch)
     monkeypatch.setattr(fields, "_mark_walk", walk)
     monkeypatch.setattr(fields, "_mark_span", span)
+    monkeypatch.setattr(fields, "_mark_roots", roots)
     return calls
+
+
+def _takes_root_pass(q: int, n: int) -> bool:
+    """The rule of ``mark_multiples``: linear divisors take the root pass
+    over a field of at most 16 elements, where each has more multiples
+    than the leaf width."""
+    return q * q <= fields._LEAF_WIDTH < q ** (n - 1)
 
 
 def _clear(calls: dict[str, list]) -> None:
@@ -862,11 +880,16 @@ def test_mark_multiples_splits_one_degree_into_several_batches(monkeypatch):
 def test_mark_multiples_on_both_sides_of_the_narrow_width(monkeypatch):
     # For each odd q the largest m with q^m <= the leaf width is batched and
     # m + 1 is walked; GF(257) walks its linear divisors at m = 1.  Each
-    # q of characteristic 2 takes the XOR path on the same cells.
+    # q of characteristic 2 takes the XOR path on the same cells.  Linear
+    # divisors (d = 1) are the exception on the wide side: up to GF(16) they
+    # take the root pass there, together, while GF(64) spans and GF(257)
+    # walks them.  On the narrow side (GF(16) at n = 3, GF(3) at n = 6, and
+    # every n = 2) they keep the batches and the spans.
     rng = random.Random(2513)
     width = fields._LEAF_WIDTH
     calls = _count_regimes(monkeypatch)
-    for q in (2, 3, 4, 5, 16, 257):
+    admitted = set()
+    for q in (2, 3, 4, 5, 16, 64, 257):
         field = ff_from_order(q)
         m = 0
         while q ** (m + 1) <= width:
@@ -881,8 +904,100 @@ def test_mark_multiples_on_both_sides_of_the_narrow_width(monkeypatch):
                 marks = bytearray(q**n)
                 mark_multiples(marks, field, divisors, n)
                 taken = {name for name, recorded in calls.items() if recorded}
-                assert taken == {"span" if q % 2 == 0 else regime}, (q, n)
+                if d == 1 and regime == "walk" and q * q <= width:
+                    assert _takes_root_pass(q, n)
+                    roots = sorted({field.neg(g[0]) for g in divisors})
+                    assert calls["root"] == [(q, n, roots)], (q, n)
+                    assert taken == {"root"}, (q, n)
+                    admitted.add(q)
+                else:
+                    assert d > 1 or not _takes_root_pass(q, n)
+                    assert taken == {"span" if q % 2 == 0 else regime}, (q, n)
                 assert marks == _referenced(field, divisors, n), (q, n, divisors)
+    assert admitted == {2, 3, 4, 5, 16}
+    # At n = 2 a linear divisor has q multiples: narrow up to GF(256).
+    for q in (3, 4, 7, 16):
+        field = ff_from_order(q)
+        divisors = [(c, 1) for c in range(q)]
+        _clear(calls)
+        marks = bytearray(q**2)
+        mark_multiples(marks, field, divisors, 2)
+        assert not calls["root"] and calls["span" if q % 2 == 0 else "batch"], q
+        assert marks == _referenced(field, divisors, 2), q
+
+
+def test_root_pass_keeps_earlier_marks_and_the_tail(monkeypatch):
+    """The root pass ORs its marks in.  A pre-marked array, as the
+    symplectic scan passes its squarefree marks, keeps every earlier mark
+    and gains exactly the reference marks of the roots; bytes at and beyond
+    q^n, here random ones, are not touched.  GF(3) at n = 10, GF(2) at
+    n = 16 and GF(16) at n = 4 span several chunks."""
+    rng = random.Random(2517)
+    calls = _count_regimes(monkeypatch)
+    cells = ((3, 7), (3, 10), (2, 16), (5, 6), (7, 4), (16, 4))
+    assert {q**n > fields._ROOT_CHUNK for q, n in cells} == {True, False}
+    for q, n in cells:
+        field = ff_from_order(q)
+        assert _takes_root_pass(q, n)
+        earlier = oracle._squarefree_marks(field, n)
+        tail = bytes(rng.randrange(256) for _ in range(37))
+        for roots in ([field.scalar(2), field.neg(field.scalar(2))], rng.sample(range(q), min(q, 3))):
+            divisors = [(field.neg(a), 1) for a in roots]
+            marks = earlier + tail
+            _clear(calls)
+            mark_multiples(marks, field, divisors, n)
+            assert [c[:2] for c in calls["root"]] == [(q, n)]
+            expected = bytearray(earlier)
+            for divisor in divisors:
+                _reference_mark_multiples(expected, field, divisor, n)
+            assert marks == expected + tail, (q, n, roots)
+
+
+def test_root_pass_holds_a_chunk_not_the_candidates():
+    """The root pass lists its values and hits a chunk at a time: over the
+    1,953,125 degree-9 candidates of Sp(18, 5), marking the roots 2 and -2
+    peaks at their marks plus under 2^18 bytes of traced memory (eight
+    chunks), where one byte string of all their values would hold as much
+    again as the marks.  Measured in a fresh interpreter."""
+    script = textwrap.dedent(
+        """
+        import tracemalloc
+        from rscount import fields
+        field = fields.ff_make(5)
+        tracemalloc.start()
+        marks = bytearray(5**9)
+        fields.mark_multiples(marks, field, [(2, 1), (3, 1)], 9)
+        print(tracemalloc.get_traced_memory()[1], marks.count(0))
+        """
+    )
+    package_root = str(Path(rscount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    peak, rootless = map(int, result.stdout.split())
+    # The f with no root at 2 or 3, by inclusion and exclusion.
+    assert rootless == 5**9 - 2 * 5**8 + 5**7
+    assert 5**9 < peak < 5**9 + 8 * fields._ROOT_CHUNK
+
+
+def test_mark_span_marks_a_divisor_of_degree_n_as_its_own_index(monkeypatch):
+    """In the squarefree sieve over GF(8) at n = 6, the 168 squared cubics
+    have one multiple each, themselves: they are marked with no product.
+    Only the 8 squared linears and 28 squared quadratics build their k = 3
+    ``scale_map`` rows."""
+    field = ff_from_order(8)
+    divisors = [fields.poly_mul(field, g, g) for e in (1, 2, 3) for g in _irreducible_raw(field, e)]
+    assert len(divisors) == 8 + 28 + 168
+    scaled = []
+    scale = fields.scale_map
+    monkeypatch.setattr(fields, "scale_map", lambda f, c: scaled.append(c) or scale(f, c))
+    marks = bytearray(8**6)
+    mark_multiples(marks, field, divisors, 6)
+    assert len(scaled) == 3 * (8 + 28)
+    assert marks == _referenced(field, divisors, 6)
 
 
 def test_mark_multiples_takes_mixed_degrees_from_one_generator():
