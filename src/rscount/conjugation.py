@@ -18,10 +18,9 @@ ones by reading the constant codes on the norm-one circle directly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .fields import GF, Poly, frobenius_map, multiplicative_order, scale_map
+from .fields import GF, Poly, discrete_log, frobenius_map, multiplicative_order, scale_map
 
 
 class CharacterIndex(NamedTuple):
@@ -99,19 +98,6 @@ def is_hermitian_self_reciprocal(f: Poly, base_q: int) -> bool:
     return f.coeffs == hermitian_reciprocal_codes(f.field, f.coeffs, base_q)
 
 
-@lru_cache(maxsize=16)
-def _dlog_table(field: GF, zeta_code: int) -> dict[int, int]:
-    """Discrete-log table for the cyclic group generated by the code ``zeta_code``
-    (the 16 most recent tables are kept)."""
-    table: dict[int, int] = {}
-    acc, e = 1, 0
-    while acc not in table:
-        table[acc] = e
-        acc = field.mul(acc, zeta_code)
-        e += 1
-    return table
-
-
 def det_discrete_log(f: Poly, zeta: int) -> CharacterIndex:
     """Label f by the discrete log, base zeta, of (-1)^deg(f) * f(0), mod q-1.
 
@@ -127,7 +113,7 @@ def det_discrete_log(f: Poly, zeta: int) -> CharacterIndex:
     value = f.constant
     if f.degree % 2:
         value = field.mul(field.neg(1), value)
-    return CharacterIndex(field.q - 1, _dlog_table(field, zeta)[value])
+    return CharacterIndex(field.q - 1, discrete_log(field, zeta, value))
 
 
 __all__ = [

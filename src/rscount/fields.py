@@ -26,16 +26,20 @@ Int codes are the only element type: every function takes and returns codes,
 and :func:`multiplicative_order`, :func:`ff_generator` and :func:`frobenius`
 work on them directly.
 
+Every field has the log arrays of its least generator (:func:`_field_logs`),
+which powers, :func:`multiplicative_order` and :func:`discrete_log` read.
 Fields of order up to :data:`TABLE_LIMIT` carry dense add/mul/inv/neg tables
-(plain nested lists, the products and inverses filled from a generator's
-logarithms); larger fields (up to :data:`MAX_FIELD_SIZE`) fall back to digit
-arithmetic.  Only this module reads the tables.  Other modules get the choice
-made for them through the kernels here: :func:`frobenius_map`,
-:func:`scale_map` and :func:`translate_map` return functions of one code that
-read the tables inline where they exist; :func:`linear_map` returns the
-batch kernel of a GF(p)-linear map of coefficient sequences (the census
-constructions' expansions and evaluations), which packs a whole batch into
-ints and reads no table; and :func:`mark_multiples` sieves all of one
+(plain nested lists, all but the sums filled from the arrays); in a larger
+field (up to :data:`MAX_FIELD_SIZE`) a product, inverse or negative reads the
+arrays, and a sum is an XOR, or digit arithmetic at odd p.  That choice is
+made once, when the field is constructed.  Only this module reads the tables
+and arrays.  Other modules get the choice made for them through the kernels
+here: :func:`frobenius_map`, :func:`scale_map` and :func:`translate_map`
+return functions of one code that read the tables inline where they exist;
+:func:`linear_map` returns the batch kernel of a GF(p)-linear map of
+coefficient sequences (the census constructions' expansions and
+evaluations), which packs a whole batch into ints and reads no table; and
+:func:`mark_multiples` sieves all of one
 sieve's divisors in one call, at a cost that goes with the marks.  Over a
 field of at most 16 elements, where each linear divisor z - a has more than
 256 multiples, it marks them all at once by evaluation: the f with
@@ -57,6 +61,7 @@ from __future__ import annotations
 import operator
 import struct
 from functools import lru_cache, partial
+from math import gcd
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -99,6 +104,9 @@ class GF:
         "mul_table",
         "neg_table",
         "inv_table",
+        "generator",
+        "antilog_array",
+        "log_array",
     )
 
     def __init__(self, p: int, k: int, modulus_codes: tuple[int, ...]):
@@ -114,6 +122,14 @@ class GF:
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
+    def __getattr__(self, name: str):
+        # Only an empty slot gets here: a field above TABLE_LIMIT builds its
+        # log arrays on first use, so a scan with no product (GL(1, 2^20)) skips them.
+        if name not in ("generator", "antilog_array", "log_array"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.generator, self.antilog_array, self.log_array = _field_logs(self)
+        return getattr(self, name)
+
     def __reduce__(self):
         # Unpickle to the canonical singleton: fields are compared by identity.
         return ff_make, (self.p, self.k)
@@ -121,8 +137,8 @@ class GF:
     # -- construction of tables -------------------------------------------------
 
     def _build_tables(self) -> None:
-        """Fill the dense tables with O(q) digit work: the sums digit by
-        digit, the products and inverses from a generator's logarithms."""
+        """Fill the dense tables with O(q) work: the sums digit by digit,
+        the products, negatives and inverses from the log arrays."""
         p, q = self.p, self.q
         if p == 2:
             add = [[a ^ b for b in range(q)] for a in range(q)]
@@ -134,26 +150,17 @@ class GF:
                 add = [[s + p * t for t in rest for s in digit[low]]
                        for rest in add for low in range(p)]
         self.add_table = add
-        self.neg_table = [self._neg_digits(a) for a in range(q)]
-        # antilog[i] = g^i for a generator g of GF(q)*, doubled so that a sum
-        # of two logarithms needs no reduction mod q - 1.
-        for g in range(1, q):
-            antilog = [1]
-            while (x := self._mul_digits(antilog[-1], g)) != 1:
-                antilog.append(x)
-            if len(antilog) == q - 1:
-                break
-        log = [0] * q
-        for i, x in enumerate(antilog):
-            log[x] = i
-        antilog += antilog
+        self.generator, antilog, log = _field_logs(self)
+        self.antilog_array, self.log_array = antilog, log
         logs = log[1:]
+        minus = log[p - 1]  # the log of -1
         self.mul_table = [[0] * q] + [
             [0, *map(antilog[log[a]:].__getitem__, logs)] for a in range(1, q)
         ]
-        self.inv_table = [0] + [antilog[q - 1 - log[a]] for a in range(1, q)]
+        self.neg_table = [0, *(antilog[i + minus] for i in logs)]
+        self.inv_table = [0] + [antilog[q - 1 - i] for i in logs]
 
-    # -- digit-level arithmetic (no tables required) ----------------------------
+    # -- digit-level arithmetic: the log arrays' seed and the tests' reference --
 
     def _decode(self, a: int) -> list[int]:
         return self._decode_wide(a, self.k)
@@ -173,15 +180,11 @@ class GF:
         return code
 
     def _add_digits(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         p = self.p
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % p for x, y in zip(da, db)])
 
     def _neg_digits(self, a: int) -> int:
-        if self.p == 2:
-            return a
         p = self.p
         return self._encode([(-x) % p for x in self._decode(a)])
 
@@ -222,6 +225,8 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return self.add_table[a][b]
+        if self.p == 2:
+            return a ^ b
         return self._add_digits(a, b)
 
     def sub(self, a: int, b: int) -> int:
@@ -230,28 +235,32 @@ class GF:
     def neg(self, a: int) -> int:
         if self.neg_table is not None:
             return self.neg_table[a]
-        return self._neg_digits(a)
+        if self.p == 2:
+            return a
+        return self.mul(self.p - 1, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return self.mul_table[a][b]
-        return self._mul_digits(a, b)
+        if a == 0 or b == 0:
+            return 0
+        log = self.log_array
+        return self.antilog_array[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         if self.inv_table is not None:
             return self.inv_table[a]
-        return self._pow_via(self._mul_digits, a, self.q - 2)
+        return self.antilog_array[self.q - 1 - self.log_array[a]]
 
     def pow(self, a: int, e: int) -> int:
-        """Return a**e for an int code a; negative e inverts first (a != 0)."""
-        if e < 0:
-            a = self.inv(a)
-            e = -e
+        """Return a**e for an int code a; negative e needs a != 0."""
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError(f"0 has no inverse in {self!r}")
             return 0 if e else 1
-        return self._pow_via(self.mul, a, e % (self.q - 1) if e else 0)
+        return self.antilog_array[self.log_array[a] * e % (self.q - 1)]
 
     def scalar(self, m: int) -> int:
         """Return the code of the prime-subfield element m * 1 (m an ordinary int)."""
@@ -278,7 +287,9 @@ def ff_make(p: int, k: int = 1) -> GF:
 
 
 # Unbounded on purpose: this cache is the table of canonical singletons that
-# GF.__reduce__ and every identity comparison of fields rely on.
+# GF.__reduce__ and every identity comparison of fields rely on.  A field holds
+# at most 1.1 MB of dense tables up to TABLE_LIMIT, and above it, once used,
+# 12 bytes per element of log arrays (12 MiB at MAX_FIELD_SIZE).
 @lru_cache(maxsize=None)
 def _ff_make(p: int, k: int) -> GF:
     if not is_prime(p):
@@ -313,20 +324,62 @@ def multiplicative_order(field: GF, code: int) -> int:
     _check_int_code(code, "code")
     if not 0 < code < field.q:
         raise ValueError(f"code {code} has no multiplicative order in {field!r}")
-    order = field.q - 1
-    for prime, _ in prime_factorization(order):
-        while order % prime == 0 and field.pow(code, order // prime) == 1:
-            order //= prime
-    return order
+    return (field.q - 1) // gcd(field.q - 1, field.log_array[code])
 
 
 def ff_generator(field: GF) -> int:
     """Return the least code that generates the multiplicative group of ``field``."""
-    target = field.q - 1
-    for code in range(1, field.q):
-        if multiplicative_order(field, code) == target:
-            return code
-    raise AssertionError("unreachable: GF(q)* is cyclic")
+    return field.generator
+
+
+def discrete_log(field: GF, base: int, code: int) -> int:
+    """Return the e in ``range(q - 1)`` with base**e == code, for a
+    generator ``base`` of the multiplicative group and a nonzero ``code``:
+    log_g(code) * log_g(base)^(-1) mod q - 1, for the field's generator g."""
+    log, n = field.log_array, field.q - 1
+    return log[code] * pow(log[base], -1, n) % n
+
+
+def _field_logs(field: GF) -> tuple[int, memoryview, memoryview]:
+    """(g, antilog, log) for the least generator g of GF(q)*, by digit
+    arithmetic, since the field's products read the arrays: antilog[i] = g^i
+    for i < 2 (q - 1), doubled so that a sum of two logs needs no reduction,
+    and log[g^i] = i, log[0] = 0.  4-byte ints, 12 bytes per element in all.
+    The L antilogs listed so far, times g^L, are the next L: one
+    :func:`_linear_kernel` per doubling."""
+    p, k, q = field.p, field.k, field.q
+    n, mul = q - 1, field._mul_digits
+    buffer = bytearray(8 * n)
+    antilog = memoryview(buffer).cast("I")
+    antilog[0] = 1
+    # The first antilogs of a candidate g, one digit product each (on a short
+    # list the kernel's set-up costs more), up to a power g^i = 1, i < n: then
+    # g does not generate.  Nor does it if g^(n/r) = 1 for a prime r | n.
+    exponents = [n // r for r, _ in prime_factorization(n)]
+    prefix = min(n, TABLE_LIMIT)
+    for g in range(1, q):
+        size = 1
+        while size < prefix and (x := mul(antilog[size - 1], g)) != 1:
+            antilog[size] = x
+            size += 1
+        if size == prefix and all(
+            field._pow_via(mul, g, e) != 1 for e in exponents if e >= prefix
+        ):
+            break
+    while size < n:
+        step = mul(antilog[size - 1], g)  # g^size
+        scale = _linear_kernel(field, [[mul(p**b, step)] for b in range(k)])
+        for (column,) in scale(zip(antilog[:min(size, n - size)])):
+            struct.pack_into(f"{len(column)}I", buffer, 4 * size, *column)
+            size += len(column)
+    antilog[n:] = antilog[:n]
+    log = memoryview(bytearray(4 * q)).cast("I")
+    for i, x in enumerate(antilog[:n]):
+        log[x] = i
+    # g generates exactly when its powers are 1..q-1, each once.
+    if any(map(operator.ne, map(antilog.__getitem__, log[1:]), range(1, q))):
+        raise ArithmeticError(f"the powers of {g} are not the units of {field!r}")
+    return g, antilog, log
 
 
 def _check_int_code(code, what: str) -> None:
@@ -343,8 +396,8 @@ def frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     ``q0`` must equal p**j for some j >= 1 dividing k, i.e. GF(q0) must be a
     subfield of ``field``.  A field with dense tables (order up to
     :data:`TABLE_LIMIT`) gets a table of the map, read per call; a larger
-    field computes each power, as its other arithmetic does, since one call
-    should not build a table of up to 2^20 entries.  A cache keeps the maps
+    field computes each power from its log arrays, since one call should
+    not build a table of up to 2^20 entries.  A cache keeps the maps
     of the 16 most recent (field, q0) pairs; q0 is checked before it is
     consulted, since the cache takes 3.0 or True for the int it equals.
     """
@@ -358,7 +411,7 @@ def _frobenius_map(field: GF, q0: int) -> Callable[[int], int]:
     if pk is None or pk[0] != field.p or field.k % pk[1] != 0:
         raise ValueError(f"q0={q0} does not define a subfield of {field!r}")
     power = partial(field.pow, e=q0)
-    if field.q > TABLE_LIMIT:
+    if field.mul_table is None:
         return power
     return tuple(map(power, range(field.q))).__getitem__
 
@@ -419,12 +472,22 @@ def linear_map(
     call and read no table.
     """
     p, k = field.p, field.k
-    size, width = len(basis), len(basis[0])
+    return _linear_kernel(
+        field, [[field.mul(p**b, code) for code in row] for row in basis for b in range(k)]
+    )
+
+
+def _linear_kernel(
+    field: GF, images: Sequence[Sequence[int]]
+) -> Callable[[Iterable[Sequence[int]]], Iterator[list[tuple[int, ...]]]]:
+    """The kernel of :func:`linear_map`, given the products
+    ``images[i * k + b]`` = p^b * basis[i].  Its set-up makes no product,
+    so that :func:`_field_logs` can use it before the log arrays exist."""
+    p, k = field.p, field.k
+    size, width = len(images) // k, len(images[0])
     # weights[j][c]: the (input digit, weight) pairs of digit c of output
     # coefficient j, input digit i * k + b being digit b of g[i].
-    image_digits = [
-        [field._decode(field.mul(p**b, code)) for code in row] for row in basis for b in range(k)
-    ]
+    image_digits = [list(map(field._decode, row)) for row in images]
     weights = [
         [[(x, image[j][c]) for x, image in enumerate(image_digits) if image[j][c]]
          for c in range(k)]

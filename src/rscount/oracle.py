@@ -464,7 +464,7 @@ def oracle_count(spec: GroupSpec) -> OracleResult:
             return OracleResult(spec, total, total, "constant term nonzero")
         if family is Family.U:
             return OracleResult(spec, total, total, "constant term on the norm-one circle")
-        code = 1 if n % 2 == 0 else ff_from_order(q if linear else q * q).neg(1)
+        code = 1 if n % 2 == 0 else ff_from_order(q if linear else q * q).scalar(-1)
         return OracleResult(spec, hist.get(code, 0), total, f"constant term fixed to code {code}")
     if family is Family.SP or (family is Family.SO_ODD and q % 2 == 0):
         count = _symplectic_scan(n, q)

@@ -45,7 +45,7 @@ from rscount.census import (
     cayley_frame,
     iter_hermitian_self_reciprocal_coeffs,
 )
-from rscount.conjugation import _dlog_table, hermitian_reciprocal_codes, reciprocal_codes
+from rscount.conjugation import hermitian_reciprocal_codes, reciprocal_codes
 from rscount import fields
 from rscount.fields import (
     Poly,
@@ -683,7 +683,7 @@ def test_hermitian_involution_accounting():
 
 def test_field_keyed_caches_are_bounded():
     # frobenius_map checks q0 and then reads the cache _frobenius_map.
-    for cache in (_frobenius_map, _dlog_table, norm_one_circle):
+    for cache in (_frobenius_map, norm_one_circle):
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -341,14 +343,47 @@ def test_census_methods_agree(capsys):
             assert lines[d] == f"hermitian-self-reciprocal,2,{d},{expected}"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_python_blocks_run():
     """Every ```python block of README.md runs, so that the documentation
     cannot name a function or argument the package no longer has."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def _readme_examples():
+    """(environment, argv, shown text) of each ``$ rscount ...`` line in the
+    README's sh blocks.  The shown text is every line below the command, up
+    to the next ``$`` line or the end of the block; leading ``NAME=value``
+    words set the environment."""
+    text = README.read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            command, _, shown = chunk.partition("\n")
+            words = shlex.split(command[2:])
+            env = dict(w.split("=", 1) for w in itertools.takewhile(lambda w: "=" in w, words))
+            examples.append((env, words[len(env):], shown))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for env, argv, shown in examples:
+        assert argv[0] == "rscount", argv
+        with monkeypatch.context() as patch:
+            patch.delenv("RSCOUNT_ENUM_CAP", raising=False)
+            for name, value in env.items():
+                patch.setenv(name, value)
+            main(argv[1:])
+        captured = capsys.readouterr()
+        assert captured.out + captured.err == shown, argv
 
 
 def test_census_requires_prime_power(capsys):
@@ -580,6 +615,61 @@ def test_import_and_parse_do_only_the_needed_work():
     out = json.loads(result.stdout)
     assert out["loaded"] == []
     assert out["runs"] == [[0, 1]] * 5 + [[0, 1 + len(cli._COMMANDS)]] + [[0, 0]] * 2
+
+
+def test_fields_above_the_table_limit_scan_in_seconds():
+    """The oracle over a field above TABLE_LIMIT reads its log arrays, not
+    digit arithmetic: SO+(2, 2^16) and U(1, 256), whose unitary scan runs
+    over GF(2^16), agree three ways in a fresh process well inside the
+    timeout (digit arithmetic took about 144 s and 4.6 s)."""
+    script = textwrap.dedent(
+        """
+        from rscount.cli import main
+        for group, q in (("so+", "65536"), ("u", "256")):
+            main(["count", "--group", group, "--n", "1", "--q", q, "--method", "all"])
+        """
+    )
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("RSCOUNT_ENUM_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(row["group"], row["q"], row["agree"]) for row in rows] == [
+        ("so+", 65536, True), ("u", 256, True),
+    ]
+    assert [row["counts"] for row in rows] == [
+        dict.fromkeys(("formula", "genfun", "oracle"), count) for count in (65535, 257)
+    ]
+
+
+def test_scans_with_no_product_build_no_log_arrays():
+    """A field above TABLE_LIMIT builds its log arrays on first use, and
+    GL(1, q) and SL(1, q) make no product: over GF(3^6) and GF(2^9), in a
+    fresh process, only the tables of the prime fields are built."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json
+        import rscount.fields as fields
+        from rscount.cli import main
+        built, build = [], fields._field_logs
+        fields._field_logs = lambda field: built.append(field.q) or build(field)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for group in ("gl", "sl"):
+                for q in ("729", "512"):
+                    main(["count", "--group", group, "--n", "1", "--q", q, "--method", "all"])
+        print(json.dumps(built))
+        """
+    )
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert sorted(json.loads(result.stdout)) == [2, 3]
 
 
 def test_console_script_smoke():

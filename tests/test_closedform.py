@@ -84,6 +84,7 @@ def test_routes_share_only_the_family_vocabulary():
 
 _TABLE_NAMES = {
     "add_table", "mul_table", "neg_table", "inv_table", "TABLE_LIMIT", "_RowsOnDemand",
+    "antilog_array", "log_array",
 }
 
 
@@ -102,8 +103,9 @@ def _names(tree: ast.Module):
 
 def test_only_fields_knows_the_field_tables():
     """Int codes are the only element type, and only ``fields`` decides
-    between the dense tables and digit arithmetic: no other module names a
-    table, the table limit or the row builder, and none names FieldElement."""
+    between the dense tables and the log arrays: no other module names a
+    table, a log array, the table limit or the row builder, and none names
+    FieldElement."""
     package = Path(rscount.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert {m.stem for m in modules} >= {"fields", "conjugation", "census", "oracle"}

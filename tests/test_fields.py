@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +39,7 @@ from rscount.fields import (
     _monic_polys,
     _RowsOnDemand,
 )
-from rscount.numbertheory import as_prime_power, is_prime
+from rscount.numbertheory import as_prime_power, divisors, is_prime
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -199,6 +200,76 @@ def test_dense_tables_equal_digit_arithmetic():
             if a:
                 assert field.inv_table[a] == field._pow_via(field._mul_digits, a, q - 2), (q, a)
         assert len(field.add_table) == len(field.mul_table) == len(field.inv_table) == q
+
+
+def _digit_order(field, a):
+    """The multiplicative order of a, by digit arithmetic: the least divisor
+    d of q - 1 with a^d = 1."""
+    return next(d for d in divisors(field.q - 1) if field._pow_via(field._mul_digits, a, d) == 1)
+
+
+def test_log_arrays_equal_digit_arithmetic_above_the_limit(monkeypatch):
+    """Above TABLE_LIMIT the arithmetic reads the log arrays: sampled
+    products, inverses, powers, negatives, Frobenius maps and orders, and
+    the least generator, equal the digit arithmetic's, and still do once
+    the digit multiplication and powers raise."""
+    rng = random.Random(31)
+    cells = []
+    for p, k in ((257, 1), (17, 2), (2, 9), (3, 6), (2, 12)):
+        field = ff_make(p, k)
+        q = field.q
+        assert q > TABLE_LIMIT and field.mul_table is None
+        antilog, log = field.antilog_array, field.log_array
+        assert sorted(antilog[:q - 1]) == list(range(1, q))
+        assert antilog[q - 1:] == antilog[:q - 1] and len(log) == q
+        mul, power = field._mul_digits, partial(field._pow_via, field._mul_digits)
+        codes = [0, 1, q - 1, *rng.sample(range(2, q - 1), 20)]
+        units = codes[1:]
+        exponents = [0, 1, 2, 3, q - 2, q - 1, 2 * (q - 1), 5 * q + 3, -1, -2, -(q - 1), -7 * q]
+        subfields = [p**j for j in range(1, k + 1) if k % j == 0]
+        expected = {
+            "mul": [mul(a, b) for a in codes for b in codes],
+            "inv": [power(a, q - 2) for a in units],
+            # a^e for e < 0 is (a^-1)^-e.
+            "pow": [power(a, e) if e >= 0 else power(power(a, q - 2), -e)
+                    for a in units for e in exponents] + [1, 0, 0],
+            "neg": [field._neg_digits(a) for a in codes],
+            "frobenius": [power(a, q0) for q0 in subfields for a in codes],
+            "order": [_digit_order(field, a) for a in units],
+            "generator": next(c for c in range(1, q) if _digit_order(field, c) == q - 1),
+        }
+        cells.append((field, codes, units, exponents, subfields, expected))
+
+    def no_digits(*args):
+        raise AssertionError("digit arithmetic after construction")
+
+    for name in ("_mul_digits", "_pow_via", "_neg_digits"):
+        monkeypatch.setattr(GF, name, no_digits)
+    for field, codes, units, exponents, subfields, expected in cells:
+        actual = {
+            "mul": [field.mul(a, b) for a in codes for b in codes],
+            "inv": list(map(field.inv, units)),
+            "pow": [field.pow(a, e) for a in units for e in exponents]
+            + [field.pow(0, 0), field.pow(0, 1), field.pow(0, field.q - 1)],
+            "neg": list(map(field.neg, codes)),
+            "frobenius": [frobenius_map(field, q0)(a) for q0 in subfields for a in codes],
+            "order": [multiplicative_order(field, a) for a in units],
+            "generator": ff_generator(field),
+        }
+        assert actual == expected, field
+        with pytest.raises(ZeroDivisionError):
+            field.pow(0, -1)
+
+
+def test_log_arrays_check_their_generator():
+    """The log-array builder's check raises, not asserts, when the powers of
+    the generator it found are not the units: over GF(2)[z]/(z^k), which is
+    not a field, with tables (k = 4) and above TABLE_LIMIT (k = 9)."""
+    with pytest.raises(ArithmeticError):
+        GF(2, 4, (0,) * 4 + (1,))
+    ring = GF(2, 9, (0,) * 9 + (1,))
+    with pytest.raises(ArithmeticError):
+        ring.log_array
 
 
 def test_frobenius_power_map_is_identity():
